@@ -17,7 +17,6 @@ portability" claim).
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
@@ -225,25 +224,8 @@ class Framework:
                     seconds=sum(s.duration for s in compiled.spans),
                 )
                 return compiled
-        capacity = self.device.usable_memory_floats
-        out_of_core = (
-            opts.split
-            and template.total_data_size() > capacity
-        )
-        candidates = (
-            opts.headroom_candidates() if out_of_core else (1.0,)
-        )
-        tracer = Tracer()
-        best: CompiledTemplate | None = None
-        best_headroom = candidates[0]
-        dedupe: dict[str, CompiledTemplate] | None = (
-            {} if len(candidates) > 1 else None
-        )
         try:
-            return self._compile_miss(
-                template, opts, capacity, out_of_core, candidates,
-                tracer, best, best_headroom, dedupe, cache, key,
-            )
+            return self._compile_miss(template, opts, cache, key)
         except BaseException:
             # A shared cross-process cache may have elected this compile
             # the per-key leader at get() time; failing without abandon()
@@ -256,16 +238,31 @@ class Framework:
         self,
         template: OperatorGraph,
         opts: "CompileOptions",
-        capacity: int,
-        out_of_core: bool,
-        candidates,
-        tracer: Tracer,
-        best: "CompiledTemplate | None",
-        best_headroom,
-        dedupe,
-        cache,
+        cache: PlanCache | None,
         key: str | None,
     ) -> "CompiledTemplate":
+        capacity = self.device.usable_memory_floats
+        out_of_core = opts.split and template.total_data_size() > capacity
+        candidates = opts.headroom_candidates() if out_of_core else (1.0,)
+        # Plan the candidate set on the read-only template: a candidate
+        # whose split capacity covers the largest operator footprint has
+        # nothing to split, so ``make_feasible`` would hand back the
+        # template itself.  All such candidates share one working copy
+        # and one pipeline run; only candidates that really split are
+        # told apart by fingerprinting their split graphs.  (A single
+        # candidate is compared with nothing, so its footprint is moot.)
+        split_caps = [
+            max(1, int(capacity / h)) if h > 1.0 else capacity
+            for h in candidates  # h > 1.0 only ever out of core
+        ]
+        footprint = template.max_footprint() if len(candidates) > 1 else 0
+        dedupe: dict[str, CompiledTemplate] | None = (
+            {} if sum(cap < footprint for cap in split_caps) > 1 else None
+        )
+        tracer = Tracer()
+        best: CompiledTemplate | None = None
+        best_headroom = candidates[0]
+        unsplit: CompiledTemplate | None = None
         with tracer.span(
             "compile",
             template=template.name,
@@ -276,11 +273,20 @@ class Framework:
         ) as root:
             if cache is not None and key is not None:
                 tracer.event("plan_cache", hit=False, key=key[:16])
-            for headroom in candidates:
-                compiled = self._compile_once(
-                    template, capacity, headroom, tracer, dedupe=dedupe,
-                    opts=opts,
-                )
+            for headroom, split_cap in zip(candidates, split_caps):
+                splits = split_cap < footprint
+                if unsplit is not None and not splits:
+                    tracer.event(
+                        "candidate_dedupe", headroom=headroom, graph="unsplit"
+                    )
+                    compiled = unsplit
+                else:
+                    compiled = self._compile_once(
+                        template, opts, capacity, split_cap, headroom, tracer,
+                        dedupe if splits else None,
+                    )
+                    if not splits:
+                        unsplit = compiled
                 if best is None or (
                     compiled.transfer_floats(),
                     len(compiled.plan.launches()),
@@ -363,7 +369,16 @@ class Framework:
         tracer: Tracer,
         cache: PlanCache | None,
     ) -> dict[str, Any]:
-        snap = copy.deepcopy(entry_metrics)
+        # The snapshot is MetricsRegistry.snapshot()'s fixed shape —
+        # section -> name -> number | {"value", "peak"} — so two levels
+        # of dict copies isolate the caller from the cache entry.
+        snap = {
+            section: {
+                name: dict(v) if isinstance(v, dict) else v
+                for name, v in values.items()
+            }
+            for section, values in entry_metrics.items()
+        }
         counters = snap.setdefault("counters", {})
         counters["plan_cache.hit"] = 1
         counters["plan_cache.miss"] = 0
@@ -405,20 +420,21 @@ class Framework:
     def _compile_once(
         self,
         template: OperatorGraph,
+        opts: CompileOptions,
         capacity: int,
+        split_cap: int,
         headroom: float,
-        tracer: Tracer | None = None,
-        dedupe: dict[str, CompiledTemplate] | None = None,
-        opts: CompileOptions | None = None,
+        tracer: Tracer,
+        dedupe: dict[str, CompiledTemplate] | None,
     ) -> CompiledTemplate:
-        tracer = tracer or Tracer()
-        opts = opts if opts is not None else self.options
+        """One candidate: split a working copy to ``split_cap``, plan it.
+
+        ``dedupe`` (fingerprint -> result) is passed for candidates that
+        may split to the same graph as an earlier one.
+        """
         graph = template.copy()
         with tracer.span("splitting", headroom=headroom) as sp:
             if opts.split:
-                split_cap = capacity
-                if headroom > 1.0 and graph.total_data_size() > capacity:
-                    split_cap = max(1, int(capacity / headroom))
                 report = make_feasible(graph, split_cap)
             else:
                 report = SplitReport()
@@ -429,9 +445,9 @@ class Framework:
             )
         fp: str | None = None
         if dedupe is not None:
-            # Auto-headroom candidates that split to the same graph would
-            # schedule identical work; fingerprint the split graph and hand
-            # back the earlier candidate's result instead.
+            # Candidates that split to the same graph would schedule
+            # identical work; fingerprint the split graph and hand back
+            # the earlier candidate's result instead.
             fp = hashlib.sha256(
                 json.dumps(
                     graph_to_dict(graph), sort_keys=True, separators=(",", ":")

@@ -11,6 +11,7 @@ pipeline (splitting, offload scheduling, transfer scheduling) relies on.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -142,6 +143,64 @@ def slot_size(op: "Operator", graph: "OperatorGraph", idx: int) -> int:
 def output_size(op: "Operator", graph: "OperatorGraph") -> int:
     """Total floats written by the operator (sum over output chunks)."""
     return sum(graph.data[d].size for d in op.outputs)
+
+
+# ---------------------------------------------------------------------------
+# Vertex cloning
+# ---------------------------------------------------------------------------
+# The one definition of "copy a graph vertex", shared by
+# :meth:`OperatorGraph.copy` and fragment extraction.  It relies on the
+# mutation discipline in DESIGN.md: passes rebind ``op.params`` keys and
+# ``Slot``/``OutSpec`` fields, they never mutate a param value reachable
+# from another graph.
+_ATOMS = frozenset({str, int, float, bool, type(None), bytes, complex})
+
+
+def clone_param(value: Any) -> Any:
+    """An independent copy of one ``Operator.params`` value.
+
+    Atoms and tuples of atoms are immutable and shared; ``list``/``dict``
+    are rebuilt recursively; ``Slot``/``OutSpec`` get fresh ``chunks``
+    lists (their elements are names and ranges).  Any other type falls
+    back to ``copy.deepcopy``.
+    """
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
+    if cls is list:
+        return [clone_param(v) for v in value]
+    if cls is tuple:
+        items = [clone_param(v) for v in value]
+        if all(a is b for a, b in zip(items, value)):
+            return value
+        return tuple(items)
+    if cls is dict:
+        return {k: clone_param(v) for k, v in value.items()}
+    if cls is Slot:
+        return Slot(value.root, value.rows, list(value.chunks))
+    if cls is OutSpec:
+        return OutSpec(value.root, value.rng, list(value.chunks))
+    return copy.deepcopy(value)
+
+
+def clone_data(ds: DataStructure) -> DataStructure:
+    """Field-by-field copy of one data structure (every field is an
+    immutable value, already validated — ``__post_init__`` is skipped)."""
+    new = DataStructure.__new__(DataStructure)
+    new.name = ds.name
+    new.shape = ds.shape
+    new.is_input = ds.is_input
+    new.is_output = ds.is_output
+    new.parent = ds.parent
+    new.row_range = ds.row_range
+    new.virtual = ds.virtual
+    return new
+
+
+def clone_operator(op: Operator) -> Operator:
+    """Copy of one operator with independently mutable ``params``."""
+    params = {k: clone_param(v) for k, v in op.params.items()}
+    return Operator(op.name, op.kind, op.inputs, op.outputs, params)
 
 
 class GraphError(ValueError):
@@ -486,18 +545,17 @@ class OperatorGraph:
         )
 
     def copy(self, name: str | None = None) -> "OperatorGraph":
-        """Deep copy (compilation passes mutate graphs; templates stay pristine)."""
-        import copy as _copy
+        """Independent copy (passes mutate graphs; templates stay pristine).
 
+        A structural clone, not ``copy.deepcopy``: vertices go through
+        :func:`clone_data` / :func:`clone_operator`, the indexes are
+        rebuilt as fresh containers of (immutable) names.
+        """
         g = OperatorGraph(name or self.name)
-        for d, ds in self.data.items():
-            g.data[d] = _copy.deepcopy(ds)
-            g.consumers[d] = list(self.consumers.get(d, ()))
-        for o, op in self.ops.items():
-            g.ops[o] = Operator(
-                op.name, op.kind, op.inputs, op.outputs, _copy.deepcopy(op.params)
-            )
+        g.data = {d: clone_data(ds) for d, ds in self.data.items()}
+        g.ops = {o: clone_operator(op) for o, op in self.ops.items()}
         g.producer = dict(self.producer)
+        g.consumers = {d: list(self.consumers.get(d, ())) for d in self.data}
         g.children = {k: list(v) for k, v in self.children.items()}
         return g
 

@@ -38,14 +38,13 @@ whole-template plan key — only fragments are cached, under their own
 
 from __future__ import annotations
 
-import copy as _copy
 import os
 from dataclasses import dataclass, field
 
 from ..obs import Tracer
 from ..obs.live.events import publish
 from .framework import CompiledTemplate, CompileOptions, Framework
-from .graph import Operator, OperatorGraph
+from .graph import OperatorGraph, clone_data, clone_operator
 from .plan import ExecutionPlan, Step, validate_plan
 from .plancache import CachedPlan, plan_key
 from .splitting import SplitReport
@@ -131,7 +130,7 @@ def extract_fragment(
     for d, ds in graph.data.items():
         if d not in needed:
             continue
-        sub.data[d] = _copy.deepcopy(ds)
+        sub.data[d] = clone_data(ds)
         sub.consumers[d] = [
             c for c in graph.consumers.get(d, ()) if c in opset
         ]
@@ -140,9 +139,7 @@ def extract_fragment(
     for o, op in graph.ops.items():
         if o not in opset:
             continue
-        sub.ops[o] = Operator(
-            op.name, op.kind, op.inputs, op.outputs, _copy.deepcopy(op.params)
-        )
+        sub.ops[o] = clone_operator(op)
         for d in op.outputs:
             sub.producer[d] = o
     return sub
@@ -238,7 +235,8 @@ def compile_incremental(
             )
             try:
                 with tracer.span("fragment_compile", index=i, ops=len(op_names)):
-                    compiled = _compile_fragment(framework, sub, opts, capacity)
+                    # the standard pipeline, minus whole-plan caching
+                    compiled = framework._compile_miss(sub, opts, None, None)
             except BaseException:
                 # A shared cache may have elected us the per-key leader;
                 # release it so followers stop waiting on a dead fill.
@@ -273,27 +271,6 @@ def compile_incremental(
         total_fragments=len(fragments),
         reused_fragments=reused,
         fragment_keys=keys,
-    )
-
-
-def _compile_fragment(
-    fw: Framework, sub: OperatorGraph, opts: CompileOptions, capacity: int
-) -> CompiledTemplate:
-    """One fragment through the standard pipeline (no whole-plan caching)."""
-    out_of_core = opts.split and sub.total_data_size() > capacity
-    candidates = opts.headroom_candidates() if out_of_core else (1.0,)
-    return fw._compile_miss(
-        sub,
-        opts,
-        capacity,
-        out_of_core,
-        candidates,
-        Tracer(),
-        None,
-        candidates[0],
-        {} if len(candidates) > 1 else None,
-        None,
-        None,
     )
 
 

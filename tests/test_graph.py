@@ -9,6 +9,7 @@ from repro.core import (
     GraphError,
     Operator,
     OperatorGraph,
+    OutSpec,
     Slot,
     op_out_specs,
     op_slots,
@@ -234,6 +235,87 @@ class TestCopy:
         h = g.copy()
         h.ops["A"].params["slots"][0].chunks.append("zzz")
         assert g.ops["A"].params["slots"][0].chunks == ["Img"]
+
+
+class _Opaque:
+    """A param type the structural clone knows nothing about."""
+
+    def __init__(self, items):
+        self.items = items
+
+
+class TestCloneParams:
+    """``copy()`` is a structural clone: every mutable container reachable
+    from ``op.params`` is independent, immutable values are shared."""
+
+    PARAMS = {
+        "gain": 1.5,
+        "mode": "same",
+        "flag": True,
+        "nothing": None,
+        "out_range": (0, 4),
+        "nested": ((0, 1), (2, (3, 4))),
+        "weights": [0.25, 0.75],
+        "table": {"rows": [1, 2], "tag": "t"},
+        "mixed": ([1, 2], (3, 4)),
+        "slots": [Slot("Img", (0, 4), ["Img"])],
+        "out_specs": [OutSpec("X", (0, 4), [("X", (0, 4))])],
+        "opaque": _Opaque([1, 2]),
+    }
+
+    def cloned(self):
+        g = diamond()
+        g.ops["A"].params.update(self.PARAMS)
+        return g.ops["A"].params, g.copy().ops["A"].params
+
+    def test_values_equal(self):
+        src, dst = self.cloned()
+        assert dst is not src
+        assert list(dst) == list(src)
+        for key in src:
+            if key != "opaque":
+                assert dst[key] == src[key], key
+        assert dst["opaque"].items == [1, 2]
+
+    def test_immutable_values_shared(self):
+        src, dst = self.cloned()
+        for key in ("mode", "out_range", "nested"):
+            assert dst[key] is src[key], key
+        assert dst["slots"][0].rows is src["slots"][0].rows
+
+    def test_containers_independent(self):
+        src, dst = self.cloned()
+        dst["weights"].append(9.0)
+        dst["table"]["rows"].append(3)
+        dst["table"]["tag"] = "changed"
+        dst["mixed"][0].append(3)
+        dst["slots"][0].chunks.append("zzz")
+        dst["slots"].append(Slot("Y", None, ["Y"]))
+        dst["out_specs"][0].chunks.append(("zzz", (4, 5)))
+        dst["out_specs"][0].rng = (0, 5)
+        assert src["weights"] == [0.25, 0.75]
+        assert src["table"] == {"rows": [1, 2], "tag": "t"}
+        assert src["mixed"] == ([1, 2], (3, 4))
+        assert src["slots"] == [Slot("Img", (0, 4), ["Img"])]
+        assert src["out_specs"] == [OutSpec("X", (0, 4), [("X", (0, 4))])]
+
+    def test_unknown_type_is_deep_copied(self):
+        src, dst = self.cloned()
+        assert dst["opaque"] is not src["opaque"]
+        dst["opaque"].items.append(3)
+        assert src["opaque"].items == [1, 2]
+
+    def test_data_structures_and_indexes_independent(self):
+        g = diamond()
+        h = g.copy()
+        h.data["X"].virtual = True
+        h.consumers["Img"].remove("A")
+        h.add_data("X[0:2]", (2, 4), parent="X", row_range=(0, 2))
+        assert not g.data["X"].virtual
+        assert g.consumers["Img"] == ["A", "B"]
+        assert "X" not in g.children
+        assert h.data["Out"] == g.data["Out"]
+        assert list(h.data) == list(g.data) + ["X[0:2]"]
 
 
 class TestSlotHelpers:

@@ -128,6 +128,35 @@ class TestFrameworkCaching:
             == cold.metrics["gauges"]["plan.transfer_floats"]
         )
 
+    def test_hit_metrics_are_isolated_from_the_entry(self):
+        """A hit hands out its own metrics snapshot: whatever a caller
+        does to it, the cache entry and later hits are unaffected."""
+        cache = PlanCache()
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=cache)
+        g = split_graph()
+        cold = fw.compile(g)
+        entry = cache.get(plan_key(g, DEVICE, OPTIONS))
+        stored = json.dumps(entry.metrics, sort_keys=True)
+        first = fw.compile(g)
+        assert first.metrics is not entry.metrics
+        first.metrics["counters"]["compile.candidates"] = -1
+        first.metrics["counters"]["injected"] = 1
+        first.metrics["gauges"]["plan.transfer_floats"]["value"] = -1
+        first.metrics["gauges"]["injected"] = {"value": 0, "peak": 0}
+        del first.metrics["histograms"]
+        assert json.dumps(entry.metrics, sort_keys=True) == stored
+        second = fw.compile(g)
+        assert (
+            second.metrics["gauges"]["plan.transfer_floats"]
+            == cold.metrics["gauges"]["plan.transfer_floats"]
+        )
+        assert second.metrics["counters"]["compile.candidates"] == 1
+        assert "injected" not in second.metrics["counters"]
+        assert "injected" not in second.metrics["gauges"]
+        assert second.metrics["histograms"] == {}
+        # The hit overlay itself never leaks back into the entry either.
+        assert entry.metrics["counters"]["plan_cache.hit"] == 0
+
     def test_cache_off_produces_identical_plans(self):
         g = split_graph()
         on = Framework(DEVICE, options=OPTIONS, plan_cache=PlanCache())
