@@ -13,11 +13,6 @@ never need to know which package a capability lives in:
 multi-device artifacts — ``execute`` and ``simulate`` dispatch on the
 compiled template's type, so re-targeting from one GPU to a device
 group changes only the ``compile`` call.
-
-The older entry points (``Framework`` with positional host/options,
-positional ``CompileOptions``, positional ``compile_multi``) keep
-working behind ``DeprecationWarning`` shims and produce byte-identical
-plans; new code should use this facade.
 """
 
 from __future__ import annotations

@@ -215,16 +215,11 @@ def _print_compile_stats(compiled) -> None:
         "fragment_compile", "stitch",
     ]
     by_name: dict[str, float] = {}
-    engines = set()
     for sp in compiled.spans:
         if sp.name in phases:
             by_name[sp.name] = by_name.get(sp.name, 0.0) + sp.duration
-        if "engine" in sp.attrs:
-            engines.add(sp.attrs["engine"])
     total = max((sp.end for sp in compiled.spans), default=0.0)
     print("compile stats:")
-    if engines:
-        print(f"  {'planner engine':20s}: {'+'.join(sorted(engines))}")
     for name in phases:
         if name in by_name:
             print(f"  {name:20s}: {by_name[name] * 1e3:9.2f} ms")

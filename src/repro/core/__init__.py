@@ -6,19 +6,11 @@ formulation, and the end-to-end Framework driver.
 """
 
 from .baseline import baseline_plan, baseline_transfer_floats
-from .columnar import (
-    COLUMNAR_SCHEDULERS,
-    ColumnarGraph,
-    dfs_naive_schedule_columnar,
-    dfs_schedule_columnar,
-    lower,
-    schedule_transfers_columnar,
-)
+from .columnar import ColumnarGraph, lower
 from .framework import (
     CompiledTemplate,
     CompileOptions,
     Framework,
-    planner_engine,
     run_template,
 )
 from .graph import (
@@ -100,10 +92,12 @@ from .splitting import (
     split_combine,
     split_operator,
 )
-from .transfers import TransferScheduler, schedule_transfers
+from .transfers import schedule_transfers
+
+dfs_schedule_columnar = dfs_schedule  # bench/layers.py resolves this name
+schedule_transfers_columnar = schedule_transfers  # and this one
 
 __all__ = [
-    "COLUMNAR_SCHEDULERS",
     "CachedPlan",
     "ColumnarGraph",
     "CompileOptions",
@@ -132,7 +126,6 @@ __all__ = [
     "Slot",
     "SplitReport",
     "Step",
-    "TransferScheduler",
     "baseline_plan",
     "baseline_transfer_floats",
     "bfs_schedule",
@@ -142,9 +135,7 @@ __all__ = [
     "compiled_to_dict",
     "default_cache",
     "dfs_naive_schedule",
-    "dfs_naive_schedule_columnar",
     "dfs_schedule",
-    "dfs_schedule_columnar",
     "extract_fragment",
     "fragment_key",
     "graph_fragments",
@@ -169,12 +160,10 @@ __all__ = [
     "plan_from_dict",
     "plan_key",
     "plan_to_dict",
-    "planner_engine",
     "reset_default_cache",
     "run_template",
     "save_plan",
     "schedule_transfers",
-    "schedule_transfers_columnar",
     "select_chunks",
     "slot_size",
     "split_combine",

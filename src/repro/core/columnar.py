@@ -1,43 +1,27 @@
-"""Columnar planner IR: flat numpy tables lowered from the object graph.
+"""Columnar planner IR: flat tables lowered from the object graph.
 
-The per-object planner walks ``OperatorGraph`` dataclasses — dict
-lookups, attribute access and per-node allocation dominate compile time
-once graphs reach the 10k-operator regime the compile-scaling benchmark
-tracks.  This module lowers a (split) graph once into flat arrays — an
-*operator table*, a *data table*, and CSR-style adjacency — and
-re-implements the planner's hot loops over those tables:
+Walking ``OperatorGraph`` dataclasses — dict lookups, attribute access
+and per-node allocation — dominates compile time once graphs reach the
+10k-operator regime the compile-scaling benchmark tracks.  :func:`lower`
+turns a (split) graph once into flat tables — an *operator table*, a
+*data table*, and CSR-style adjacency — and the planner runs on them:
+the depth-first operator schedules (:mod:`repro.core.scheduling`) and
+the transfer scheduler (:mod:`repro.core.transfers`) walk integer ids
+and emit names, so the tables never leak into the plan format.
 
-* :func:`dfs_schedule_columnar` — the paper's band-ordered depth-first
-  operator schedule (`repro.core.scheduling.dfs_schedule`) over integer
-  ids, with the ``_row_band_key`` sort done as one vectorized pass over
-  the band-start column;
-* :func:`schedule_transfers_columnar` — the transfer scheduler
-  (`repro.core.transfers.TransferScheduler`) with the static use-time
-  analysis vectorized (one ``argsort``/``bincount`` pass builds the
-  per-datum use lists and last-use column) and the sequential
-  simulation loop running over flat integer state.
-
-Both are **byte-identical** replacements: they emit exactly the plan
-(steps *and* provenance notes) the per-object implementations produce,
-for every scheduler/eviction-policy/eager-free combination they cover.
-The per-object path stays in the tree as the reference oracle — the
-differential suite and a hypothesis property pin the equivalence.
+``tests/reference_planner.py`` keeps a small dict-based planner over the
+object graph as the oracle; the differential matrix and a hypothesis
+property pin this engine byte-identical to it (steps *and* provenance
+notes).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .graph import GraphError, OperatorGraph
-from .plan import CopyToCPU, CopyToGPU, ExecutionPlan, Free, Launch, PlanError, Step
-from .transfers import _MaxEntry
-
-_INF = float("inf")
+from .graph import OperatorGraph
 
 
 @dataclass(slots=True)
@@ -61,7 +45,7 @@ class ColumnarGraph:
     # -- operator table -----------------------------------------------------
     op_names: list[str]
     op_id: dict[str, int]
-    #: ``params["out_range"][0]`` or 0 — the ``_row_band_key`` column
+    #: ``params["out_range"][0]`` or 0 — ``dfs_schedule``'s root sort key
     band_start: np.ndarray
     # -- adjacency (CSR over ids) -------------------------------------------
     #: raw inputs, duplicates and order preserved (use-time analysis)
@@ -138,341 +122,4 @@ def lower(graph: OperatorGraph) -> ColumnarGraph:
         pred_counts=pred_counts,
         succ_ptr=succ_ptr,
         succ_ids=succ_ids,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Operator scheduling
-# ---------------------------------------------------------------------------
-def _dfs_ids(col: ColumnarGraph, roots: list[int], n_graph_ops: int) -> list[str]:
-    sched = bytearray(col.n_ops)
-    unmet = list(col.pred_counts)
-    succ_ptr, succ_ids = col.succ_ptr, col.succ_ids
-    order: list[int] = []
-    stack = roots[::-1]
-    while stack:
-        o = stack.pop()
-        if sched[o]:
-            continue
-        if unmet[o]:
-            continue  # precedence not met: backtrack
-        sched[o] = 1
-        order.append(o)
-        seg = succ_ids[succ_ptr[o] : succ_ptr[o + 1]]
-        for s in seg:
-            unmet[s] -= 1
-        stack.extend(seg[::-1])
-    if len(order) != n_graph_ops:
-        raise GraphError(
-            f"dfs_schedule covered {len(order)}/{n_graph_ops} operators "
-            "(graph not reachable from roots?)"
-        )
-    names = col.op_names
-    return [names[i] for i in order]
-
-
-def dfs_schedule_columnar(
-    graph: OperatorGraph, col: ColumnarGraph | None = None
-) -> list[str]:
-    """Columnar twin of :func:`repro.core.scheduling.dfs_schedule`.
-
-    Roots are sorted by the band-start column in one stable pass — ids
-    are insertion order, so a stable sort on band start alone equals the
-    per-object ``(out_range[0], insertion index)`` tuple sort.
-    """
-    col = lower(graph) if col is None else col
-    pred_counts = col.pred_counts
-    roots = [i for i in range(col.n_ops) if not pred_counts[i]]
-    if roots:
-        band = col.band_start[roots]
-        roots = [roots[i] for i in np.argsort(band, kind="stable")]
-    return _dfs_ids(col, roots, len(graph.ops))
-
-
-def dfs_naive_schedule_columnar(
-    graph: OperatorGraph, col: ColumnarGraph | None = None
-) -> list[str]:
-    """Columnar twin of :func:`repro.core.scheduling.dfs_naive_schedule`."""
-    col = lower(graph) if col is None else col
-    pred_counts = col.pred_counts
-    roots = [i for i in range(col.n_ops) if not pred_counts[i]]
-    return _dfs_ids(col, roots, len(graph.ops))
-
-
-#: operator schedulers with a columnar fast path (byte-identical)
-COLUMNAR_SCHEDULERS = {
-    "dfs": dfs_schedule_columnar,
-    "dfs_naive": dfs_naive_schedule_columnar,
-}
-
-
-# ---------------------------------------------------------------------------
-# Transfer scheduling
-# ---------------------------------------------------------------------------
-def _use_times(
-    col: ColumnarGraph, op_ids: np.ndarray
-) -> tuple[list[int], list[int], list[int]]:
-    """Static use-time analysis over the columnar tables, vectorized.
-
-    Returns ``(uses_ptr, uses_t, last_use)``: per-datum read positions as
-    a CSR over the schedule (duplicate reads preserved, ascending), and
-    the last read per datum (-1 when never read) — exactly the ``uses``
-    lists and ``last_use`` map the per-object scheduler builds with a
-    python loop over every operator input.
-    """
-    n_data = col.n_data
-    counts = np.diff(col.in_ptr)[op_ids]
-    total = int(counts.sum())
-    if total:
-        starts = col.in_ptr[op_ids]
-        shift = np.cumsum(counts) - counts
-        offs = np.arange(total, dtype=np.int64) - np.repeat(shift, counts)
-        flat_d = col.in_ids[np.repeat(starts, counts) + offs]
-        ts = np.repeat(np.arange(len(op_ids), dtype=np.int64), counts)
-        order = np.argsort(flat_d, kind="stable")  # stable: t stays ascending
-        sorted_t = ts[order]
-        use_counts = np.bincount(flat_d, minlength=n_data)
-    else:
-        sorted_t = np.empty(0, dtype=np.int64)
-        use_counts = np.zeros(n_data, dtype=np.int64)
-    ends = np.cumsum(use_counts)
-    last = np.full(n_data, -1, dtype=np.int64)
-    nz = use_counts > 0
-    last[nz] = sorted_t[ends[nz] - 1]
-    uses_ptr = np.concatenate(([0], ends))
-    return uses_ptr.tolist(), sorted_t.tolist(), last.tolist()
-
-
-def schedule_transfers_columnar(
-    graph: OperatorGraph,
-    op_order: Sequence[str],
-    capacity_floats: int,
-    *,
-    policy: str = "belady",
-    eager_free: bool = True,
-    col: ColumnarGraph | None = None,
-) -> ExecutionPlan:
-    """Columnar twin of :func:`repro.core.transfers.schedule_transfers`.
-
-    Emits the byte-identical plan (steps and provenance notes) for every
-    eviction policy and eager/lazy freeing mode: the same greedy
-    simulation runs, but over flat integer state — sizes, use pointers
-    and last-use come from the lowered tables instead of per-object
-    dict/attribute chains, and the static use-time analysis is one
-    vectorized pass (:func:`_use_times`).
-    """
-    if policy not in ("belady", "cost", "ltu", "lru", "fifo"):
-        raise ValueError(f"unknown eviction policy {policy!r}")
-    col = lower(graph) if col is None else col
-    capacity = capacity_floats
-    if set(op_order) != set(graph.ops):
-        raise ValueError("op_order must cover exactly the graph's operators")
-    op_ids = np.fromiter(
-        (col.op_id[o] for o in op_order), dtype=np.int64, count=len(op_order)
-    )
-    uses_ptr, uses_t, last_use = _use_times(col, op_ids)
-    op_ids_l = op_ids.tolist()
-    size = col.data_size
-    is_out = col.data_is_output
-    names = col.data_names
-    op_names = col.op_names
-    uin_ptr, uin_ids = col.uin_ptr, col.uin_ids
-    uout_ptr, uout_ids = col.uout_ptr, col.uout_ids
-    # ``use_ptr[d]`` is the absolute index (into ``uses_t``) of the first
-    # not-yet-executed read of ``d``; ``uses_ptr[d+1]`` bounds it.
-    use_ptr = uses_ptr[:-1]
-    counter = itertools.count()
-
-    steps: list[Step] = []
-    notes: list[str] = []
-    # Residency state as parallel columns instead of per-datum objects:
-    # ``resident`` keeps membership and insertion order (end-of-plan
-    # drain), the arrays hold the per-datum fields.
-    n_data = col.n_data
-    resident: dict[int, None] = {}
-    arrived = [0] * n_data
-    touched = [0] * n_data
-    host_valid = bytearray(n_data)
-    used = 0
-    res_seq: dict[int, int] = {}
-    seq_counter = itertools.count()
-    heap: list[_MaxEntry] = []
-    token: dict[int, int] = {}
-    token_counter = itertools.count()
-
-    def emit(step: Step, reason: str) -> None:
-        steps.append(step)
-        notes.append(reason)
-
-    def next_use(d: int) -> float:
-        i = use_ptr[d]
-        return uses_t[i] if i < uses_ptr[d + 1] else _INF
-
-    def evict_key(d: int):
-        if policy == "belady":
-            return next_use(d)
-        if policy == "cost":
-            nxt = next_use(d)
-            if nxt == _INF:
-                cost = 0
-            elif host_valid[d]:
-                cost = size[d]
-            elif is_out[d]:
-                cost = size[d]
-            else:
-                cost = 2 * size[d]
-            return (-cost, nxt)
-        if policy == "ltu":
-            return last_use[d]
-        if policy == "lru":
-            return -touched[d]
-        return -arrived[d]  # fifo
-
-    def push_entry(d: int) -> None:
-        seq = next(token_counter)
-        token[d] = seq
-        heapq.heappush(
-            heap, _MaxEntry((evict_key(d), size[d], names[d]), seq, d)
-        )
-
-    def evict_one(t: int, pinned: set[int]) -> None:
-        nonlocal used
-        aside: list[_MaxEntry] = []
-        chosen: _MaxEntry | None = None
-        while heap:
-            e = heapq.heappop(heap)
-            if token.get(e.name) != e.seq or e.name not in resident:
-                continue  # stale: superseded, evicted, or freed
-            if e.name in pinned:
-                aside.append(e)
-                continue
-            chosen = e
-            break
-        for e in aside:
-            heapq.heappush(heap, e)
-        if chosen is None:
-            raise PlanError(
-                f"cannot free device memory at t={t}: all resident "
-                "data is pinned by the current operator"
-            )
-        victim = chosen.name
-        del token[victim]
-        del resident[victim]
-        nxt = next_use(victim)
-        where = (
-            f"next use at step {int(nxt)}" if nxt != _INF else "no future use"
-        )
-        hv = host_valid[victim]
-        needed_later = nxt != _INF or (is_out[victim] and not hv)
-        vname = names[victim]
-        if needed_later and not hv:
-            why = (
-                "dirty, writeback needed"
-                if nxt != _INF
-                else "unsaved output, save was due anyway"
-            )
-            emit(
-                CopyToCPU(vname),
-                f"evicted: policy={policy}, {where}, {why}",
-            )
-            emit(Free(vname), f"evicted: policy={policy}, {where}")
-        elif nxt == _INF:
-            emit(
-                Free(vname),
-                f"evicted: dead value, d2h skipped ({where})",
-            )
-        else:
-            emit(
-                Free(vname),
-                f"evicted: policy={policy}, {where}, "
-                "d2h skipped: host copy valid",
-            )
-        used -= size[victim]
-
-    def free_dead(t: int, dead: list[int]) -> None:
-        nonlocal used
-        dead.sort(key=res_seq.__getitem__)
-        for d in dead:
-            if is_out[d] and not host_valid[d]:
-                emit(
-                    CopyToCPU(names[d]),
-                    f"output save: last use passed at step {t}",
-                )
-                host_valid[d] = 1
-            emit(Free(names[d]), f"freed: dead after step {t} (eager free)")
-            used -= size[d]
-            del resident[d]
-            token.pop(d, None)
-
-    for t, oid in enumerate(op_ids_l):
-        ins = uin_ids[uin_ptr[oid] : uin_ptr[oid + 1]]
-        outs = uout_ids[uout_ptr[oid] : uout_ptr[oid + 1]]
-        missing = [d for d in ins if d not in resident]
-        need = sum(size[d] for d in missing)
-        need += sum(size[d] for d in outs)
-        footprint = need + sum(size[d] for d in ins if d in resident)
-        if footprint > capacity:
-            raise PlanError(
-                f"operator {op_names[oid]!r} footprint {footprint} floats "
-                f"exceeds capacity {capacity}; run operator "
-                "splitting first"
-            )
-        pinned = set(ins) | set(outs)
-        while used + need > capacity:
-            evict_one(t, pinned)
-        for d in missing:
-            nxt = last_use[d]
-            emit(
-                CopyToGPU(names[d]),
-                f"upload: input of {op_names[oid]} (launch {t}), "
-                f"last use at step {nxt}",
-            )
-            resident[d] = None
-            arrived[d] = next(counter)
-            touched[d] = next(counter)
-            host_valid[d] = 1
-            res_seq[d] = next(seq_counter)
-            used += size[d]
-        emit(Launch(op_names[oid]), f"launch: scheduled position {t}")
-        tick = next(counter)
-        for d in ins:
-            touched[d] = tick
-            # Consume this use: advance the next-use pointer past ``t``.
-            i = use_ptr[d]
-            end = uses_ptr[d + 1]
-            while i < end and uses_t[i] <= t:
-                i += 1
-            use_ptr[d] = i
-        for d in outs:
-            if d not in resident:
-                res_seq[d] = next(seq_counter)
-            resident[d] = None
-            arrived[d] = tick
-            touched[d] = tick
-            host_valid[d] = 0
-            used += size[d]
-        if eager_free:
-            dead = [d for d in ins if last_use[d] <= t and d in resident]
-            dead += [d for d in outs if last_use[d] == -1]
-            if dead:
-                free_dead(t, dead)
-        # Eviction keys changed only for this operator's data; push
-        # fresh heap entries for those still resident.
-        for d in ins:
-            if d in resident:
-                push_entry(d)
-        for d in outs:
-            if d in resident:
-                push_entry(d)
-    # Save any template outputs still on device, then drain.
-    for d in list(resident):
-        if is_out[d] and not host_valid[d]:
-            emit(CopyToCPU(names[d]), "output save: end of plan")
-        emit(Free(names[d]), "freed: end of plan drain")
-        del resident[d]
-    return ExecutionPlan(
-        steps=steps,
-        capacity_floats=capacity,
-        label=f"{policy}+{'eager' if eager_free else 'lazy'}",
-        notes=notes,
     )

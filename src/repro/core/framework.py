@@ -19,15 +19,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
-from repro._compat import UNSET as _UNSET
-from repro._compat import explicit_kwargs as _explicit
-from repro._compat import legacy_positional
 from repro.gpusim import GpuDevice, HostSystem, SimRuntime
 from repro.obs import MetricsRegistry, Span, Tracer, provenance_summary
 from repro.obs.live.events import publish
@@ -39,16 +35,12 @@ from repro.runtime.executor import (
 )
 
 from .baseline import baseline_plan
-from .columnar import (
-    COLUMNAR_SCHEDULERS,
-    lower as lower_columnar,
-    schedule_transfers_columnar,
-)
+from .columnar import lower
 from .graph import OperatorGraph
 from .offload import identify_offload_units
 from .plan import ExecutionPlan, validate_plan
 from .plancache import CachedPlan, PlanCache, default_cache, plan_key
-from .scheduling import get_scheduler
+from .scheduling import dfs_naive_schedule, dfs_schedule, get_scheduler
 from .serialize import graph_to_dict
 from .splitting import SplitReport, make_feasible
 from .transfers import schedule_transfers
@@ -59,12 +51,10 @@ class CompileOptions:
     """Knobs of the compilation pipeline (ablation surface).
 
     Construction is keyword-only — the option set has grown past the
-    point where positional calls stay readable.  Positional construction
-    still works behind a :class:`DeprecationWarning` shim and produces
-    an identical (byte-identical plans) instance.
+    point where positional calls stay readable.
     """
 
-    scheduler: str = "dfs"  # dfs | dfs_naive | bfs | topo
+    scheduler: str = "dfs"  # dfs | dfs_naive | greedy | bfs | topo
     eviction_policy: str = "belady"  # belady | cost | ltu | lru | fifo
     eager_free: bool = True
     split: bool = True
@@ -84,35 +74,6 @@ class CompileOptions:
         if self.split_headroom == "auto":
             return (1.0, 2.0, 4.0)
         return (float(self.split_headroom),)
-
-
-_OPTION_FIELDS = tuple(f.name for f in fields(CompileOptions))
-_options_kw_init = CompileOptions.__init__
-
-
-def _options_compat_init(self, *args, **kwargs) -> None:
-    legacy_positional("CompileOptions", _OPTION_FIELDS, args, kwargs)
-    _options_kw_init(self, **kwargs)
-
-
-CompileOptions.__init__ = _options_compat_init  # type: ignore[method-assign]
-
-
-def planner_engine() -> str:
-    """Which planner implementation the compile pipeline runs.
-
-    ``"columnar"`` (the default) lowers the split graph into the flat
-    tables of :mod:`repro.core.columnar` and runs the byte-identical
-    vectorized scheduler/transfer loops over them.  Set
-    ``REPRO_PLANNER=object`` to force the original per-object planner —
-    the reference oracle the differential suite compares against.
-    """
-    engine = os.environ.get("REPRO_PLANNER", "columnar")
-    if engine not in ("columnar", "object"):
-        raise ValueError(
-            f"REPRO_PLANNER={engine!r} (expected 'columnar' or 'object')"
-        )
-    return engine
 
 
 @dataclass
@@ -153,20 +114,11 @@ class Framework:
     def __init__(
         self,
         device: GpuDevice,
-        *legacy,
-        host: HostSystem | None = _UNSET,
-        options: CompileOptions | None = _UNSET,
-        plan_cache: PlanCache | bool | None = _UNSET,
+        *,
+        host: HostSystem | None = None,
+        options: CompileOptions | None = None,
+        plan_cache: PlanCache | bool | None = True,
     ) -> None:
-        merged = legacy_positional(
-            "Framework",
-            ("host", "options", "plan_cache"),
-            legacy,
-            _explicit(host=host, options=options, plan_cache=plan_cache),
-        )
-        host = merged.get("host")
-        options = merged.get("options")
-        plan_cache = merged.get("plan_cache", True)
         self.device = device
         self.host = host
         self.options = options or CompileOptions()
@@ -464,60 +416,33 @@ class Framework:
             if opts.fuse_offload_units:
                 fused = identify_offload_units(graph, capacity)
             sp.set(fused_units=fused)
-        col = None
-        if planner_engine() == "columnar":
-            with tracer.span("lowering", headroom=headroom) as sp:
-                col = lower_columnar(graph)
-                sp.set(ops=col.n_ops, data=col.n_data)
+        with tracer.span("lowering", headroom=headroom) as sp:
+            col = lower(graph)
+            sp.set(ops=col.n_ops, data=col.n_data)
         with tracer.span(
-            "operator_scheduling",
-            headroom=headroom,
-            scheduler=opts.scheduler,
-            engine=(
-                "columnar"
-                if col is not None and opts.scheduler in COLUMNAR_SCHEDULERS
-                else "object"
-            ),
+            "operator_scheduling", headroom=headroom, scheduler=opts.scheduler
         ) as sp:
-            if col is not None and opts.scheduler in COLUMNAR_SCHEDULERS:
-                op_order = COLUMNAR_SCHEDULERS[opts.scheduler](graph, col)
+            scheduler = get_scheduler(opts.scheduler)
+            if scheduler in (dfs_schedule, dfs_naive_schedule):
+                op_order = scheduler(graph, col)
             else:
-                # Schedulers without a columnar twin (greedy/bfs/topo)
-                # stay on the per-object path; transfers still go
-                # columnar below — they only consume the final order.
-                scheduler = get_scheduler(opts.scheduler)
-                op_order = scheduler(graph)
+                op_order = scheduler(graph)  # greedy/bfs/topo read the graph
             sp.set(ops=len(op_order))
         with tracer.span(
-            "transfer_scheduling",
-            headroom=headroom,
-            policy=opts.eviction_policy,
-            engine="columnar" if col is not None else "object",
+            "transfer_scheduling", headroom=headroom, policy=opts.eviction_policy
         ) as sp:
-            if col is not None:
-                plan = schedule_transfers_columnar(
-                    graph,
-                    op_order,
-                    capacity,
-                    policy=opts.eviction_policy,
-                    eager_free=opts.eager_free,
-                    col=col,
-                )
-            else:
-                plan = schedule_transfers(
-                    graph,
-                    op_order,
-                    capacity,
-                    policy=opts.eviction_policy,
-                    eager_free=opts.eager_free,
-                )
+            plan = schedule_transfers(
+                graph,
+                op_order,
+                capacity,
+                policy=opts.eviction_policy,
+                eager_free=opts.eager_free,
+                col=col,
+            )
             sp.set(
                 steps=len(plan.steps),
                 transfer_floats=plan.transfer_floats(graph),
-                evictions=sum(
-                    n for r, n in provenance_summary(plan).items()
-                    if r == "evicted"
-                ),
+                evictions=provenance_summary(plan).get("evicted", 0),
             )
         with tracer.span("validate", headroom=headroom) as sp:
             peak = validate_plan(plan, graph, capacity)
@@ -601,23 +526,15 @@ def run_template(
     template: OperatorGraph,
     template_inputs: Mapping[str, np.ndarray],
     device: GpuDevice,
-    *legacy,
-    host: HostSystem | None = _UNSET,
-    options: CompileOptions | None = _UNSET,
+    *,
+    host: HostSystem | None = None,
+    options: CompileOptions | None = None,
 ) -> ExecutionResult:
     """One-call convenience API: compile + execute a template.
 
     This is the "parametrized API" face of the framework that the paper
     argues domain experts should program against.
     """
-    merged = legacy_positional(
-        "run_template",
-        ("host", "options"),
-        legacy,
-        _explicit(host=host, options=options),
-    )
-    fw = Framework(
-        device, host=merged.get("host"), options=merged.get("options")
-    )
+    fw = Framework(device, host=host, options=options)
     compiled = fw.compile(template)
     return fw.execute(compiled, template_inputs)

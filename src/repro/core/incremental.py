@@ -38,14 +38,13 @@ whole-template plan key — only fragments are cached, under their own
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..obs import Tracer
 from ..obs.live.events import publish
 from .framework import CompiledTemplate, CompileOptions, Framework
 from .graph import OperatorGraph, clone_data, clone_operator
-from .plan import ExecutionPlan, Step, validate_plan
+from .plan import ExecutionPlan, Step
 from .plancache import CachedPlan, plan_key
 from .splitting import SplitReport
 
@@ -338,11 +337,8 @@ def _stitch(
     # device drained, so the concatenation's occupancy timeline is the
     # fragment timelines back to back: the stitched peak is exactly the
     # max of the fragment peaks, and re-walking 100k steps here would
-    # make the warm path O(template) instead of O(edit).  Set
-    # REPRO_VALIDATE_STITCH=1 to re-run the full validator (debugging).
+    # make the warm path O(template) instead of O(edit).
     peak = max((e.peak_device_floats for e in entries), default=0)
-    if os.environ.get("REPRO_VALIDATE_STITCH"):
-        peak = validate_plan(plan, g, capacity)
     return CompiledTemplate(
         graph=g,
         plan=plan,

@@ -35,6 +35,8 @@ from repro.pb import PBSolver
 
 from .graph import OperatorGraph
 from .plan import CopyToCPU, CopyToGPU, ExecutionPlan, Free, Launch, Step, validate_plan
+from .scheduling import dfs_schedule
+from .transfers import schedule_transfers
 
 
 class PBInfeasibleError(RuntimeError):
@@ -98,7 +100,10 @@ class PBScheduler:
         self.fixed_order = fixed_order
         self.record_opb = record_opb
         self.ops = list(fixed_order) if fixed_order else list(graph.ops)
-        if fixed_order is not None and set(fixed_order) != set(graph.ops):
+        if fixed_order is not None and (
+            len(fixed_order) != len(graph.ops)
+            or set(fixed_order) != set(graph.ops)
+        ):
             raise ValueError("fixed_order must cover exactly the graph's operators")
         self.datas = [d for d, ds in graph.data.items() if not ds.virtual]
         self.N = len(self.ops)
@@ -314,8 +319,6 @@ class PBScheduler:
         )
         if self.fixed_order is None:
             # Warm-start hints: prefer a heuristic-schedule assignment.
-            from .scheduling import dfs_schedule
-
             hint = dfs_schedule(self.graph)
             name_idx = {o: i for i, o in enumerate(self.ops)}
             for t, o in enumerate(hint, start=1):
@@ -408,6 +411,16 @@ def export_opb(graph: OperatorGraph, capacity_floats: int) -> str:
     return header + dumps_opb(inst)
 
 
+def _heuristic_plan(
+    graph: OperatorGraph,
+    capacity_floats: int,
+    fixed_order: list[str] | None,
+) -> tuple[list[str], ExecutionPlan]:
+    """The heuristic pipeline (DFS + Belady) seeding or replacing a solve."""
+    order = fixed_order or dfs_schedule(graph)
+    return order, schedule_transfers(graph, order, capacity_floats)
+
+
 def pb_optimal_plan(
     graph: OperatorGraph,
     capacity_floats: int,
@@ -434,12 +447,8 @@ def pb_optimal_plan(
         fixed_order=fixed_order is not None,
     ) as sp:
         if upper_bound_floats is None and seed_from_heuristic:
-            from .scheduling import dfs_schedule
-            from .transfers import schedule_transfers
-
             with tracer.span("pb_upper_bound") as ub:
-                order = fixed_order or dfs_schedule(graph)
-                plan = schedule_transfers(graph, order, capacity_floats)
+                _, plan = _heuristic_plan(graph, capacity_floats, fixed_order)
                 upper_bound_floats = plan.transfer_floats(graph)
                 ub.set(upper_bound_floats=upper_bound_floats)
         result = PBScheduler(graph, capacity_floats, fixed_order).solve(
@@ -486,11 +495,7 @@ def pb_plan_or_heuristic(
                     tracer=tracer,
                 )
             else:
-                from .scheduling import dfs_schedule
-                from .transfers import schedule_transfers
-
-                order = fixed_order or dfs_schedule(graph)
-                seed = schedule_transfers(graph, order, capacity_floats)
+                _, seed = _heuristic_plan(graph, capacity_floats, fixed_order)
                 result = PBScheduler(
                     graph, capacity_floats, fixed_order
                 ).solve(
@@ -500,14 +505,10 @@ def pb_plan_or_heuristic(
             sp.set(source=result.source)
             return result
     except (PBInfeasibleError, PBTimeoutError) as exc:
-        from .scheduling import dfs_schedule
-        from .transfers import schedule_transfers
-
         with tracer.span(
             "pb_fallback_heuristic", reason=type(exc).__name__
         ) as sp:
-            order = fixed_order or dfs_schedule(graph)
-            plan = schedule_transfers(graph, order, capacity_floats)
+            order, plan = _heuristic_plan(graph, capacity_floats, fixed_order)
             validate_plan(plan, graph, capacity_floats)
             sp.set(transfer_floats=plan.transfer_floats(graph))
         return PBScheduleResult(
@@ -575,13 +576,8 @@ def pb_joint_optimum(
     otherwise (use the free-schedule :func:`pb_optimal_plan` or the
     heuristics for larger graphs).
     """
-    from .scheduling import dfs_schedule
-    from .transfers import schedule_transfers
-
-    heuristic_order = dfs_schedule(graph)
-    best_bound = schedule_transfers(
-        graph, heuristic_order, capacity_floats
-    ).transfer_floats(graph)
+    heuristic_order, plan = _heuristic_plan(graph, capacity_floats, None)
+    best_bound = plan.transfer_floats(graph)
     best: PBScheduleResult | None = None
     n_orders = 0
     for order in linear_extensions(graph, limit=max_orders + 1):

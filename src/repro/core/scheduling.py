@@ -14,6 +14,9 @@ import heapq
 import itertools
 from collections import deque
 
+import numpy as np
+
+from .columnar import ColumnarGraph, lower
 from .graph import GraphError, OperatorGraph
 
 
@@ -27,67 +30,72 @@ def row_band(graph: OperatorGraph, op_name: str) -> tuple[int, int] | None:
     return (rng[0], rng[1]) if rng else None
 
 
-def _row_band_key(
-    graph: OperatorGraph, op_name: str, index: dict[str, int]
-) -> tuple[int, int]:
-    """Sort key grouping split parts by the row band they produce.
-
-    Visiting roots band-by-band (all operators covering rows [0,k) before
-    any operator of the next band) lets depth-first exploration complete a
-    whole band of the pipeline — producing, consuming and retiring its
-    chunks — before starting the next, which is what keeps out-of-core
-    transfer volume near the I/O bound.  Unsplit operators all map to
-    band 0, so the order degenerates to insertion order on unsplit graphs.
-    ``index`` maps operator name to insertion position (built once by the
-    caller; an inline ``list(graph.ops).index`` would be quadratic).
-    """
-    op = graph.ops[op_name]
-    rng = op.params.get("out_range")
-    start = rng[0] if rng else 0
-    return (start, index[op_name])
-
-
-def _dfs(graph: OperatorGraph, roots: list[str]) -> list[str]:
-    scheduled: set[str] = set()
-    order: list[str] = []
-    preds = {o: graph.op_predecessors(o) for o in graph.ops}
-    stack = list(reversed(roots))
+def _dfs(col: ColumnarGraph, roots: list[int]) -> list[str]:
+    """Iterative pre-order DFS over the lowered tables' integer ids."""
+    scheduled = bytearray(col.n_ops)
+    unmet = list(col.pred_counts)
+    succ_ptr, succ_ids = col.succ_ptr, col.succ_ids
+    order: list[int] = []
+    stack = roots[::-1]
     while stack:
-        op = stack.pop()
-        if op in scheduled:
+        o = stack.pop()
+        if scheduled[o]:
             continue
-        if any(p not in scheduled for p in preds[op]):
+        if unmet[o]:
             continue  # precedence not met: backtrack
-        scheduled.add(op)
-        order.append(op)
-        stack.extend(reversed(graph.op_successors(op)))
-    if len(order) != len(graph.ops):
+        scheduled[o] = 1
+        order.append(o)
+        seg = succ_ids[succ_ptr[o] : succ_ptr[o + 1]]
+        for s in seg:
+            unmet[s] -= 1
+        stack.extend(seg[::-1])
+    if len(order) != col.n_ops:
         raise GraphError(
-            f"dfs_schedule covered {len(order)}/{len(graph.ops)} operators "
+            f"dfs_schedule covered {len(order)}/{col.n_ops} operators "
             "(graph not reachable from roots?)"
         )
-    return order
+    names = col.op_names
+    return [names[i] for i in order]
 
 
-def dfs_schedule(graph: OperatorGraph) -> list[str]:
+def dfs_schedule(
+    graph: OperatorGraph, col: ColumnarGraph | None = None
+) -> list[str]:
     """The paper's depth-first operator schedule, band-ordered roots.
 
     Iterative pre-order DFS from the root operators: an operator is
     scheduled the first time it is visited with all its predecessors
     already scheduled; otherwise the visit "backtracks" (the operator
     will be revisited as a successor of its last-scheduled predecessor,
-    which guarantees completion on DAGs).  Root operators are visited in
-    row-band order (see :func:`_row_band_key`); use
+    which guarantees completion on DAGs).
+
+    Root operators are visited by the row band they produce
+    (``params["out_range"][0]``, the ``band_start`` column): visiting
+    roots band-by-band (all operators covering rows [0,k) before any
+    operator of the next band) lets depth-first exploration complete a
+    whole band of the pipeline — producing, consuming and retiring its
+    chunks — before starting the next, which is what keeps out-of-core
+    transfer volume near the I/O bound.  Unsplit operators all map to
+    band 0 and ids are insertion order, so one stable sort on band start
+    degenerates to insertion order on unsplit graphs; use
     :func:`dfs_naive_schedule` for plain insertion-order roots.
+
+    ``col`` is ``lower(graph)`` when the caller already holds it.
     """
-    idx = {o: i for i, o in enumerate(graph.ops)}
-    roots = sorted(graph.roots(), key=lambda o: _row_band_key(graph, o, idx))
-    return _dfs(graph, roots)
+    col = lower(graph) if col is None else col
+    roots = [i for i, n in enumerate(col.pred_counts) if not n]
+    if roots:
+        band = col.band_start[roots]
+        roots = [roots[i] for i in np.argsort(band, kind="stable")]
+    return _dfs(col, roots)
 
 
-def dfs_naive_schedule(graph: OperatorGraph) -> list[str]:
+def dfs_naive_schedule(
+    graph: OperatorGraph, col: ColumnarGraph | None = None
+) -> list[str]:
     """Depth-first schedule with insertion-order roots (ablation)."""
-    return _dfs(graph, graph.roots())
+    col = lower(graph) if col is None else col
+    return _dfs(col, [i for i, n in enumerate(col.pred_counts) if not n])
 
 
 def greedy_schedule(graph: OperatorGraph) -> list[str]:

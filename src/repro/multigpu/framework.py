@@ -26,9 +26,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro._compat import UNSET as _UNSET
-from repro._compat import explicit_kwargs as _explicit
-from repro._compat import legacy_positional
 from repro.core.framework import CompileOptions
 from repro.core.graph import OperatorGraph
 from repro.core.plan import ExecutionPlan, validate_plan
@@ -92,30 +89,19 @@ def _max_op_footprint(graph: OperatorGraph) -> int:
 def compile_multi(
     template: OperatorGraph,
     group: DeviceGroup,
-    *legacy,
-    host: HostSystem | None = _UNSET,
-    options: CompileOptions | None = _UNSET,
+    *,
+    host: HostSystem | None = None,
+    options: CompileOptions | None = None,
     transfer_mode: str = "peer",
     plan_cache: PlanCache | bool | None = True,
 ) -> MultiCompiledTemplate:
     """Compile a template into a validated device-tagged execution plan.
-
-    ``host`` and ``options`` are keyword-only; the old positional call
-    shape keeps working behind a :class:`DeprecationWarning` shim.
 
     Like :meth:`repro.core.Framework.compile`, the result is stored in
     the content-addressed plan cache (keyed on graph + group + options +
     transfer mode + host) and repeat compiles return it without
     re-running the pipeline.  Pass ``plan_cache=False`` to opt out.
     """
-    merged = legacy_positional(
-        "compile_multi",
-        ("host", "options"),
-        legacy,
-        _explicit(host=host, options=options),
-    )
-    host = merged.get("host")
-    options = merged.get("options")
     opts = options or CompileOptions()
     if plan_cache is True:
         cache: PlanCache | None = default_cache()
@@ -289,23 +275,14 @@ def run_multi_template(
     template: OperatorGraph,
     template_inputs: Mapping[str, np.ndarray],
     group: DeviceGroup,
-    *legacy,
-    host: HostSystem | None = _UNSET,
-    options: CompileOptions | None = _UNSET,
+    *,
+    host: HostSystem | None = None,
+    options: CompileOptions | None = None,
     transfer_mode: str = "peer",
 ) -> MultiExecutionResult:
     """One-call convenience API: compile + execute on a device group."""
-    merged = legacy_positional(
-        "run_multi_template",
-        ("host", "options"),
-        legacy,
-        _explicit(host=host, options=options),
-    )
     compiled = compile_multi(
-        template,
-        group,
-        host=merged.get("host"),
-        options=merged.get("options"),
+        template, group, host=host, options=options,
         transfer_mode=transfer_mode,
     )
     return execute_multi(compiled, template_inputs)

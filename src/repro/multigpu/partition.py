@@ -110,7 +110,7 @@ def partition_graph(
     still be corrected).  With one device everything lands on device 0
     and the result degenerates to the single-GPU pipeline.
     """
-    if set(op_order) != set(graph.ops):
+    if len(op_order) != len(graph.ops) or set(op_order) != set(graph.ops):
         raise ValueError("op_order must cover exactly the graph's operators")
     n = len(group)
     if n == 1:

@@ -1,6 +1,6 @@
 """Inter-device transfer scheduling for a partitioned operator graph.
 
-Generalises :class:`repro.core.transfers.TransferScheduler` to N
+Generalises :func:`repro.core.transfers.schedule_transfers` to N
 devices.  The walk is the same — one pass over the global operator
 order, uploading missing inputs, evicting under memory pressure,
 eagerly freeing dead data — but residency is tracked *per device* and a
@@ -25,6 +25,7 @@ host copy makes the download redundant.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.graph import OperatorGraph
@@ -38,12 +39,21 @@ from repro.core.plan import (
     PlanError,
     Step,
 )
-from repro.core.transfers import Resident
 from repro.gpusim import DeviceGroup
 
 from .partition import Partition
 
 _INF = float("inf")
+
+
+@dataclass(slots=True)
+class Resident:
+    """Book-keeping for one data structure resident on one device."""
+
+    size: int
+    arrived: int  # step counter, for FIFO
+    touched: int  # step counter, for LRU
+    host_valid: bool  # an identical copy exists in host memory
 
 
 class MultiTransferScheduler:
@@ -86,7 +96,7 @@ class MultiTransferScheduler:
         graph = self.graph
         part = self.partition
         n = len(self.group)
-        if set(op_order) != set(graph.ops):
+        if len(op_order) != len(graph.ops) or set(op_order) != set(graph.ops):
             raise ValueError("op_order must cover exactly the graph's operators")
 
         # Static use times, globally and per consuming device.

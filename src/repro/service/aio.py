@@ -36,7 +36,7 @@ from typing import Any
 from .config import ServiceConfig
 from .request import RequestStatus, ServiceRequest, ServiceResponse, Ticket
 from .service import ExecutionService
-from .submitter import coerce_request
+from .submitter import require_request
 
 
 class AsyncTicket:
@@ -172,10 +172,7 @@ class AsyncExecutionService:
 
     # -- submission ------------------------------------------------------
     async def submit(
-        self,
-        request: ServiceRequest | Any = None,
-        /,
-        **fields: Any,
+        self, request: ServiceRequest | None = None, /
     ) -> AsyncTicket:
         """Admit one request; returns an awaitable :class:`AsyncTicket`.
 
@@ -185,7 +182,7 @@ class AsyncExecutionService:
         (:class:`~repro.service.QueueFullError`,
         :class:`~repro.service.ServiceClosedError`).
         """
-        req = coerce_request("AsyncExecutionService.submit", request, fields)
+        req = require_request("AsyncExecutionService.submit", request)
         loop = asyncio.get_running_loop()
         ticket = await loop.run_in_executor(None, self._core.submit, req)
         return AsyncTicket(ticket)
@@ -199,19 +196,14 @@ class AsyncExecutionService:
 
     # -- sync fallback (no running event loop) ---------------------------
     def submit_nowait(
-        self,
-        request: ServiceRequest | Any = None,
-        /,
-        **fields: Any,
+        self, request: ServiceRequest | None = None, /
     ) -> AsyncTicket:
         """Synchronous admission for callers outside any event loop.
 
         The returned ticket is the same :class:`AsyncTicket` — await it
         later from a loop, or block on ``result()`` right here.
         """
-        req = coerce_request(
-            "AsyncExecutionService.submit_nowait", request, fields
-        )
+        req = require_request("AsyncExecutionService.submit_nowait", request)
         return AsyncTicket(self._core.submit(req))
 
     # -- lifecycle -------------------------------------------------------

@@ -250,24 +250,17 @@ class ExecutionService:
             self.flight.close()
 
     # -- submission ------------------------------------------------------
-    def submit(
-        self, request: ServiceRequest | Any = None, /, **fields: Any
-    ) -> Ticket:
-        """Admit one request; returns its :class:`Ticket`.
-
-        Canonically takes one :class:`ServiceRequest` (the
-        :class:`~repro.service.Submitter` contract); the pre-protocol
-        expanded shape ``submit(template, device=..., ...)`` still works
-        behind a :class:`DeprecationWarning`.
+    def submit(self, request: ServiceRequest | None = None, /) -> Ticket:
+        """Admit one :class:`ServiceRequest`; returns its :class:`Ticket`.
 
         Raises :class:`QueueFullError` when the bounded queue is at
         capacity (explicit rejection — callers decide whether to back
         off or shed load) and :class:`ServiceClosedError` after
         ``close()``.
         """
-        from .submitter import coerce_request
+        from .submitter import require_request
 
-        request = coerce_request("ExecutionService.submit", request, fields)
+        request = require_request("ExecutionService.submit", request)
         now = self._clock()
         deadline = request.deadline
         if deadline is None:

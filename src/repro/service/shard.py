@@ -249,22 +249,17 @@ class ShardedExecutionService:
         return self.ring.route(self.route_key(request))
 
     # -- submission ------------------------------------------------------
-    def submit(
-        self, request: ServiceRequest | Any = None, /, **fields: Any
-    ) -> Ticket:
+    def submit(self, request: ServiceRequest | None = None, /) -> Ticket:
         """Route and admit one request; returns a fleet-global ticket.
 
         Admission is synchronous — the owning shard's accept/reject
         round-trips before this returns, so :class:`QueueFullError` and
         :class:`ServiceClosedError` raise here exactly as they do on the
-        single-process tier.  The deprecated expanded call shape is
-        accepted exactly as on :meth:`ExecutionService.submit`.
+        single-process tier.
         """
-        from .submitter import coerce_request
+        from .submitter import require_request
 
-        request = coerce_request(
-            "ShardedExecutionService.submit", request, fields
-        )
+        request = require_request("ShardedExecutionService.submit", request)
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("sharded service is closed")

@@ -17,19 +17,11 @@ contract, captured here as the :class:`Submitter` protocol:
 Sync callers and the asyncio front end therefore interoperate freely:
 anything accepting a ``Submitter`` takes all three services, and the
 differential harness drives them interchangeably.
-
-The pre-protocol *expanded* call shape — ``submit(template, device=...,
-mode=...)`` building the request implicitly — keeps working behind a
-:class:`DeprecationWarning` shim (:func:`coerce_request`, built on
-:mod:`repro._compat`), pinned byte-identical in ``tests/test_facade.py``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Protocol, runtime_checkable
-
-from repro._compat import deprecated_shape
-from repro.core.graph import OperatorGraph
+from typing import Any, Protocol, runtime_checkable
 
 from .request import ServiceRequest, Ticket
 
@@ -52,45 +44,16 @@ class Submitter(Protocol):
         ...
 
 
-def coerce_request(
-    where: str,
-    request: ServiceRequest | OperatorGraph | None,
-    fields: dict[str, Any],
-) -> ServiceRequest:
-    """Normalise the two ``submit`` call shapes onto a ServiceRequest.
-
-    Canonical: ``submit(ServiceRequest(...))``.  Deprecated (the
-    pre-protocol expanded shape): ``submit(template, device=..., ...)``
-    or ``submit(template=..., device=..., ...)`` — both still build the
-    identical request, behind a :class:`DeprecationWarning`.
-    """
+def require_request(where: str, request: Any) -> ServiceRequest:
+    """``submit``'s input validation: exactly one :class:`ServiceRequest`."""
     if isinstance(request, ServiceRequest):
-        if fields:
-            raise TypeError(
-                f"{where}() got request fields alongside a ServiceRequest: "
-                f"{sorted(fields)}"
-            )
         return request
-    if request is not None:
-        if isinstance(request, Iterable) and not isinstance(
-            request, OperatorGraph
-        ):
-            raise TypeError(
-                f"{where}() takes one ServiceRequest; for a batch use "
-                f"submit_all()"
-            )
-        if "template" in fields:
-            raise TypeError(
-                f"{where}() got multiple values for argument 'template'"
-            )
-        fields = {"template": request, **fields}
-    elif not fields:
+    if request is None:
         raise TypeError(f"{where}() missing a ServiceRequest")
-    deprecated_shape(
-        f"{where}(template=..., device=..., ...)",
-        f"{where}(ServiceRequest(template=..., device=..., ...))",
+    raise TypeError(
+        f"{where}() takes one ServiceRequest, not "
+        f"{type(request).__name__}; for a batch use submit_all()"
     )
-    return ServiceRequest(**fields)
 
 
-__all__ = ["Submitter", "coerce_request"]
+__all__ = ["Submitter", "require_request"]

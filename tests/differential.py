@@ -228,28 +228,26 @@ def differential_check(
     return reference
 
 
-def assert_columnar_equivalent(
+def assert_engine_matches_reference(
     graph: OperatorGraph,
     capacity_floats: int | None = None,
     schedulers: tuple[str, ...] = ("dfs", "dfs_naive"),
     policies: tuple[str, ...] = ("belady", "cost", "ltu", "lru", "fifo"),
 ) -> None:
-    """The columnar planner must emit *byte-identical* plans.
+    """The planner engine must agree with the reference *byte for byte*.
 
-    For every scheduler/eviction-policy/eager-free combination covered
-    by :mod:`repro.core.columnar`, the flat-table fast path must produce
-    exactly the operator order, plan steps and provenance notes of the
-    per-object reference implementation — compared as canonical JSON, so
-    any drift (a reordered step, a changed note string) fails loudly.
+    For every DFS scheduler × eviction policy × eager/lazy combination,
+    ``repro.core``'s table-based planner must produce exactly the
+    operator order, plan steps and provenance notes of the plain
+    dict-based oracle in :mod:`tests.reference_planner` — compared as
+    canonical JSON, so any drift (a reordered step, a changed note
+    string) fails loudly.
     """
     import json
 
-    from repro.core import SCHEDULERS, plan_to_dict, schedule_transfers
-    from repro.core.columnar import (
-        COLUMNAR_SCHEDULERS,
-        lower,
-        schedule_transfers_columnar,
-    )
+    from repro.core import SCHEDULERS, lower, plan_to_dict, schedule_transfers
+
+    from . import reference_planner as reference
 
     cap = capacity_floats
     if cap is None:
@@ -257,22 +255,22 @@ def assert_columnar_equivalent(
         cap = max(graph.max_footprint(), 1) * 2
     col = lower(graph)
     for sched in schedulers:
-        ref_order = SCHEDULERS[sched](graph)
-        col_order = COLUMNAR_SCHEDULERS[sched](graph, col)
-        assert col_order == ref_order, f"{sched}: operator order differs"
+        ref_order = reference.REFERENCE_SCHEDULERS[sched](graph)
+        order = SCHEDULERS[sched](graph, col)
+        assert order == ref_order, f"{sched}: operator order differs"
         for policy in policies:
             for eager in (True, False):
-                ref = schedule_transfers(
+                ref = reference.schedule_transfers(
                     graph, ref_order, cap, policy=policy, eager_free=eager
                 )
-                got = schedule_transfers_columnar(
-                    graph, col_order, cap,
+                got = schedule_transfers(
+                    graph, order, cap,
                     policy=policy, eager_free=eager, col=col,
                 )
                 a = json.dumps(plan_to_dict(ref), sort_keys=True)
                 b = json.dumps(plan_to_dict(got), sort_keys=True)
                 assert a == b, (
-                    f"columnar plan differs from reference: "
+                    f"engine plan differs from reference: "
                     f"{sched}/{policy}/eager={eager}"
                 )
 

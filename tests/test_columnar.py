@@ -1,31 +1,30 @@
-"""Columnar planner IR: lowering, schedulers, transfers, engine wiring.
+"""Columnar planner IR: lowering, schedulers, transfers, Framework wiring.
 
-The byte-identity contract (columnar plans == per-object plans, steps
-and provenance notes alike) is pinned by tests/test_differential.py;
-this file covers the tables themselves and the Framework wiring.
+The byte-identity contract (engine plans == tests/reference_planner.py
+plans, steps and provenance notes alike) is pinned by
+tests/test_differential.py; this file covers the tables themselves and
+the Framework wiring.
 """
 
 import json
 
 import pytest
 
+import repro.core
 from repro.core import (
-    COLUMNAR_SCHEDULERS,
     CompileOptions,
     Framework,
     dfs_naive_schedule,
-    dfs_naive_schedule_columnar,
     dfs_schedule,
-    dfs_schedule_columnar,
     lower,
     plan_to_dict,
-    planner_engine,
     schedule_transfers,
-    schedule_transfers_columnar,
 )
 from repro.core.plan import PlanError
 from repro.gpusim import GpuDevice
 from repro.templates import cnn_graph, find_edges_graph, SMALL_CNN
+
+from . import reference_planner
 
 KB = 1024
 DEV = GpuDevice(name="col-dev", memory_bytes=256 * KB)
@@ -89,19 +88,21 @@ class TestLowering:
 class TestColumnarSchedulers:
     def test_dfs_matches_reference(self):
         g = cnn_graph(SMALL_CNN, 48, 48)
-        assert dfs_schedule_columnar(g) == dfs_schedule(g)
+        assert dfs_schedule(g) == reference_planner.dfs_schedule(g)
 
     def test_dfs_naive_matches_reference(self):
         g = cnn_graph(SMALL_CNN, 48, 48)
-        assert dfs_naive_schedule_columnar(g) == dfs_naive_schedule(g)
-
-    def test_registry_covers_both_dfs_variants(self):
-        assert set(COLUMNAR_SCHEDULERS) == {"dfs", "dfs_naive"}
+        assert dfs_naive_schedule(g) == reference_planner.dfs_naive_schedule(g)
 
     def test_reuses_prelowered_tables(self):
         g = edge()
         col = lower(g)
-        assert dfs_schedule_columnar(g, col) == dfs_schedule(g)
+        assert dfs_schedule(g, col) == dfs_schedule(g)
+
+    def test_bench_stage_names_are_the_engine(self):
+        """bench/layers.py resolves its staged compile by these names."""
+        assert repro.core.dfs_schedule_columnar is dfs_schedule
+        assert repro.core.schedule_transfers_columnar is schedule_transfers
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +112,25 @@ class TestColumnarTransfers:
     def test_rejects_unknown_policy(self):
         g = edge()
         with pytest.raises(ValueError, match="unknown eviction policy"):
-            schedule_transfers_columnar(g, dfs_schedule(g), 10**6, policy="mru")
+            schedule_transfers(g, dfs_schedule(g), 10**6, policy="mru")
 
     def test_rejects_partial_op_order(self):
         g = edge()
         order = dfs_schedule(g)[:-1]
         with pytest.raises(ValueError, match="op_order must cover"):
-            schedule_transfers_columnar(g, order, 10**6)
+            schedule_transfers(g, order, 10**6)
 
     def test_infeasible_footprint_raises_plan_error(self):
         g = edge()
         with pytest.raises(PlanError, match="footprint"):
-            schedule_transfers_columnar(g, dfs_schedule(g), 16)
+            schedule_transfers(g, dfs_schedule(g), 16)
 
     def test_plan_matches_reference_bytes(self):
         g = cnn_graph(SMALL_CNN, 48, 48)
         order = dfs_schedule(g)
         cap = max(g.max_footprint(), 1) * 2
-        ref = schedule_transfers(g, order, cap)
-        got = schedule_transfers_columnar(g, order, cap)
+        ref = reference_planner.schedule_transfers(g, order, cap)
+        got = schedule_transfers(g, order, cap, col=lower(g))
         assert json.dumps(plan_to_dict(ref), sort_keys=True) == json.dumps(
             plan_to_dict(got), sort_keys=True
         )
@@ -139,51 +140,21 @@ class TestColumnarTransfers:
 # Framework wiring
 # ---------------------------------------------------------------------------
 class TestEngineWiring:
-    def test_default_engine_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
-        assert planner_engine() == "columnar"
-
-    def test_invalid_engine_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER", "turbo")
-        with pytest.raises(ValueError, match="REPRO_PLANNER"):
-            planner_engine()
-
-    def test_engines_compile_byte_identical(self, monkeypatch):
-        g = find_edges_graph(96, 64, 5, 4)
-        opts = CompileOptions(split_headroom=1.0)
-        dev = GpuDevice(name="col-tight", memory_bytes=32 * KB)
-        monkeypatch.setenv("REPRO_PLANNER", "object")
-        ref = Framework(dev, options=opts, plan_cache=False).compile(g)
-        monkeypatch.setenv("REPRO_PLANNER", "columnar")
-        got = Framework(dev, options=opts, plan_cache=False).compile(g)
-        assert got.op_order == ref.op_order
-        assert json.dumps(plan_to_dict(got.plan), sort_keys=True) == json.dumps(
-            plan_to_dict(ref.plan), sort_keys=True
-        )
-
-    def test_lowering_span_recorded(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
-        c = Framework(DEV, plan_cache=False).compile(edge())
-        names = {sp.name for sp in c.spans}
-        assert "lowering" in names
-        sched = [sp for sp in c.spans if sp.name == "operator_scheduling"]
-        assert sched and sched[0].attrs["engine"] == "columnar"
-
-    def test_object_engine_records_no_lowering(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLANNER", "object")
-        c = Framework(DEV, plan_cache=False).compile(edge())
-        assert "lowering" not in {sp.name for sp in c.spans}
-
-    def test_object_scheduler_with_columnar_transfers(self, monkeypatch):
-        """greedy/bfs/topo schedulers keep the per-object order but still
-        benefit from columnar transfer scheduling."""
-        monkeypatch.delenv("REPRO_PLANNER", raising=False)
-        opts = CompileOptions(scheduler="bfs", split_headroom=1.0)
-        c = Framework(DEV, options=opts, plan_cache=False).compile(edge())
-        sched = [sp for sp in c.spans if sp.name == "operator_scheduling"]
-        xfer = [sp for sp in c.spans if sp.name == "transfer_scheduling"]
-        assert sched[0].attrs["engine"] == "object"
-        assert xfer[0].attrs["engine"] == "columnar"
+    def test_lowering_span_recorded(self):
+        """Every compile lowers once and plans on the tables — also when
+        an ablation scheduler (here bfs) picked the order on the graph."""
+        for opts in (
+            CompileOptions(),
+            CompileOptions(scheduler="bfs", split_headroom=1.0),
+        ):
+            c = Framework(DEV, options=opts, plan_cache=False).compile(edge())
+            assert "lowering" in {sp.name for sp in c.spans}
+            ref = reference_planner.schedule_transfers(
+                c.graph, c.op_order, DEV.usable_memory_floats
+            )
+            assert json.dumps(plan_to_dict(c.plan), sort_keys=True) == (
+                json.dumps(plan_to_dict(ref), sort_keys=True)
+            )
 
 
 # ---------------------------------------------------------------------------

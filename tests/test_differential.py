@@ -24,7 +24,7 @@ from .differential import (
     EXECUTORS,
     PLANNERS,
     assert_bitwise_equal,
-    assert_columnar_equivalent,
+    assert_engine_matches_reference,
     differential_check,
     random_inputs,
     random_operator_graph,
@@ -92,13 +92,13 @@ def test_random_graphs_alt_planner(seed):
 
 
 # ---------------------------------------------------------------------------
-# Columnar planner equivalence
+# Planner engine vs tests/reference_planner.py
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("template", sorted(TEMPLATES))
 def test_columnar_equivalent_templates(template):
-    """The columnar planner is byte-identical on the real templates."""
+    """The planner matches the reference byte for byte on real templates."""
     graph, _ = TEMPLATES[template]()
-    assert_columnar_equivalent(graph)
+    assert_engine_matches_reference(graph)
 
 
 def test_columnar_equivalent_split_graph():
@@ -107,15 +107,15 @@ def test_columnar_equivalent_split_graph():
 
     graph = find_edges_graph(96, 64, 5, 4)
     make_feasible(graph, 8 * KB // 4)
-    assert_columnar_equivalent(graph)
+    assert_engine_matches_reference(graph)
 
 
 def test_columnar_property_random_graphs():
-    """Hypothesis: columnar lowering round-trips byte-identical plans.
+    """Hypothesis: the engine and the reference plan byte-identically.
 
     Random layered DAGs (drawn through the same seeded generator the
-    executor matrix uses) must plan identically through the flat-table
-    and per-object paths, across every covered scheduler and policy.
+    executor matrix uses) must plan identically through ``repro.core``
+    and the dict-based oracle, across every DFS scheduler and policy.
     """
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
@@ -132,7 +132,7 @@ def test_columnar_property_random_graphs():
     )
     def check(seed, n_layers, width):
         graph = random_operator_graph(seed, n_layers=n_layers, width=width)
-        assert_columnar_equivalent(graph)
+        assert_engine_matches_reference(graph)
 
     check()
 

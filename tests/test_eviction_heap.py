@@ -1,13 +1,13 @@
 """Heap-based eviction must be plan-identical to the linear reference.
 
-The transfer scheduler's ``belady``/``cost`` eviction used to pick the
-furthest-next-use victim with a linear scan of the resident set; the
-optimized path keeps a lazily-invalidated max-heap.  ``use_heap=False``
-preserves the reference scan, and this suite drives both over the same
-schedules — random layered DAGs (hypothesis), split out-of-core graphs,
-and a capacity sweep — asserting the *full plan* (every upload, victim
-choice, free, and provenance note) is identical, not just the victim
-sequence.
+The transfer scheduler (``repro.core.transfers``) keeps eviction
+candidates in a lazily-invalidated max-heap with eagerly-advanced
+next-use pointers; ``tests/reference_planner.py`` picks every victim
+with a linear scan of the resident set.  This suite drives both over the
+same schedules — random layered DAGs (hypothesis), split out-of-core
+graphs, and a capacity sweep — asserting the *full plan* (every upload,
+victim choice, free, and provenance note) is identical, not just the
+victim sequence.
 """
 
 import json
@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from . import reference_planner
 from .differential import random_operator_graph
-from repro.core import plan_to_dict
+from repro.core import plan_to_dict, schedule_transfers
 from repro.core.scheduling import get_scheduler
-from repro.core.transfers import TransferScheduler
 from repro.templates import find_edges_graph
 
 POLICIES = ["belady", "cost", "ltu", "lru", "fifo"]
@@ -27,12 +27,12 @@ POLICIES = ["belady", "cost", "ltu", "lru", "fifo"]
 
 def plans_for(graph, capacity, policy, eager_free=True, scheduler="dfs"):
     order = get_scheduler(scheduler)(graph)
-    heap = TransferScheduler(
-        graph, capacity, policy=policy, eager_free=eager_free, use_heap=True
-    ).schedule(order)
-    linear = TransferScheduler(
-        graph, capacity, policy=policy, eager_free=eager_free, use_heap=False
-    ).schedule(order)
+    heap = schedule_transfers(
+        graph, order, capacity, policy=policy, eager_free=eager_free
+    )
+    linear = reference_planner.schedule_transfers(
+        graph, order, capacity, policy=policy, eager_free=eager_free
+    )
     return heap, linear
 
 

@@ -1,9 +1,9 @@
-"""Public API facade and deprecation shims (repro.api, repro._compat).
+"""Public API facade (repro.api) and the one submit surface.
 
-The redesign contract: the keyword-only facade is the stable surface,
-the old positional call shapes keep working behind ``DeprecationWarning``
-shims, and both produce **byte-identical** plans (checked through the
-canonical ``plan_to_dict`` JSON serialization).
+The keyword-only facade is the stable surface: it produces the plans
+``Framework`` produces (checked through the canonical ``plan_to_dict``
+JSON serialization), and positional host/options call shapes are
+rejected.
 """
 
 import json
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import CompileOptions, Framework, run_template
+from repro.core import CompileOptions, Framework
 from repro.core.serialize import plan_to_dict
 from repro.gpusim import (
     TESLA_C870,
@@ -21,7 +21,7 @@ from repro.gpusim import (
     GpuDevice,
     homogeneous_group,
 )
-from repro.multigpu import MultiCompiledTemplate, compile_multi
+from repro.multigpu import MultiCompiledTemplate
 from repro.runtime import reference_execute
 from repro.templates import find_edges_graph, find_edges_inputs
 
@@ -106,81 +106,26 @@ class TestCompileOptionsSurface:
         with pytest.raises(Exception):
             opts.scheduler = "bfs"
 
-    def test_positional_construction_warns(self):
-        with pytest.warns(DeprecationWarning, match="CompileOptions"):
-            opts = CompileOptions("bfs")
-        assert opts.scheduler == "bfs"
-
-    def test_positional_equals_keyword(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = CompileOptions("bfs", "lru")
-        assert legacy == CompileOptions(scheduler="bfs", eviction_policy="lru")
-
     def test_duplicate_argument_rejected(self):
-        with pytest.raises(TypeError, match="scheduler"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError, match="positional"):
             CompileOptions("bfs", scheduler="dfs")
 
     def test_too_many_positionals_rejected(self):
-        names = [
-            "x" for _ in range(20)
-        ]
-        with pytest.raises(TypeError, match="positional"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            CompileOptions(*names)
+        with pytest.raises(TypeError, match="positional"):
+            CompileOptions(*["x"] * 20)
 
 
 class TestLegacyShims:
-    def test_framework_positional_host_warns_identical_plan(self):
-        with pytest.warns(DeprecationWarning, match="Framework"):
-            legacy = Framework(DEV, XEON_WORKSTATION, plan_cache=False)
-        modern = Framework(DEV, host=XEON_WORKSTATION, plan_cache=False)
-        assert plan_bytes(legacy.compile(graph())) == plan_bytes(
-            modern.compile(graph())
-        )
-
-    def test_framework_positional_options_warns_identical_plan(self):
-        opts = CompileOptions(scheduler="bfs")
-        with pytest.warns(DeprecationWarning):
-            legacy = Framework(DEV, XEON_WORKSTATION, opts, plan_cache=False)
-        modern = Framework(
-            DEV, host=XEON_WORKSTATION, options=opts, plan_cache=False
-        )
-        assert plan_bytes(legacy.compile(graph())) == plan_bytes(
-            modern.compile(graph())
-        )
+    """The shims are gone: ``host``/``options`` are keyword-only."""
 
     def test_framework_keyword_form_is_silent(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("error")
             Framework(DEV, host=XEON_WORKSTATION, options=CompileOptions())
 
     def test_framework_duplicate_host_rejected(self):
-        with pytest.raises(TypeError, match="host"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(TypeError, match="positional"):
             Framework(DEV, XEON_WORKSTATION, host=XEON_WORKSTATION)
-
-    def test_compile_multi_positional_warns_identical_plan(self):
-        group = homogeneous_group(DEV, 2)
-        with pytest.warns(DeprecationWarning, match="compile_multi"):
-            legacy = compile_multi(
-                graph(), group, XEON_WORKSTATION, plan_cache=False
-            )
-        modern = compile_multi(
-            graph(), group, host=XEON_WORKSTATION, plan_cache=False
-        )
-        assert plan_bytes(legacy) == plan_bytes(modern)
-
-    def test_run_template_positional_warns_same_outputs(self):
-        g = graph()
-        inputs = find_edges_inputs(64, 64, 8, 2)
-        with pytest.warns(DeprecationWarning, match="run_template"):
-            legacy = run_template(g, inputs, DEV, XEON_WORKSTATION)
-        modern = run_template(g, inputs, DEV, host=XEON_WORKSTATION)
-        for name in modern.outputs:
-            np.testing.assert_array_equal(
-                legacy.outputs[name], modern.outputs[name]
-            )
 
     def test_facade_quickstart_on_real_preset(self):
         compiled = repro.compile(graph(), device=TESLA_C870)
@@ -192,9 +137,7 @@ class TestSubmitterContract:
     """One submit surface across the serving tier (repro.service).
 
     Every front end satisfies the :class:`repro.service.Submitter`
-    protocol, and the pre-protocol *expanded* call shape —
-    ``submit(template, device=...)`` — keeps working behind a
-    ``DeprecationWarning``, producing byte-identical results.
+    protocol: ``submit`` takes exactly one ``ServiceRequest``.
     """
 
     def test_every_service_satisfies_the_protocol(self):
@@ -219,39 +162,12 @@ class TestSubmitterContract:
             for svc in services:
                 svc.close()
 
-    def test_expanded_shape_warns_identical_result(self):
-        from repro.service import ExecutionService, ServiceConfig, ServiceRequest
-
-        with ExecutionService(ServiceConfig(workers=2)) as svc:
-            with pytest.warns(DeprecationWarning, match="submit"):
-                legacy = svc.submit(
-                    graph(), device=DEV, host=XEON_WORKSTATION
-                ).result(timeout=60)
-            modern = svc.submit(ServiceRequest(
-                template=graph(), device=DEV, host=XEON_WORKSTATION
-            )).result(timeout=60)
-        assert legacy.ok and modern.ok
-        assert plan_bytes(legacy.value) == plan_bytes(modern.value)
-
-    def test_expanded_keyword_shape_warns_identical_result(self):
-        from repro.service import ExecutionService, ServiceConfig, ServiceRequest
-
-        with ExecutionService(ServiceConfig(workers=2)) as svc:
-            with pytest.warns(DeprecationWarning, match="ServiceRequest"):
-                legacy = svc.submit(
-                    template=graph(), device=DEV, host=XEON_WORKSTATION
-                ).result(timeout=60)
-            modern = svc.submit(ServiceRequest(
-                template=graph(), device=DEV, host=XEON_WORKSTATION
-            )).result(timeout=60)
-        assert plan_bytes(legacy.value) == plan_bytes(modern.value)
-
     def test_canonical_shape_is_silent(self):
         from repro.service import ExecutionService, ServiceConfig, ServiceRequest
 
         with ExecutionService(ServiceConfig(workers=1)) as svc:
             with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
+                warnings.simplefilter("error")
                 resp = svc.submit(ServiceRequest(
                     template=graph(), device=DEV, host=XEON_WORKSTATION
                 )).result(timeout=60)
@@ -262,7 +178,7 @@ class TestSubmitterContract:
 
         req = ServiceRequest(template=graph(), device=DEV)
         with ExecutionService(ServiceConfig(workers=1)) as svc:
-            with pytest.raises(TypeError, match="alongside a ServiceRequest"):
+            with pytest.raises(TypeError, match="mode"):
                 svc.submit(req, mode="simulate")
 
     def test_batch_through_submit_rejected(self):
@@ -279,32 +195,3 @@ class TestSubmitterContract:
         with ExecutionService(ServiceConfig(workers=1)) as svc:
             with pytest.raises(TypeError, match="missing a ServiceRequest"):
                 svc.submit()
-
-    def test_async_expanded_shape_warns_identical_result(self):
-        from repro.service import (
-            AsyncExecutionService,
-            ServiceConfig,
-            ServiceRequest,
-        )
-
-        with AsyncExecutionService(ServiceConfig(workers=2)) as svc:
-            with pytest.warns(DeprecationWarning, match="submit_nowait"):
-                legacy = svc.submit_nowait(
-                    graph(), device=DEV, host=XEON_WORKSTATION
-                ).result(timeout=60)
-            modern = svc.submit_nowait(ServiceRequest(
-                template=graph(), device=DEV, host=XEON_WORKSTATION
-            )).result(timeout=60)
-        assert plan_bytes(legacy.value) == plan_bytes(modern.value)
-
-    def test_sharded_expanded_shape_warns(self):
-        from repro.service import ServiceConfig, ShardedExecutionService
-
-        with ShardedExecutionService(
-            ServiceConfig(workers=1), shards=1
-        ) as svc:
-            with pytest.warns(DeprecationWarning, match="submit"):
-                resp = svc.submit(
-                    graph(), device=DEV, host=XEON_WORKSTATION
-                ).result(timeout=120)
-        assert resp.ok

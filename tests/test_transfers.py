@@ -134,6 +134,30 @@ class TestGeneralProperties:
         with pytest.raises(ValueError):
             schedule_transfers(g, ["C1"], 10**9)
 
+    @pytest.mark.parametrize(
+        "entry", ["core", "multi_transfers", "partition", "pb_fixed_order"]
+    )
+    def test_duplicated_operator_rejected(self, entry):
+        """A repeated operator has the right *set* but is not a cover."""
+        from repro.core import PBScheduler
+        from repro.gpusim import GpuDevice, homogeneous_group
+        from repro.multigpu import partition_graph, schedule_multi_transfers
+
+        g = find_edges_graph(32, 32, 5, 4)
+        order = dfs_schedule(g)
+        dup = order + order[:1]
+        group = homogeneous_group(GpuDevice(name="dup", memory_bytes=2**24), 2)
+        calls = {
+            "core": lambda: schedule_transfers(g, dup, 10**9),
+            "multi_transfers": lambda: schedule_multi_transfers(
+                g, dup, group, partition_graph(g, order, group)
+            ),
+            "partition": lambda: partition_graph(g, dup, group),
+            "pb_fixed_order": lambda: PBScheduler(g, 10**9, fixed_order=dup),
+        }
+        with pytest.raises(ValueError, match="must cover exactly"):
+            calls[entry]()
+
     def test_unknown_policy_rejected(self):
         g = find_edges_graph(32, 32, 5, 4)
         with pytest.raises(ValueError):
