@@ -17,8 +17,6 @@ portability" claim).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -39,9 +37,14 @@ from .columnar import lower
 from .graph import OperatorGraph
 from .offload import identify_offload_units
 from .plan import ExecutionPlan, validate_plan
-from .plancache import CachedPlan, PlanCache, default_cache, plan_key
+from .plancache import (
+    CachedPlan,
+    PlanCache,
+    default_cache,
+    graph_fingerprint,
+    plan_key,
+)
 from .scheduling import dfs_naive_schedule, dfs_schedule, get_scheduler
-from .serialize import graph_to_dict
 from .splitting import SplitReport, make_feasible
 from .transfers import schedule_transfers
 
@@ -400,11 +403,7 @@ class Framework:
             # Candidates that split to the same graph would schedule
             # identical work; fingerprint the split graph and hand back
             # the earlier candidate's result instead.
-            fp = hashlib.sha256(
-                json.dumps(
-                    graph_to_dict(graph), sort_keys=True, separators=(",", ":")
-                ).encode("utf-8")
-            ).hexdigest()
+            fp = graph_fingerprint(graph)
             prior = dedupe.get(fp)
             if prior is not None:
                 tracer.event(

@@ -212,24 +212,70 @@ class OperatorGraph:
 
     Insertion order is preserved and used as the deterministic tiebreak
     in every traversal, so compilation is reproducible.
+
+    **Mutator contract.**  Change a graph only through its mutators
+    (``add_*`` / ``remove_*`` / :meth:`set_op_io` / :meth:`mark_output` /
+    assigning :attr:`name`).  Each of them drops what the graph has
+    derived from its content: the adjacency and chunk indexes, and the
+    memoised structural fingerprint that every plan-cache, single-flight,
+    batch and shard-routing key is composed from
+    (:func:`repro.core.plancache.graph_fingerprint`).  Code that writes
+    around them — a ``DataStructure`` field, an ``Operator.params`` key,
+    the ``data`` / ``ops`` tables themselves — must call
+    :meth:`invalidate_caches` before the graph is next keyed; otherwise
+    the stale fingerprint serves the *old* graph's plan from the cache.
     """
 
     def __init__(self, name: str = "template") -> None:
-        self.name = name
+        self._name = name
         self.data: dict[str, DataStructure] = {}
         self.ops: dict[str, Operator] = {}
         self.producer: dict[str, str] = {}  # data -> producing op
         self.consumers: dict[str, list[str]] = {}  # data -> consuming ops
         self.children: dict[str, list[str]] = {}  # root -> chunk names
-        # Derived-structure caches, dropped on any mutation.  Code that
-        # bypasses the mutators (flipping ``DataStructure.virtual`` in
-        # place) must call :meth:`invalidate_caches` itself.
+        # Derived from the tables above, dropped on any mutation.
         self._preds: dict[str, list[str]] | None = None
         self._succs: dict[str, list[str]] | None = None
         self._sorted_chunks: dict[str, tuple[list[str], list[int], list[int]]] = {}
+        self._fingerprint: str | None = None
+
+    @property
+    def name(self) -> str:
+        return self._name
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._name = value
+        self._fingerprint = None  # the name is part of the serialized graph
+
+    def __getstate__(self) -> dict[str, Any]:
+        """Pickle the tables and the fingerprint, not the derived indexes:
+        those are rebuilt lazily, the fingerprint costs a full
+        serialization to recompute — a shard must not re-hash what the
+        router hashed."""
+        return {
+            "name": self._name,
+            "data": self.data,
+            "ops": self.ops,
+            "producer": self.producer,
+            "consumers": self.consumers,
+            "children": self.children,
+            "fingerprint": self._fingerprint,
+        }
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__init__(state["name"])  # type: ignore[misc]
+        self.data = state["data"]
+        self.ops = state["ops"]
+        self.producer = state["producer"]
+        self.consumers = state["consumers"]
+        self.children = state["children"]
+        self._fingerprint = state["fingerprint"]
 
     def invalidate_caches(self) -> None:
-        """Drop cached adjacency/chunk indexes after a structural change."""
+        """Drop everything derived from the graph's content (adjacency,
+        chunk indexes, fingerprint) after a change the mutators did not
+        see."""
         self._invalidate_adjacency()
         self._invalidate_chunks()
 
@@ -237,11 +283,13 @@ class OperatorGraph:
         """Operator wiring changed (add/remove operator, set_op_io)."""
         self._preds = None
         self._succs = None
+        self._fingerprint = None
 
     def _invalidate_chunks(self) -> None:
         """Chunk structure changed (add/remove data, ``virtual`` flip)."""
         if self._sorted_chunks:
             self._sorted_chunks = {}
+        self._fingerprint = None
 
     def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         if self._preds is None:
@@ -324,6 +372,12 @@ class OperatorGraph:
             self.consumers[d].append(name)
         self._invalidate_adjacency()
         return op
+
+    def mark_output(self, name: str, is_output: bool = True) -> None:
+        """Set whether ``name`` is a template output (copied back to the
+        host at the end of the plan)."""
+        self.data[name].is_output = is_output
+        self._fingerprint = None  # no index depends on the flag
 
     def remove_operator(self, name: str) -> Operator:
         op = self.ops.pop(name)
@@ -549,9 +603,12 @@ class OperatorGraph:
 
         A structural clone, not ``copy.deepcopy``: vertices go through
         :func:`clone_data` / :func:`clone_operator`, the indexes are
-        rebuilt as fresh containers of (immutable) names.
+        rebuilt as fresh containers of (immutable) names.  A same-named
+        copy serializes identically, so it keeps the fingerprint.
         """
         g = OperatorGraph(name or self.name)
+        if g.name == self.name:
+            g._fingerprint = self._fingerprint
         g.data = {d: clone_data(ds) for d, ds in self.data.items()}
         g.ops = {o: clone_operator(op) for o, op in self.ops.items()}
         g.producer = dict(self.producer)

@@ -17,8 +17,8 @@ This module makes compile time proportional to the dirty slice:
 * each fragment is extracted as a standalone subgraph
   (:func:`extract_fragment`) and fingerprinted with the plan cache's
   content-hash key discipline (``plan_key(..., kind="fragment")``) — the
-  same sha256-over-canonical-JSON hash that keys whole-template plans,
-  namespaced so fragment entries never collide with them;
+  same graph fingerprint that keys whole-template plans, namespaced so
+  fragment entries never collide with them;
 * :func:`compile_incremental` compiles only the fragments whose
   fingerprint misses the cache (the full pipeline: splitting, candidate
   headrooms, scheduling, transfers) and **stitches** cached and fresh
@@ -141,6 +141,7 @@ def extract_fragment(
         sub.ops[o] = clone_operator(op)
         for d in op.outputs:
             sub.producer[d] = o
+    sub.invalidate_caches()  # the tables were filled around the mutators
     return sub
 
 
@@ -149,9 +150,10 @@ def fragment_key(
 ) -> str:
     """Content fingerprint of one fragment compilation (cache key).
 
-    Reuses the plan cache's sha256-over-canonical-JSON discipline; the
-    ``kind="fragment"`` namespace keeps fragment entries disjoint from
-    whole-template plans even for a single-fragment template.
+    Reuses :func:`~repro.core.plancache.plan_key` (and so the one graph
+    fingerprint); the ``kind="fragment"`` namespace keeps fragment
+    entries disjoint from whole-template plans even for a
+    single-fragment template.
     """
     return plan_key(fragment, device, options, kind="fragment")
 
@@ -327,6 +329,7 @@ def _stitch(
         partitioned.update(entry.split_report.partitioned_roots)
         rounds = max(rounds, entry.split_report.rounds)
         fused += entry.fused_units
+    g.invalidate_caches()  # the tables were filled around the mutators
     plan = ExecutionPlan(
         steps=steps,
         capacity_floats=capacity,

@@ -4,9 +4,11 @@ Compiling the same template for the same device with the same options is
 deterministic, so the result can be reused outright: the cache key is a
 stable structural hash of (graph, device parameters, CompileOptions) and
 the value is everything :meth:`repro.core.Framework.compile` would have
-recomputed — split graph, plan, operator order, split report.  Repeat
-compiles (the common case for a deployed template served against steady
-traffic) become a hash plus a dictionary lookup.
+recomputed — split graph, plan, operator order, split report.  The
+graph's part of the key is a fingerprint memoised on the graph and the
+device/options parts are memoised per value, so repeat compiles (the
+common case for a deployed template served against steady traffic)
+hash a few hundred bytes and do a dictionary lookup.
 
 Two tiers:
 
@@ -29,6 +31,7 @@ left unreferenced (disk).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -48,22 +51,64 @@ from .splitting import SplitReport
 
 #: bump when the entry payload or key layout changes; old disk entries
 #: are then treated as corrupt and rewritten
-#: (2: plan dicts carry schema_version)
-CACHE_VERSION = 2
+#: (2: plan dicts carry schema_version; 3: keys compose memoised parts)
+CACHE_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
 # Keys
 # ---------------------------------------------------------------------------
 def _canonical(obj: Any) -> Any:
-    """Best-effort canonical JSON view for key hashing."""
+    """``json`` fallback for key material it cannot encode itself (a
+    nested dataclass becomes its canonical JSON *string*)."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
+        return _canonical_json(obj)
     if isinstance(obj, (set, frozenset)):
         return sorted(obj)
-    if isinstance(obj, tuple):
-        return list(obj)
     return str(obj)
+
+
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_canonical
+)
+
+
+def _canonical_json(obj: Any) -> str:
+    """Canonical JSON (sorted keys, no whitespace) of one key part."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        try:
+            return _frozen_json(obj)
+        except TypeError:  # unhashable (a mutable dataclass): no memo
+            obj = dataclasses.asdict(obj)
+    return _ENCODER.encode(obj)
+
+
+@functools.lru_cache(maxsize=256)
+def _frozen_json(value: Any) -> str:
+    # Devices, hosts, groups and options are frozen dataclasses: one
+    # canonical string per distinct value instead of an ``asdict`` deep
+    # copy per key.  Values that compare equal share the string (and so
+    # the key) — they compile identically.
+    return _ENCODER.encode(dataclasses.asdict(value))
+
+
+def graph_fingerprint(graph: OperatorGraph) -> str:
+    """Structural hash of a graph: sha256 of its canonical
+    :func:`graph_to_dict` JSON — the one definition, shared by
+    :func:`plan_key`, the fragment keys and the split-candidate dedupe.
+
+    Memoised on the graph.  Every mutator and ``invalidate_caches()``
+    drops it, a same-named ``copy()`` and ``pickle`` carry it, so a
+    template is serialized once however many keys, processes and
+    requests it passes through (see the mutator contract on
+    :class:`OperatorGraph`)."""
+    fp = graph._fingerprint
+    if fp is None:
+        blob = _canonical_json(graph_to_dict(graph))
+        fp = graph._fingerprint = hashlib.sha256(
+            blob.encode("utf-8")
+        ).hexdigest()
+    return fp
 
 
 def plan_key(
@@ -78,20 +123,22 @@ def plan_key(
 
     ``device`` and ``options`` may be any (possibly nested) dataclasses;
     ``extra`` carries additional key material (e.g. the transfer mode and
-    host system of a multi-GPU compile).  The hash is over canonical JSON
-    (sorted keys), so it is stable across processes and platforms.
+    host system of a multi-GPU compile).  The key is the sha256 of
+    ``CACHE_VERSION`` · ``kind`` · :func:`graph_fingerprint` · canonical
+    device · canonical options · canonical ``extra``; every part is
+    canonical JSON (sorted keys) or a hash of it, so the key is stable
+    across processes and platforms, and only ``extra`` is re-encoded on
+    a repeat call.
     """
-    payload = {
-        "version": CACHE_VERSION,
-        "kind": kind,
-        "graph": graph_to_dict(graph),
-        "device": _canonical(device),
-        "options": _canonical(options),
-        "extra": extra,
-    }
-    blob = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=_canonical
-    )
+    # Newline-joined: canonical JSON and hex digests never contain one.
+    blob = "\n".join((
+        str(CACHE_VERSION),
+        kind,
+        graph_fingerprint(graph),
+        _canonical_json(device),
+        _canonical_json(options),
+        _canonical_json(extra),
+    ))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

@@ -249,7 +249,9 @@ def partition_data(
         inputs = [n for s in slots for n in s.chunks]
         graph.set_op_io(cons, inputs, cop.outputs)
     # Retire the replaced chunks.  Flipping ``virtual`` bypasses the
-    # graph mutators, so drop its caches explicitly.
+    # graph mutators (the ``params`` writes above are each followed by a
+    # ``set_op_io``), so drop the graph's caches and fingerprint
+    # explicitly — after the last direct write.
     if root in replaced:
         ds.virtual = True
     graph.remove_data_bulk(oc for oc in replaced if oc != root)

@@ -17,7 +17,11 @@ pipes.  A pipe is a byte stream with message boundaries but no
 Message kinds (parent → worker):
 
 =============  =============================================
-``submit``     one :class:`~repro.service.ServiceRequest`
+``submit``     one :class:`~repro.service.ServiceRequest`; its template
+               pickles as the graph's tables plus the structural
+               fingerprint the router already computed for the route
+               key (:meth:`OperatorGraph.__getstate__`), so the shard
+               keys the request without re-serializing the graph
 ``snapshot``   request the shard's ``live_snapshot()`` + window samples
 ``events``     request recent telemetry events (optionally one request's)
 ``prom``       request the shard's Prometheus text

@@ -86,6 +86,15 @@ class ServiceRequest:
         if self.deadline is not None and self.deadline < 0:
             raise ValueError("deadline must be >= 0 seconds")
 
+    def effective_planner(self, pb_max_ops: int) -> str:
+        """The pipeline that serves this request: ``"auto"`` is PB for a
+        template of at most ``pb_max_ops`` operators, else heuristic.
+        The one rule behind the router's shard choice and the service's
+        batch, single-flight and cache keys."""
+        if self.planner == "auto":
+            return "pb" if len(self.template.ops) <= pb_max_ops else "heuristic"
+        return self.planner
+
 
 @dataclass(kw_only=True)
 class ServiceResponse:

@@ -564,7 +564,7 @@ class ExecutionService:
             req.options or CompileOptions(),
             kind="service-batch",
             extra={
-                "planner": self._effective_planner(req),
+                "planner": req.effective_planner(self.config.pb_max_ops),
                 "mode": req.mode,
                 "host": req.host,
             },
@@ -615,7 +615,7 @@ class ExecutionService:
             status=RequestStatus.FAILED,
             wait_seconds=wait,
         )
-        planner = self._effective_planner(req)
+        planner = req.effective_planner(self.config.pb_max_ops)
         degraded = False
         publish(
             "service.start",
@@ -760,15 +760,6 @@ class ExecutionService:
                 self._sleep(backoff)
 
     # -- the work itself -------------------------------------------------
-    def _effective_planner(self, req: ServiceRequest) -> str:
-        if req.planner == "auto":
-            return (
-                "pb"
-                if len(req.template.ops) <= self.config.pb_max_ops
-                else "heuristic"
-            )
-        return req.planner
-
     def _perform(
         self,
         ticket: Ticket,

@@ -225,20 +225,13 @@ class ShardedExecutionService:
         could share one compiled plan lands on the same shard, where the
         in-process single-flight and batching tiers collapse them.
         """
-        planner = request.planner
-        if planner == "auto":
-            planner = (
-                "pb"
-                if len(request.template.operators) <= self.config.pb_max_ops
-                else "heuristic"
-            )
         return plan_key(
             request.template,
             request.device,
             request.options or CompileOptions(),
             kind="service-batch",
             extra={
-                "planner": planner,
+                "planner": request.effective_planner(self.config.pb_max_ops),
                 "mode": request.mode,
                 "host": request.host,
             },

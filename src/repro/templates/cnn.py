@@ -201,7 +201,7 @@ def cnn_graph(
         else:  # tanh
             names, shape = _plane_layer(g, layer, "tanh", names, shape)
     for n in names:
-        g.data[n].is_output = True
+        g.mark_output(n)
     g.validate()
     return g
 

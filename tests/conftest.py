@@ -15,6 +15,12 @@ instead of hanging it.  CI installs ``pytest-timeout`` (see the
 is absent locally, the ``_timeout_watchdog`` fixture below provides a
 best-effort SIGALRM fallback, so the marker never silently degrades to
 a no-op.
+
+The graph fingerprint under ``plan_key`` is memoised on the graph, so a
+write around the graph's mutators would serve a stale plan.  The
+``_fresh_keys`` fixture is the oracle for that: in the modules that
+exercise keys it recomputes every key from a memo-less round trip of
+the graph and fails the test on any difference.
 """
 
 import os
@@ -24,7 +30,12 @@ import threading
 
 import pytest
 
-from repro.core import reset_default_cache
+from repro.core import (
+    graph_from_dict,
+    graph_to_dict,
+    plancache,
+    reset_default_cache,
+)
 
 try:
     import pytest_timeout  # noqa: F401
@@ -40,6 +51,41 @@ def _fresh_plan_cache(monkeypatch):
     reset_default_cache()
     yield
     reset_default_cache()
+
+
+#: test modules whose every ``plan_key`` call is checked for freshness
+_KEYED_MODULES = {
+    "test_plancache", "test_framework", "test_incremental",
+    "test_splitting", "test_service", "test_shard",
+}
+#: every module that calls ``plan_key`` (each binds it by name)
+_KEY_CALLERS = (
+    "repro.core.framework", "repro.core.incremental",
+    "repro.multigpu.framework", "repro.service.service",
+    "repro.service.shard",
+)
+
+
+@pytest.fixture(autouse=True)
+def _fresh_keys(request, monkeypatch):
+    """Assert each key equals the key of a graph that carries no memo."""
+    if request.module.__name__.rpartition(".")[2] not in _KEYED_MODULES:
+        yield
+        return
+    real = plancache.plan_key
+    stale: list[str] = []  # keys are also computed on service worker threads
+
+    def checked(graph, device, options, **kwargs):
+        key = real(graph, device, options, **kwargs)
+        fresh = graph_from_dict(graph_to_dict(graph))
+        if real(fresh, device, options, **kwargs) != key:
+            stale.append(graph.name)
+        return key
+
+    for module in _KEY_CALLERS:
+        monkeypatch.setattr(f"{module}.plan_key", checked)
+    yield
+    assert not stale, f"stale fingerprint served for graph(s) {stale}"
 
 
 @pytest.fixture

@@ -315,7 +315,7 @@ def random_operator_graph(
     # Dead intermediates become outputs so every plan must save them.
     for d, ds in g.data.items():
         if not ds.is_input and not ds.is_output and not g.consumers.get(d):
-            ds.is_output = True
+            g.mark_output(d)
     g.validate()
     return g
 

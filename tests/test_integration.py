@@ -85,7 +85,7 @@ def random_template(rng: random.Random) -> tuple[OperatorGraph, dict]:
     # Mark sinks as outputs.
     for d, ds in g.data.items():
         if not ds.is_input and not g.consumers.get(d):
-            ds.is_output = True
+            g.mark_output(d)
     g.validate()
     return g, inputs
 

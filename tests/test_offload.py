@@ -70,7 +70,7 @@ class TestFusion:
 
     def test_template_output_not_internalised(self):
         g = chain_graph(2)
-        g.data["d1"].is_output = True  # intermediate is also an output
+        g.mark_output("d1")  # intermediate is also an output
         n = identify_offload_units(g, 10**9)
         assert n == 0
 

@@ -176,11 +176,11 @@ class TestHeuristicVsPBRandom:
                 )
                 avail.append(name)
                 avail = avail[-3:]
-            g.data[avail[-1]].is_output = True
+            g.mark_output(avail[-1])
             # prune orphan sinks
             for d, ds in list(g.data.items()):
                 if not ds.is_input and not ds.is_output and not g.consumers.get(d):
-                    ds.is_output = True
+                    g.mark_output(d)
             g.validate()
             cap = max(g.max_footprint(), 4)
             order = dfs_schedule(g)

@@ -21,6 +21,7 @@ from repro.core import (
     plan_key,
     plan_to_dict,
 )
+from repro.core.plancache import CACHE_VERSION
 from repro.gpusim import GpuDevice, homogeneous_group
 from repro.multigpu import compile_multi
 from repro.templates import find_edges_graph
@@ -252,19 +253,30 @@ class TestCacheTiers:
             CachedPlan.from_dict(json.load(fh))
 
     def test_stale_version_treated_as_corrupt(self, tmp_path):
+        """An entry written under another ``CACHE_VERSION`` (the previous
+        key layout included) is a miss and is rewritten, never returned."""
         g = small_graph()
-        d = str(tmp_path / "plans")
-        c1 = PlanCache(disk_dir=d)
-        Framework(DEVICE, options=OPTIONS, plan_cache=c1).compile(g)
-        (path,) = [
-            os.path.join(d, f) for f in os.listdir(d) if f.endswith(".json")
-        ]
-        raw = json.load(open(path))
-        raw["version"] = 999
-        json.dump(raw, open(path, "w"))
-        c2 = PlanCache(disk_dir=d)
-        Framework(DEVICE, options=OPTIONS, plan_cache=c2).compile(g)
-        assert c2.stats()["corrupt_entries"] == 1
+        for stale in (CACHE_VERSION - 1, 999):
+            d = str(tmp_path / f"plans-{stale}")
+            c1 = PlanCache(disk_dir=d)
+            Framework(DEVICE, options=OPTIONS, plan_cache=c1).compile(g)
+            (path,) = [
+                os.path.join(d, f)
+                for f in os.listdir(d)
+                if f.endswith(".json")
+            ]
+            with open(path) as fh:
+                raw = json.load(fh)
+            raw["version"] = stale
+            with open(path, "w") as fh:
+                json.dump(raw, fh)
+            c2 = PlanCache(disk_dir=d)
+            Framework(DEVICE, options=OPTIONS, plan_cache=c2).compile(g)
+            stats = c2.stats()
+            assert (stats["corrupt_entries"], stats["disk_hits"]) == (1, 0)
+            assert (stats["misses"], stats["disk_writes"]) == (1, 1)
+            with open(path) as fh:
+                assert json.load(fh)["version"] == CACHE_VERSION
 
     def test_round_trip_serialization(self):
         cache = PlanCache()

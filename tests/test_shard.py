@@ -108,6 +108,21 @@ class TestRoutingAndDedupe:
         with fleet(shards=1) as svc:
             assert svc.submit(edge_request()).result(timeout=120).ok
 
+    @pytest.mark.parametrize(
+        "pb_max_ops, prefix", [(64, "pb"), (1, "heuristic")]
+    )
+    def test_auto_planner_through_the_fleet(self, pb_max_ops, prefix):
+        """``planner="auto"`` resolves by the same rule in the router's
+        route key and in the shard (it used to raise AttributeError in
+        ``submit``): the 3-operator edge template is PB-planned at or
+        under ``pb_max_ops`` and heuristic above it."""
+        request = edge_request(planner="auto")
+        assert len(request.template.ops) == 3
+        with fleet(shards=2, pb_max_ops=pb_max_ops) as svc:
+            response = svc.submit(request).result(timeout=120)
+        assert response.ok
+        assert response.planner_used.startswith(prefix)
+
     def test_submit_after_close_raises(self):
         svc = fleet(shards=1)
         svc.close()

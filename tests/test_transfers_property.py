@@ -46,7 +46,7 @@ def layered_graph(seed: int, n_layers: int, width: int) -> OperatorGraph:
     # Orphan intermediate sinks become outputs so plans must save them.
     for d, ds in g.data.items():
         if not ds.is_input and not ds.is_output and not g.consumers.get(d):
-            ds.is_output = True
+            g.mark_output(d)
     g.validate()
     return g
 
