@@ -17,9 +17,11 @@ callers are thin shells over one core::
 Tickets bridge the thread world into the event loop without polling:
 resolution fires the core ticket's done-callback on the worker thread,
 which hands the response to the awaiting loop via
-``call_soon_threadsafe``.  The loop is never blocked — admission (which
-round-trips to a shard process in the sharded case) and shutdown run in
-the default executor.
+``call_soon_threadsafe``.  The loop is never blocked — admission and
+shutdown run in the default executor.  Sharded admission no longer
+round-trips to the shard process, but the hop stays: ``submit()`` still
+hashes a never-seen template and, on the fleet, blocks while the owning
+shard's pipe is full (the router's back-pressure).
 
 Every :class:`AsyncTicket` also works *without* a running event loop:
 ``result(timeout=...)`` falls back to the core ticket's blocking wait,
@@ -176,9 +178,10 @@ class AsyncExecutionService:
     ) -> AsyncTicket:
         """Admit one request; returns an awaitable :class:`AsyncTicket`.
 
-        Admission is synchronous in the core (it can round-trip to a
-        shard process), so it runs in the default executor — the event
-        loop never blocks.  Raises exactly what the core raises
+        Admission is synchronous in the core (it hashes a new template
+        and can block on a shard's full pipe), so it runs in the default
+        executor — the event loop never blocks.  Raises exactly what the
+        core raises
         (:class:`~repro.service.QueueFullError`,
         :class:`~repro.service.ServiceClosedError`).
         """

@@ -17,22 +17,46 @@ pipes.  A pipe is a byte stream with message boundaries but no
 Message kinds (parent → worker):
 
 =============  =============================================
-``submit``     one :class:`~repro.service.ServiceRequest`; its template
-               pickles as the graph's tables plus the structural
-               fingerprint the router already computed for the route
-               key (:meth:`OperatorGraph.__getstate__`), so the shard
-               keys the request without re-serializing the graph
+``submit``     one :class:`~repro.service.ServiceRequest` under the
+               fleet-global ``id`` the shard serves it as; never
+               acknowledged — the router admits on its own count of
+               unanswered requests, the answer is the ``response``
 ``snapshot``   request the shard's ``live_snapshot()`` + window samples
 ``events``     request recent telemetry events (optionally one request's)
 ``prom``       request the shard's Prometheus text
 ``close``      drain and exit (worker replies ``closed`` and returns)
 =============  =============================================
 
-Worker → parent: ``accepted`` (submit acknowledged, carries the
-shard-local request id), ``response`` (terminal
-:class:`~repro.service.ServiceResponse` + result value),
+Worker → parent: ``response`` (the terminal
+:class:`~repro.service.ServiceResponse`, result value inside),
 ``snapshot_result`` / ``events_result`` / ``prom_result``, ``closed``,
-and ``error`` (the worker-side exception for one correlated message).
+and ``error`` (the worker-side exception for one correlated message; for
+a ``submit`` id it is that request's terminal answer).
+
+Either way: ``define`` — the **interning channel**.  A
+:class:`Channel` ships a heavy immutable object once, in a ``define``
+frame that binds it to a token, and every later frame carries the token
+instead (a request's template is ~1.2 KB of its 1.4 KB frame, a served
+plan ~2 KB of its 3.5 KB response).  The *sender* alone owns the table:
+a bounded LRU; the ``define`` that needs a slot names the token it
+evicts; a ``define`` is written to the FIFO pipe before the first frame
+that uses its token; the table dies with the pipe.  The receiver
+therefore never misses, and there is no resend protocol — a token it
+does not know is a corrupt stream and raises :class:`FrameError`.
+
+What is interned is decided per direction by exact type
+(:data:`ROUTER_INTERNS`, :data:`SHARD_INTERNS`), through the pickler's
+C-level ``dispatch_table`` — no Python runs for any other object:
+
+* templates by **structural fingerprint** (the digest ``plan_key``
+  already memoised): equal templates share a token and a mutated one —
+  its mutator dropped the digest — is defined afresh;
+* devices, hosts and compile options by **value** (frozen dataclasses);
+* the shard's cached split graphs and plans by **identity**: the plan
+  cache hands the same read-only objects to every hit, and hashing a
+  plan would cost more than shipping it.  An identity key is only
+  unique while its object is alive, so the table holds a strong
+  reference to every object it has a token for.
 
 Pickle is acceptable here because both endpoints are the same trusted
 codebase on the same machine, spawned by the same parent — this is an
@@ -42,38 +66,90 @@ corruption and truncation, not adversaries.
 
 from __future__ import annotations
 
+import functools
+import io
 import pickle
 import struct
+import threading
 import zlib
-from typing import Any
+from collections import OrderedDict
+from typing import Any, Callable, Hashable, Mapping
+
+from repro.core.framework import CompileOptions
+from repro.core.graph import OperatorGraph
+from repro.core.plan import ExecutionPlan
+from repro.core.plancache import graph_fingerprint
+from repro.gpusim import GpuDevice, HostSystem
 
 MAGIC = b"RSRV"
-PROTOCOL_VERSION = 1
+#: 2: ``accepted`` gone, ``define`` and interned tokens added
+PROTOCOL_VERSION = 2
 
 #: ``!`` network order: magic, version, flags, crc32, payload length
 _HEADER = struct.Struct("!4sBBII")
 HEADER_SIZE = _HEADER.size
 
 #: parent -> worker message kinds
-REQUEST_KINDS = frozenset({"submit", "snapshot", "events", "prom", "close"})
+REQUEST_KINDS = frozenset({
+    "submit", "snapshot", "events", "prom", "close", "define",
+})
 #: worker -> parent message kinds
 RESPONSE_KINDS = frozenset({
-    "accepted", "response", "snapshot_result", "events_result",
-    "prom_result", "closed", "error",
+    "response", "snapshot_result", "events_result", "prom_result",
+    "closed", "error", "define",
 })
 KNOWN_KINDS = REQUEST_KINDS | RESPONSE_KINDS
 
 
 class FrameError(RuntimeError):
-    """A frame failed validation (magic/version/CRC/length/kind)."""
+    """A frame failed validation (magic/version/CRC/length/kind/token)."""
 
 
-def encode_frame(message: dict[str, Any]) -> bytes:
-    """Serialize one message dict into a validated wire frame."""
+def _interned(token: int) -> Any:
+    """What an interned object pickles as: a call of this name, which
+    the receiving :class:`Channel` resolves against its own table."""
+    raise FrameError(f"interned token {token!r} decoded outside a channel")
+
+
+class _Decoder(pickle.Unpickler):
+    """An unpickler that resolves :func:`_interned` calls in ``table``."""
+
+    def __init__(self, payload: bytes, table: Mapping[int, Any]) -> None:
+        super().__init__(io.BytesIO(payload))
+        self._table = table
+
+    def find_class(self, module: str, name: str) -> Any:
+        if name == "_interned" and module == __name__:
+            return self._resolve
+        return super().find_class(module, name)
+
+    def _resolve(self, token: int) -> Any:
+        try:
+            return self._table[token]
+        except KeyError:
+            raise FrameError(f"unknown interned token {token!r}") from None
+
+
+def encode_frame(
+    message: dict[str, Any],
+    dispatch_table: Mapping[type, Callable[[Any], Any]] | None = None,
+) -> bytes:
+    """Serialize one message dict into a validated wire frame.
+
+    ``dispatch_table`` is a :class:`Channel`'s: the reducers that turn
+    interned objects into tokens while the payload pickles.
+    """
     kind = message.get("kind")
     if kind not in KNOWN_KINDS:
         raise FrameError(f"unknown message kind {kind!r}")
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    if dispatch_table is None:
+        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    else:
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.dispatch_table = dispatch_table
+        pickler.dump(message)
+        payload = buffer.getvalue()
     header = _HEADER.pack(
         MAGIC,
         PROTOCOL_VERSION,
@@ -84,8 +160,14 @@ def encode_frame(message: dict[str, Any]) -> bytes:
     return header + payload
 
 
-def decode_frame(data: bytes) -> dict[str, Any]:
-    """Validate and deserialize one wire frame back into its message."""
+def decode_frame(
+    data: bytes, table: Mapping[int, Any] | None = None
+) -> dict[str, Any]:
+    """Validate and deserialize one wire frame back into its message.
+
+    ``table`` is the receiving :class:`Channel`'s token table; without
+    one, a frame that carries a token is rejected.
+    """
     if len(data) < HEADER_SIZE:
         raise FrameError(
             f"frame shorter than its {HEADER_SIZE}-byte header "
@@ -108,7 +190,9 @@ def decode_frame(data: bytes) -> dict[str, Any]:
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise FrameError("payload CRC mismatch (corrupt frame)")
     try:
-        message = pickle.loads(payload)
+        message = _Decoder(payload, table or {}).load()
+    except FrameError:
+        raise
     except Exception as exc:
         raise FrameError(f"payload does not unpickle: {exc}") from exc
     if not isinstance(message, dict) or message.get("kind") not in KNOWN_KINDS:
@@ -116,26 +200,133 @@ def decode_frame(data: bytes) -> dict[str, Any]:
     return message
 
 
-def send_message(conn: Any, message: dict[str, Any]) -> None:
-    """Frame and send one message over a ``Connection``-like endpoint."""
-    conn.send_bytes(encode_frame(message))
+# ---------------------------------------------------------------------------
+# The interning channel
+# ---------------------------------------------------------------------------
+def _by_value(obj: Hashable) -> Hashable:
+    return obj
 
 
-def recv_message(conn: Any) -> dict[str, Any]:
-    """Receive and validate one framed message (blocking)."""
-    return decode_frame(conn.recv_bytes())
+#: router -> shard: what a :class:`~repro.service.ServiceRequest` holds
+ROUTER_INTERNS: Mapping[type, Callable[[Any], Hashable]] = {
+    OperatorGraph: graph_fingerprint,
+    GpuDevice: _by_value,
+    HostSystem: _by_value,
+    CompileOptions: _by_value,
+}
+#: shard -> router: what a served ``CompiledTemplate`` holds
+SHARD_INTERNS: Mapping[type, Callable[[Any], Hashable]] = {
+    OperatorGraph: id,
+    ExecutionPlan: id,
+    GpuDevice: _by_value,
+    HostSystem: _by_value,
+    CompileOptions: _by_value,
+}
+#: most interned objects one cached plan accounts for in one direction
+INTERNS_PER_PLAN = len(SHARD_INTERNS)
+
+
+class Channel:
+    """One end of a shard pipe: framed messages with interning.
+
+    ``interns`` maps each exact type this end interns to the function
+    giving an object's table key; ``capacity`` bounds the table of
+    objects this end has sent (the peer's table follows it through
+    ``define`` frames, so the two ends need not agree on either).
+    ``send`` is safe to call from many threads; ``recv`` belongs to one.
+    """
+
+    def __init__(
+        self,
+        conn: Any,
+        capacity: int,
+        interns: Mapping[type, Callable[[Any], Hashable]],
+    ) -> None:
+        self.conn = conn
+        self.capacity = capacity
+        self._send_lock = threading.Lock()
+        #: key -> [token, the object (pinned), serial of its last frame]
+        self._sent: OrderedDict[Hashable, list[Any]] = OrderedDict()
+        self._next_token = 0
+        self._serial = 0
+        #: encoded ``define`` frames owed to the pipe before the next frame
+        self._defines: list[bytes] = []
+        self._dispatch_table = {
+            cls: functools.partial(self._reduce, key_of)
+            for cls, key_of in interns.items()
+        }
+        #: token -> object, as the peer's ``define`` frames dictate
+        self._received: dict[int, Any] = {}
+
+    def _reduce(self, key_of: Callable[[Any], Hashable], obj: Any) -> Any:
+        """``dispatch_table`` reducer: pickle ``obj`` as its token,
+        defining it first if the peer has not seen it."""
+        try:
+            key = key_of(obj)
+            entry = self._sent.get(key)
+        except TypeError:  # an unhashable value travels inline
+            return obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        if entry is not None:
+            self._sent.move_to_end(key)
+            entry[2] = self._serial
+            return _interned, (entry[0],)
+        evict = oldest = None
+        if len(self._sent) >= self.capacity:
+            oldest, (evict, _, last_used) = next(iter(self._sent.items()))
+            if last_used == self._serial:
+                # Defines reach the pipe before the frame being encoded,
+                # so evicting a token that frame already uses would
+                # unbind it: the table is full of this frame's objects.
+                return obj.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+        token = self._next_token
+        # Encoded before the table changes: an object that does not
+        # pickle fails the frame that holds it and leaves no token behind.
+        self._defines.append(encode_frame({
+            "kind": "define", "token": token, "value": obj, "evict": evict,
+        }))
+        if evict is not None:
+            del self._sent[oldest]
+        self._next_token += 1
+        self._sent[key] = [token, obj, self._serial]
+        return _interned, (token,)
+
+    def send(self, message: dict[str, Any]) -> None:
+        """Frame and send one message, after the defines it relies on.
+
+        A message that does not pickle raises before anything of it is
+        written; defines it had already queued go out with the next one.
+        """
+        with self._send_lock:
+            self._serial += 1
+            frame = encode_frame(message, self._dispatch_table)
+            defines, self._defines = self._defines, []
+            for define in defines:
+                self.conn.send_bytes(define)
+            self.conn.send_bytes(frame)
+
+    def recv(self) -> dict[str, Any]:
+        """Receive and validate the next message (blocking), applying
+        the ``define`` frames that precede it."""
+        while True:
+            message = decode_frame(self.conn.recv_bytes(), self._received)
+            if message["kind"] != "define":
+                return message
+            self._received.pop(message["evict"], None)
+            self._received[message["token"]] = message["value"]
 
 
 __all__ = [
+    "Channel",
     "FrameError",
     "HEADER_SIZE",
+    "INTERNS_PER_PLAN",
     "KNOWN_KINDS",
     "MAGIC",
     "PROTOCOL_VERSION",
     "REQUEST_KINDS",
     "RESPONSE_KINDS",
+    "ROUTER_INTERNS",
+    "SHARD_INTERNS",
     "decode_frame",
     "encode_frame",
-    "recv_message",
-    "send_message",
 ]

@@ -150,26 +150,6 @@ class ServiceResponse:
             "service_seconds": self.service_seconds,
         }
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "ServiceResponse":
-        """Rebuild a response from :meth:`to_dict` output (the shard IPC
-        channel ships responses as dicts; the value travels separately)."""
-        return cls(
-            request_id=int(raw["request_id"]),
-            label=str(raw.get("label", "")),
-            status=RequestStatus(raw["status"]),
-            error=raw.get("error"),
-            planner_used=str(raw.get("planner_used", "")),
-            attempts=int(raw.get("attempts", 0)),
-            retries=int(raw.get("retries", 0)),
-            degraded=bool(raw.get("degraded", False)),
-            deduped=bool(raw.get("deduped", False)),
-            deduped_from=raw.get("deduped_from"),
-            batched_with=tuple(raw.get("batched_with", ())),
-            wait_seconds=float(raw.get("wait_seconds", 0.0)),
-            service_seconds=float(raw.get("service_seconds", 0.0)),
-        )
-
 
 @dataclass(eq=False)
 class Ticket:

@@ -260,7 +260,17 @@ class ExecutionService:
         """
         from .submitter import require_request
 
-        request = require_request("ExecutionService.submit", request)
+        return self._admit(
+            require_request("ExecutionService.submit", request)
+        )
+
+    def _admit(
+        self, request: ServiceRequest, request_id: int | None = None
+    ) -> Ticket:
+        """``submit()`` proper.  A shard worker passes the fleet-global
+        ``request_id`` its router assigned, so that provenance, events
+        and the journal of every shard speak one id space; otherwise the
+        service numbers requests itself."""
         now = self._clock()
         deadline = request.deadline
         if deadline is None:
@@ -280,9 +290,11 @@ class ExecutionService:
                     f"queue depth {len(self._queue)} at configured limit "
                     f"{self.config.max_queue_depth}; retry with backoff"
                 )
-            self._next_id += 1
+            if request_id is None:
+                self._next_id += 1
+                request_id = self._next_id
             ticket = Ticket(
-                id=self._next_id,
+                id=request_id,
                 request=request,
                 submitted_at=now,
                 deadline_at=None if deadline is None else now + deadline,

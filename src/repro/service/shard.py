@@ -22,10 +22,16 @@ recomputed over the union of every shard's raw window samples
 (:func:`repro.obs.live.merge_window_samples`) and SLO error budgets sum
 good/bad counts (:func:`repro.obs.live.merge_slo_snapshots`).
 
-Request ids are fleet-global: the router assigns them, workers ack with
-their shard-local id, and provenance fields coming back in responses
-(``deduped_from``, ``batched_with``) are rewritten from shard-local to
-global ids so cross-request references stay meaningful to the caller.
+Request ids are fleet-global: the router assigns them and each shard
+serves a request *under* that id, so responses, their provenance fields
+(``deduped_from``, ``batched_with``), telemetry events and the flight
+journal all speak the caller's ids and the router keeps nothing about a
+request once its ticket resolves.
+
+A request is one frame each way with no wait in between: admission is
+decided at the router, which counts every shard's admitted-but-
+unanswered requests against ``max_queue_depth``, and heavy objects cross
+each pipe once (:class:`repro.service.ipc.Channel`).
 
 Failure semantics: a shard process that dies mid-flight fails *only*
 its own in-flight requests (each resolved ``FAILED`` with an explicit
@@ -55,7 +61,7 @@ from repro.obs.live import (
 )
 from repro.service.config import ServiceConfig
 from repro.service.hashring import HashRing
-from repro.service.ipc import send_message, recv_message
+from repro.service.ipc import INTERNS_PER_PLAN, ROUTER_INTERNS, Channel
 from repro.service.request import (
     QueueFullError,
     RequestStatus,
@@ -78,30 +84,31 @@ class _Shard:
     """Router-side state for one worker process."""
 
     __slots__ = (
-        "name", "process", "conn", "receiver", "alive",
-        "local_to_global", "lock", "exit_code", "exit_detail",
+        "name", "process", "channel", "receiver", "alive",
+        "unanswered", "exit_code", "exit_detail",
     )
 
-    def __init__(self, name: str, process: Any, conn: Any) -> None:
+    def __init__(self, name: str, process: Any, channel: Channel) -> None:
         self.name = name
         self.process = process
-        self.conn = conn
+        self.channel = channel
         self.receiver: threading.Thread | None = None
         self.alive = True
-        #: shard-local request id -> fleet-global id (provenance rewrite)
-        self.local_to_global: dict[int, int] = {}
-        self.lock = threading.Lock()
+        #: requests admitted to this shard and not yet answered (the
+        #: router's lock guards it, like ``alive``)
+        self.unanswered = 0
         #: how the worker process ended (filled in by _mark_dead)
         self.exit_code: int | None = None
         self.exit_detail: str = ""
 
 
 class _Waiter:
-    """One correlated reply slot (submit ack or control RPC)."""
+    """One correlated reply slot of a control RPC."""
 
-    __slots__ = ("event", "message")
+    __slots__ = ("shard", "event", "message")
 
-    def __init__(self) -> None:
+    def __init__(self, shard: _Shard) -> None:
+        self.shard = shard
         self.event = threading.Event()
         self.message: dict[str, Any] | None = None
 
@@ -137,7 +144,9 @@ class ShardedExecutionService:
         self._next_id = itertools.count(1)
         #: global id -> (shard, Ticket) for in-flight requests
         self._pending: dict[int, tuple[_Shard, Ticket]] = {}
-        #: global id -> _Waiter for submit acks and control RPCs
+        #: submits refused at the router (the fleet's ``service.rejected``)
+        self._rejected = 0
+        #: rpc id -> _Waiter for control RPCs
         self._waiters: dict[int, _Waiter] = {}
         self._status_server: StatusServer | None = None
         self._shards: dict[str, _Shard] = {}
@@ -160,7 +169,11 @@ class ShardedExecutionService:
             )
             process.start()
             child_conn.close()
-            shard = _Shard(name, process, parent_conn)
+            shard = _Shard(name, process, Channel(
+                parent_conn,
+                INTERNS_PER_PLAN * base.plan_cache_entries,
+                ROUTER_INTERNS,
+            ))
             shard.receiver = threading.Thread(
                 target=self._receiver_loop,
                 args=(shard,),
@@ -201,7 +214,7 @@ class ShardedExecutionService:
                 pass  # already gone; reap below
         for shard in self._shards.values():
             try:
-                shard.conn.close()
+                shard.channel.conn.close()
             except Exception:
                 pass
             shard.process.join(timeout=10)
@@ -245,23 +258,22 @@ class ShardedExecutionService:
     def submit(self, request: ServiceRequest | None = None, /) -> Ticket:
         """Route and admit one request; returns a fleet-global ticket.
 
-        Admission is synchronous — the owning shard's accept/reject
-        round-trips before this returns, so :class:`QueueFullError` and
-        :class:`ServiceClosedError` raise here exactly as they do on the
-        single-process tier.
+        Admission is decided here, without a round trip: the router
+        counts each shard's admitted-but-unanswered requests (queued
+        *and* running — stricter than the in-process tier's "queued")
+        and raises :class:`QueueFullError` when the owning shard is at
+        ``max_queue_depth``; :class:`ServiceClosedError` and
+        :class:`ShardDiedError` raise here too.  Otherwise one frame is
+        written and the ticket returned; a response returns the credit.
+        Returning does *not* mean the shard has admitted (or journalled)
+        the request yet — the pipe is FIFO, so any control RPC
+        (``live_snapshot()``) is a barrier for every earlier submit.
+        ``submit()`` blocks only while the shard's pipe is full.
         """
         from .submitter import require_request
 
         request = require_request("ShardedExecutionService.submit", request)
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("sharded service is closed")
         shard = self._shards[self.route(request)]
-        if not shard.alive:
-            raise ShardDiedError(
-                f"shard {shard.name} died"
-                + (f" ({shard.exit_detail})" if shard.exit_detail else "")
-            )
         gid = next(self._next_id)
         ticket = Ticket(
             id=gid,
@@ -269,57 +281,65 @@ class ShardedExecutionService:
             submitted_at=0.0,
             deadline_at=None,
         )
-        waiter = _Waiter()
+        limit = self.config.max_queue_depth
         with self._lock:
-            self._waiters[gid] = waiter
+            if self._closed:
+                raise ServiceClosedError("sharded service is closed")
+            if not shard.alive:
+                raise self._died(shard)
+            if shard.unanswered >= limit:
+                self._rejected += 1
+                raise QueueFullError(
+                    f"shard {shard.name} has {shard.unanswered} unanswered "
+                    f"requests at configured limit {limit}; retry with "
+                    f"backoff"
+                )
+            shard.unanswered += 1
             self._pending[gid] = (shard, ticket)
+        # Outside the router lock: a full pipe blocks this caller only,
+        # never the receiver thread that drains the other direction.
         try:
             self._send(shard, {"kind": "submit", "id": gid,
                                "request": request})
-            if not waiter.event.wait(_RPC_TIMEOUT):
-                raise TimeoutError(
-                    f"shard {shard.name} did not ack submit {gid} "
-                    f"within {_RPC_TIMEOUT} s"
-                )
-            reply = waiter.message
-            assert reply is not None
-            if reply["kind"] == "error":
-                error_type = reply.get("error_type", "")
-                message = reply.get("error", "shard rejected request")
-                if error_type == "QueueFullError":
-                    raise QueueFullError(message)
-                if error_type == "ServiceClosedError":
-                    raise ServiceClosedError(message)
-                raise ServiceError(message)
         except BaseException:
-            with self._lock:
-                self._pending.pop(gid, None)
+            self._answered(gid)
             raise
-        finally:
-            with self._lock:
-                self._waiters.pop(gid, None)
         return ticket
 
     def submit_all(self, requests: list[ServiceRequest]) -> list[Ticket]:
         return [self.submit(r) for r in requests]
 
     # -- receiver --------------------------------------------------------
+    def _died(self, shard: _Shard) -> ShardDiedError:
+        return ShardDiedError(
+            f"shard {shard.name} died"
+            + (f" ({shard.exit_detail})" if shard.exit_detail else "")
+        )
+
     def _send(self, shard: _Shard, message: dict[str, Any]) -> None:
         try:
-            send_message(shard.conn, message)
-        except (OSError, ValueError, BrokenPipeError) as exc:
+            shard.channel.send(message)
+        except OSError as exc:
             self._mark_dead(shard, reason=str(exc))
             raise ShardDiedError(
                 f"shard {shard.name} died: {exc}"
             ) from exc
 
+    def _answered(self, gid: int) -> Ticket | None:
+        """Forget one admitted request, returning its admission credit;
+        ``None`` when it was already answered (or failed by a death)."""
+        with self._lock:
+            entry = self._pending.pop(gid, None)
+            if entry is None:
+                return None
+            entry[0].unanswered -= 1
+            return entry[1]
+
     def _receiver_loop(self, shard: _Shard) -> None:
         while True:
             try:
-                message = recv_message(shard.conn)
-            except (EOFError, OSError):
-                break
-            except Exception:
+                message = shard.channel.recv()
+            except Exception:  # EOF, a dead pipe or a corrupt frame
                 break
             self._dispatch(shard, message)
         self._mark_dead(shard, reason="pipe closed")
@@ -328,51 +348,28 @@ class ShardedExecutionService:
         kind = message["kind"]
         gid = message.get("id", -1)
         if kind == "response":
-            with self._lock:
-                entry = self._pending.pop(gid, None)
-            if entry is None:
-                return  # late reply for an abandoned submit
-            _, ticket = entry
-            response = self._rebuild_response(shard, gid, message)
-            ticket._resolve(response)
+            ticket = self._answered(gid)
+            if ticket is not None:
+                ticket._resolve(message["response"])
             return
-        if kind == "accepted":
-            # Record the local->global mapping here, on the receiver,
-            # *before* waking the submitter: the pipe guarantees this
-            # frame precedes any response that references the local id,
-            # so provenance rewrites never observe a missing mapping.
-            with shard.lock:
-                shard.local_to_global[message["local_id"]] = gid
-        # accepted / error (submit acks) and *_result / closed (RPCs)
+        if kind == "error":
+            # The shard refused (or choked on) a submit: that is the
+            # request's answer, not a hang.
+            ticket = self._answered(gid)
+            if ticket is not None:
+                ticket._resolve(ServiceResponse(
+                    request_id=gid,
+                    label=ticket.request.label,
+                    status=RequestStatus.FAILED,
+                    error=message.get("error", "shard rejected request"),
+                ))
+                return
+        # *_result / closed / error replies to control RPCs
         with self._lock:
             waiter = self._waiters.get(gid)
         if waiter is not None:
             waiter.message = message
             waiter.event.set()
-
-    def _rebuild_response(
-        self, shard: _Shard, gid: int, message: dict[str, Any]
-    ) -> ServiceResponse:
-        response = ServiceResponse.from_dict(message["response"])
-        response.request_id = gid
-        response.value = message.get("value")
-        if message.get("value_error"):
-            note = message["value_error"]
-            response.error = (
-                f"{response.error}; {note}" if response.error else note
-            )
-        # Rewrite shard-local provenance ids to fleet-global ids.
-        with shard.lock:
-            mapping = dict(shard.local_to_global)
-        if response.deduped_from is not None:
-            response.deduped_from = mapping.get(
-                response.deduped_from, response.deduped_from
-            )
-        if response.batched_with:
-            response.batched_with = tuple(
-                mapping.get(i, i) for i in response.batched_with
-            )
-        return response
 
     def _mark_dead(self, shard: _Shard, *, reason: str) -> None:
         with self._lock:
@@ -386,7 +383,10 @@ class ShardedExecutionService:
             ]
             for gid, _ in orphaned:
                 self._pending.pop(gid, None)
-            waiters = list(self._waiters.values())
+            shard.unanswered = 0
+            waiters = [
+                w for w in self._waiters.values() if w.shard is shard
+            ]
             closed = self._closed
         # Reap the exit status outside the router lock; a crashed process
         # joins immediately, and even the slow path is bounded.
@@ -409,7 +409,7 @@ class ShardedExecutionService:
                 )
             )
         if not closed:
-            # Unblock submit()/RPC callers waiting on this shard; their
+            # Unblock RPC callers waiting on this shard; their
             # timeout-free path is an error message, not a hang.
             for waiter in waiters:
                 if not waiter.event.is_set():
@@ -466,12 +466,9 @@ class ShardedExecutionService:
         self, shard: _Shard, message: dict[str, Any], *, expect: str
     ) -> dict[str, Any]:
         if not shard.alive:
-            raise ShardDiedError(
-                f"shard {shard.name} died"
-                + (f" ({shard.exit_detail})" if shard.exit_detail else "")
-            )
+            raise self._died(shard)
         gid = next(self._next_id)
-        waiter = _Waiter()
+        waiter = _Waiter(shard)
         with self._lock:
             self._waiters[gid] = waiter
         try:
@@ -532,6 +529,10 @@ class ShardedExecutionService:
         for snap in snapshots:
             for name, value in snap.get("counters", {}).items():
                 counters[name] = counters.get(name, 0) + value
+        if self._rejected:  # admission is the router's, so are refusals
+            counters["service.rejected"] = (
+                counters.get("service.rejected", 0) + self._rejected
+            )
         plan_cache: dict[str, float] = {}
         for snap in snapshots:
             for name, value in snap.get("plan_cache", {}).items():
@@ -604,42 +605,15 @@ class ShardedExecutionService:
     def request_timeline(self, request_id: int) -> list[TelemetryEvent]:
         """One request's trace, fetched from the shard that served it.
 
-        The shard records events under its local id; they are returned
-        verbatim (local ids intact) — the caller's global id selects
-        which shard/local stream to read.
+        Shards record events under the fleet-global id and the router
+        keeps no request -> shard table, so every live shard is asked;
+        only the owner has any.
         """
-        with self._lock:
-            entry = self._pending.get(request_id)
-        shard = entry[0] if entry is not None else None
-        if shard is None:
-            for candidate in self._shards.values():
-                with candidate.lock:
-                    hit = any(
-                        g == request_id
-                        for g in candidate.local_to_global.values()
-                    )
-                if hit:
-                    shard = candidate
-                    break
-        if shard is None or not shard.alive:
-            return []
-        with shard.lock:
-            local_id = next(
-                (
-                    loc
-                    for loc, g in shard.local_to_global.items()
-                    if g == request_id
-                ),
-                None,
-            )
-        if local_id is None:
-            return []
-        reply = self._rpc(
-            shard,
-            {"kind": "events", "request_id": local_id},
+        replies = self._each_shard(
+            {"kind": "events", "request_id": request_id},
             expect="events_result",
         )
-        return list(reply.get("events", []))
+        return [e for _, reply in replies for e in reply.get("events", [])]
 
     def prom_text(self) -> str:
         """Fleet-level Prometheus exposition built from the merged

@@ -6,11 +6,14 @@ worker threads, plan cache (cross-process tier when the config names a
 ``shared_cache_dir``), telemetry plane — and speaks the
 :mod:`repro.service.ipc` frame protocol over its end of a duplex pipe:
 
-* ``submit`` frames are admitted into the inner service; the worker
-  acks with ``accepted`` (carrying the shard-local request id, which
-  the router maps back to the fleet-global id) or ``error`` when
-  admission control rejects.  Completion is pushed back asynchronously
-  via :meth:`Ticket.add_done_callback` as a ``response`` frame.
+* ``submit`` frames are admitted into the inner service *under the
+  fleet-global id the router assigned*, so everything the shard says
+  about a request — provenance, events, the flight journal — is in the
+  caller's ids.  Admission is not acknowledged: the router has already
+  counted the request against ``max_queue_depth``.  Completion is pushed
+  back asynchronously via :meth:`Ticket.add_done_callback` as one
+  ``response`` frame; a submit the inner service refuses is answered
+  with an ``error`` frame under the same id.
 * ``snapshot`` / ``events`` / ``prom`` frames serve the router's
   aggregated telemetry: the snapshot reply additionally ships the raw
   latency-window samples, because fleet percentiles must be computed
@@ -25,39 +28,42 @@ well as the ``fork`` default on Linux.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import os
-import pickle
-import threading
 from typing import Any
 
 from repro.service.config import ServiceConfig
-from repro.service.ipc import FrameError, recv_message, send_message
-from repro.service.request import ServiceError, Ticket
+from repro.service.ipc import (
+    INTERNS_PER_PLAN,
+    SHARD_INTERNS,
+    Channel,
+    FrameError,
+)
+from repro.service.request import Ticket
 from repro.service.service import ExecutionService
 
 
-def _response_frame(gid: int, ticket: Ticket) -> dict[str, Any]:
-    """Build the terminal ``response`` frame for one finished ticket."""
+def _send_response(channel: Channel, ticket: Ticket) -> None:
+    """Push one finished ticket's terminal ``response`` frame."""
     response = ticket._response
     assert response is not None
-    frame: dict[str, Any] = {
-        "kind": "response",
-        "id": gid,
-        "response": response.to_dict(),
-        "value": response.value,
-    }
-    # The value (CompiledTemplate / ExecutionResult / SimulatedRun) must
-    # survive the trip through the pipe's pickler; anything that cannot
-    # travels as None with an explicit note rather than killing the
-    # worker's sender.
+    frame = {"kind": "response", "id": ticket.id, "response": response}
     try:
-        pickle.dumps(frame["value"], protocol=pickle.HIGHEST_PROTOCOL)
+        channel.send(frame)
+    except OSError:
+        raise  # the pipe is gone, not the value
     except Exception as exc:
-        frame["value"] = None
-        frame["value_error"] = (
-            f"result value not transferable: {type(exc).__name__}: {exc}"
+        # The value (CompiledTemplate / ExecutionResult / SimulatedRun)
+        # did not survive the pickler: the outcome still travels, with
+        # an explicit note in place of the value.
+        note = f"result value not transferable: {type(exc).__name__}: {exc}"
+        frame["response"] = dataclasses.replace(
+            response,
+            value=None,
+            error=f"{response.error}; {note}" if response.error else note,
         )
-    return frame
+        channel.send(frame)
 
 
 def shard_worker_main(conn: Any, config: ServiceConfig) -> None:
@@ -73,22 +79,18 @@ def shard_worker_main(conn: Any, config: ServiceConfig) -> None:
     service.events.emit(
         "worker.start", shard=config.shard_label, pid=os.getpid()
     )
-    send_lock = threading.Lock()
-
-    def send(message: dict[str, Any]) -> None:
-        # Completion callbacks fire on the inner service's worker
-        # threads, so frames interleave; the lock keeps each frame's
-        # send_bytes atomic on the pipe.
-        with send_lock:
-            send_message(conn, message)
-
-    def on_done(ticket: Ticket, gid: int) -> None:
-        send(_response_frame(gid, ticket))
+    # Completion callbacks fire on the inner service's worker threads;
+    # the channel serialises their frames onto the pipe.
+    channel = Channel(
+        conn, INTERNS_PER_PLAN * config.plan_cache_entries, SHARD_INTERNS
+    )
+    send = channel.send
+    on_done = functools.partial(_send_response, channel)
 
     try:
         while True:
             try:
-                message = recv_message(conn)
+                message = channel.recv()
             except (EOFError, OSError):
                 break  # router vanished: nothing to reply to
             except FrameError as exc:
@@ -98,24 +100,10 @@ def shard_worker_main(conn: Any, config: ServiceConfig) -> None:
             gid = message.get("id", -1)
             try:
                 if kind == "submit":
-                    try:
-                        ticket = service.submit(message["request"])
-                    except ServiceError as exc:
-                        send({
-                            "kind": "error",
-                            "id": gid,
-                            "error": str(exc),
-                            "error_type": type(exc).__name__,
-                        })
-                        continue
-                    send({
-                        "kind": "accepted",
-                        "id": gid,
-                        "local_id": ticket.id,
-                    })
-                    ticket.add_done_callback(
-                        lambda t, gid=gid: on_done(t, gid)
-                    )
+                    # A refusal raises into the ``error`` reply below.
+                    service._admit(
+                        message["request"], gid
+                    ).add_done_callback(on_done)
                 elif kind == "snapshot":
                     send({
                         "kind": "snapshot_result",

@@ -38,7 +38,12 @@ from repro.core.plancache import graph_fingerprint
 from repro.core.splitting import InfeasibleTemplateError, make_feasible
 from repro.gpusim import TESLA_C870, XEON_WORKSTATION, GpuDevice
 from repro.service import ExecutionService, ServiceConfig, ServiceRequest
-from repro.service.ipc import decode_frame, encode_frame
+from repro.service.ipc import (
+    ROUTER_INTERNS,
+    Channel,
+    decode_frame,
+    encode_frame,
+)
 from repro.templates import find_edges_graph
 
 DEVICE = GpuDevice(name="fp-dev", memory_bytes=64 * 1024)
@@ -330,7 +335,9 @@ class TestPickle:
 
     def test_submit_frame_does_not_grow(self):
         # 1392 B is this frame before the fingerprint rode in it: the
-        # digest takes the room the derived indexes gave up.
+        # digest takes the room the derived indexes gave up.  That is
+        # now only what a template's *first* submit ships (its define
+        # frames and the frame itself); the second is tokens and scalars.
         template = find_edges_graph(64, 64, 8, 2)
         request = ServiceRequest(
             template=template, device=TESLA_C870, host=XEON_WORKSTATION,
@@ -339,3 +346,11 @@ class TestPickle:
         plan_key(template, TESLA_C870, CompileOptions())
         frame = encode_frame({"kind": "submit", "id": 1, "request": request})
         assert len(frame) <= 1392
+        sent: list[bytes] = []
+        wire = type("Wire", (), {"send_bytes": sent.append})()
+        channel = Channel(wire, 64, ROUTER_INTERNS)
+        channel.send({"kind": "submit", "id": 1, "request": request})
+        first = len(sent)
+        channel.send({"kind": "submit", "id": 2, "request": request})
+        assert first == 4 and len(sent) == first + 1  # 3 defines, once
+        assert len(sent[-1]) <= 400

@@ -9,8 +9,10 @@ and batching records per-request provenance (``batched_with`` /
 ``deduped_from``) with fleet-global ids.
 """
 
+import dataclasses
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -34,12 +36,14 @@ from repro.obs.flight import (
 from repro.obs.live import merge_slo_snapshots, merge_window_samples
 from repro.service import (
     ExecutionService,
+    QueueFullError,
     RequestStatus,
     ServiceConfig,
     ServiceRequest,
     ShardDiedError,
     ShardedExecutionService,
 )
+from repro.service.ipc import INTERNS_PER_PLAN
 from repro.templates import find_edges_graph, find_edges_inputs
 
 DEV = GpuDevice(name="shard-dev", memory_bytes=8 * 1024 * 1024)
@@ -285,6 +289,128 @@ class TestShardFailure:
             assert "SIGKILL" in (r.error or "")
 
 
+def big_simulate(label="plug"):
+    """A request that holds a worker long enough to queue work behind."""
+    return ServiceRequest(
+        template=find_edges_graph(2048, 2048, 16, 4), device=DEV,
+        host=XEON_WORKSTATION, mode="simulate", label=label,
+    )
+
+
+def mappings_under(obj, seen=None):
+    """Every dict reachable from ``obj`` through the attributes of this
+    repository's own objects (not into stdlib objects, nor into items)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        yield obj
+    elif type(obj).__module__.startswith("repro."):
+        names = list(getattr(type(obj), "__slots__", ()))
+        names += list(getattr(obj, "__dict__", ()))
+        for name in names:
+            yield from mappings_under(getattr(obj, name, None), seen)
+
+
+@pytest.mark.timeout(180)
+class TestPipelinedAdmission:
+    """Admission at the router: no ack, no per-request router state."""
+
+    def test_router_state_does_not_grow_with_requests_served(self):
+        """2,000 resolved requests over more templates than the tables
+        hold: nothing the router keeps per shard outgrows the interning
+        bound (it used to keep — and copy per response — one
+        local->global entry per request ever served)."""
+        entries = 2
+        bound = INTERNS_PER_PLAN * entries
+        requests = [edge_request(size=32 + 8 * i) for i in range(12)]
+        with fleet(shards=1, plan_cache_entries=entries) as svc:
+            served = 0
+            while served < 2000:
+                tickets = [
+                    svc.submit(requests[(served + i) % len(requests)])
+                    for i in range(100)
+                ]
+                assert all(t.result(timeout=120).ok for t in tickets)
+                served += len(tickets)
+            assert svc._pending == {}
+            shard = svc._shards["proc/0"]
+            assert shard.unanswered == 0
+            sizes = [len(m) for m in mappings_under(shard)]
+            assert sizes and max(sizes) <= bound, sizes
+            assert len(shard.channel._sent) == bound  # and it did fill
+            # a long-resolved id still reaches its shard's event stream
+            last = tickets[-1]
+            kinds = [e.kind for e in svc.request_timeline(last.id)]
+            assert "service.admit" in kinds and "service.done" in kinds
+
+    def test_queue_full_raises_from_submit_and_credits_return(self):
+        with fleet(shards=1, workers=1, max_queue_depth=2) as svc:
+            plug = svc.submit(big_simulate())
+            queued = svc.submit(edge_request())
+            with pytest.raises(QueueFullError, match="proc/0 has 2"):
+                svc.submit(edge_request())
+            assert plug.result(timeout=120).ok
+            assert queued.result(timeout=120).ok
+            # both answers returned their credit
+            assert svc.submit(edge_request()).result(timeout=120).ok
+            counters = svc.live_snapshot()["counters"]
+        assert counters["service.rejected"] == 1
+        assert counters["service.submitted"] == 3
+
+    def test_shard_killed_mid_burst_resolves_every_ticket(self):
+        """SIGKILL while a thread is pipelining submits: each request
+        either has a ticket that resolves (answered before the kill, or
+        FAILED with the exit detail) or its submit() raised."""
+        request = edge_request()
+        tickets, raised = [], []
+        under_way = threading.Event()
+        with fleet(shards=1, max_queue_depth=100_000) as svc:
+
+            def burst():
+                for i in range(5000):
+                    try:
+                        tickets.append(svc.submit(request))
+                    except ShardDiedError as exc:
+                        raised.append(exc)
+                    if i == 50:
+                        under_way.set()
+
+            thread = threading.Thread(target=burst)
+            thread.start()
+            assert under_way.wait(timeout=60)
+            svc._shards["proc/0"].process.kill()
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+            responses = [t.result(timeout=60) for t in tickets]
+            assert svc._pending == {}
+        assert len(tickets) + len(raised) == 5000
+        assert raised, "the burst should have outlasted the shard"
+        failed = [r for r in responses if not r.ok]
+        assert failed or len(tickets) < 5000
+        for r in failed:
+            assert r.status is RequestStatus.FAILED
+            assert "shard proc/0 died (" in r.error and "SIGKILL" in r.error
+
+    def test_shard_side_rejection_fails_the_ticket(self):
+        """The router's count keeps the shard's own queue check from
+        ever firing; should a refusal arrive anyway (forced here by
+        raising the router's limit over the shard's), it is the
+        request's answer — not a ticket that never resolves."""
+        with fleet(shards=1, workers=1, max_queue_depth=1) as svc:
+            svc.config = dataclasses.replace(svc.config, max_queue_depth=64)
+            tickets = [svc.submit(big_simulate())]
+            tickets += [svc.submit(edge_request()) for _ in range(4)]
+            responses = [t.result(timeout=120) for t in tickets]
+            assert svc._pending == {}
+        refused = [r for r in responses if not r.ok]
+        assert refused, "a queue of 1 cannot hold 4 requests behind a plug"
+        for r in refused:
+            assert r.status is RequestStatus.FAILED
+            assert "QueueFullError: queue depth 1" in r.error
+
+
 @pytest.mark.timeout(180)
 class TestFlightRecorderPostmortem:
     """The PR's acceptance spine: SIGKILL a shard mid-request, then
@@ -293,18 +419,16 @@ class TestFlightRecorderPostmortem:
 
     def killed_fleet(self, flight_dir):
         """One shard, one worker, flight recorder on; three big
-        simulate requests submitted and the shard killed immediately,
-        so every request is genuinely mid-flight when it dies."""
+        simulate requests submitted and the shard killed as soon as it
+        has admitted them, so every request is genuinely mid-flight
+        when it dies.  ``submit()`` returning says nothing about the
+        shard; a control RPC does — the pipe is FIFO, so once
+        ``live_snapshot()`` answers, every earlier submit has been
+        admitted and journalled."""
         cfg = ServiceConfig(workers=1, flight_dir=flight_dir)
         svc = ShardedExecutionService(cfg, shards=1)
-        big = find_edges_graph(2048, 2048, 16, 4)
-        tickets = [
-            svc.submit(ServiceRequest(
-                template=big, device=DEV, host=XEON_WORKSTATION,
-                mode="simulate", label=f"r{i}",
-            ))
-            for i in range(3)
-        ]
+        tickets = [svc.submit(big_simulate(f"r{i}")) for i in range(3)]
+        svc.live_snapshot()
         svc._shards["proc/0"].process.kill()
         responses = [t.result(timeout=60) for t in tickets]
         return svc, tickets, responses
