@@ -240,6 +240,13 @@ class PlanCache:
         publish("plancache.miss", key=key[:12])
         return None
 
+    def holds(self, key: str) -> bool:
+        """Whether ``key`` is in the memory tier — a pure probe: no
+        hit/miss count, no event, no LRU touch, no disk read, no
+        leadership election.  One dict membership test, so it needs no
+        lock in any subclass."""
+        return key in self._mem
+
     def put(self, key: str, entry: CachedPlan) -> None:
         self._mem_put(key, entry)
         self._disk_put(key, entry)

@@ -18,10 +18,11 @@ Tickets bridge the thread world into the event loop without polling:
 resolution fires the core ticket's done-callback on the worker thread,
 which hands the response to the awaiting loop via
 ``call_soon_threadsafe``.  The loop is never blocked — admission and
-shutdown run in the default executor.  Sharded admission no longer
-round-trips to the shard process, but the hop stays: ``submit()`` still
-hashes a never-seen template and, on the fleet, blocks while the owning
-shard's pipe is full (the router's back-pressure).
+shutdown run in the default executor.  The hop stays on both tiers, for
+two reasons: in process, admission serves a compile whose plan is
+cached *inside* ``submit()`` (the whole request runs there), and
+hashes a never-seen template; on the fleet, ``submit()`` blocks while
+the owning shard's pipe is full (the router's back-pressure).
 
 Every :class:`AsyncTicket` also works *without* a running event loop:
 ``result(timeout=...)`` falls back to the core ticket's blocking wait,
@@ -178,9 +179,10 @@ class AsyncExecutionService:
     ) -> AsyncTicket:
         """Admit one request; returns an awaitable :class:`AsyncTicket`.
 
-        Admission is synchronous in the core (it hashes a new template
-        and can block on a shard's full pipe), so it runs in the default
-        executor — the event loop never blocks.  Raises exactly what the
+        Admission is synchronous in the core (it hashes a new template,
+        serves a cached compile outright, and can block on a shard's
+        full pipe), so it runs in the default executor — the event loop
+        never blocks.  Raises exactly what the
         core raises
         (:class:`~repro.service.QueueFullError`,
         :class:`~repro.service.ServiceClosedError`).

@@ -164,6 +164,8 @@ class Ticket:
     _status: RequestStatus = RequestStatus.PENDING
     _cancel_hook: Any = field(default=None, repr=False)
     _done_callbacks: list = field(default_factory=list, repr=False)
+    #: the request's compile key (``plan_key``), set at admission
+    _key: str = field(default="", repr=False)
 
     @property
     def status(self) -> RequestStatus:
@@ -190,7 +192,9 @@ class Ticket:
     def cancel(self) -> bool:
         """Cancel if still queued.  Returns True on success; a request
         already running (or finished) is not interrupted and False is
-        returned."""
+        returned.  A compile whose plan was already cached never queues:
+        it has run by the time ``submit()`` returns, so it cannot be
+        cancelled."""
         if self._cancel_hook is None:
             return False
         return bool(self._cancel_hook(self))
@@ -198,10 +202,13 @@ class Ticket:
     def add_done_callback(self, fn) -> None:
         """Call ``fn(ticket)`` once the request reaches a terminal state.
 
-        Fires immediately if the ticket is already resolved.  Callbacks
-        run on the resolving worker thread, so they must be brief and
-        non-blocking (the shard worker uses this to pump completed
-        responses back over the IPC channel).
+        Fires immediately, on the calling thread, if the ticket is
+        already resolved — always the case for a compile served from
+        the plan cache, which ``submit()`` runs on the submitting thread
+        before it returns.  Otherwise callbacks run on the resolving
+        worker thread.  Either way they must be brief and non-blocking
+        (the shard worker uses this to pump completed responses back
+        over the IPC channel).
         """
         fire = False
         if self._event.is_set():

@@ -2,16 +2,25 @@
 
 Architecture (one process, N worker threads)::
 
-    submit() ──admission──> bounded FIFO queue ──> workers
-                 │                                   │
-                 └─ QueueFullError                   ├─ deadline gate (expire / degrade)
-                                                     ├─ compile stage: single-flight
-                                                     │    + shared content-addressed
-                                                     │    plan cache (PR-4 keys)
-                                                     ├─ execute/simulate stage with
-                                                     │    retry + exponential backoff
-                                                     │    on TransientFault
-                                                     └─ ServiceResponse -> Ticket
+    submit() ──admission──┬──> bounded FIFO queue ──> workers ──┐
+                │         │                                      ├──> _run(ticket)
+                │         └──> compile whose plan is resident ───┘
+                │              (no batch window): on the submitting
+                │              thread, resolved before submit() returns
+                └─ QueueFullError
+
+    _run(ticket) ─┬─ deadline gate (expire / degrade)
+                  ├─ compile stage: single-flight + shared
+                  │    content-addressed plan cache
+                  ├─ execute/simulate stage with retry + exponential
+                  │    backoff on TransientFault
+                  └─ ServiceResponse -> Ticket
+
+Admission computes the request's compile key once — the ``plan_key``
+the ``Framework`` cache uses — and every other key (single-flight,
+batch, PB memo) derives from it.  A ``compile`` whose plan is already
+in the memory tier is a dict lookup, so it is not queued: it runs the
+same ``_run`` path on the submitting thread.
 
 Single-flight: the *first* worker to dequeue a given plan-cache key
 becomes the leader and compiles; workers dequeuing the same key while
@@ -240,6 +249,9 @@ class ExecutionService:
             self._cv.notify_all()
         for t in self._workers:
             t.join()
+        with self._cv:
+            while self._in_flight:  # hits still running on submitting threads
+                self._cv.wait()
         if self._status_server is not None:
             self._status_server.close()
             self._status_server = None
@@ -251,7 +263,8 @@ class ExecutionService:
 
     # -- submission ------------------------------------------------------
     def submit(self, request: ServiceRequest | None = None, /) -> Ticket:
-        """Admit one :class:`ServiceRequest`; returns its :class:`Ticket`.
+        """Admit one :class:`ServiceRequest`; returns its :class:`Ticket`
+        (already resolved for a compile whose plan is cached).
 
         Raises :class:`QueueFullError` when the bounded queue is at
         capacity (explicit rejection — callers decide whether to back
@@ -275,6 +288,10 @@ class ExecutionService:
         deadline = request.deadline
         if deadline is None:
             deadline = self.config.default_deadline
+        key = plan_key(
+            request.template, request.device,
+            request.options or CompileOptions(),
+        )
         with self._cv:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -300,9 +317,19 @@ class ExecutionService:
                 deadline_at=None if deadline is None else now + deadline,
             )
             ticket._cancel_hook = self._cancel
-            self._queue.append(ticket)
+            ticket._key = key
             self.metrics.counter("service.submitted").inc()
-            self.metrics.gauge("service.queue_depth").set(len(self._queue))
+            inline = (
+                request.mode == "compile"
+                and self.config.batch_window <= 0
+                and self._resident(request, key)
+            )
+            if inline:
+                self._in_flight += 1
+                self.metrics.gauge("service.in_flight").set(self._in_flight)
+            else:
+                self._queue.append(ticket)
+                self.metrics.gauge("service.queue_depth").set(len(self._queue))
             self.events.emit(
                 "service.admit",
                 request_id=ticket.id,
@@ -315,8 +342,23 @@ class ExecutionService:
             # waits on this condition — a single notify could wake it
             # instead of an idle worker and delay an incompatible request
             # by a full batch window.
-            self._cv.notify_all()
+            if not inline:
+                self._cv.notify_all()
+        if inline:
+            # A resident plan is a dict lookup away: handing it to a
+            # worker and back would cost more than serving it here.
+            try:
+                self._run(ticket)
+            finally:
+                self._leave()
         return ticket
+
+    def _resident(self, request: ServiceRequest, key: str) -> bool:
+        """Whether ``key``'s plan is in this service's memory tier (the
+        PB memo for ``pb``, else the plan cache).  Caller holds the lock."""
+        if request.effective_planner(self.config.pb_max_ops) == "pb":
+            return key in self._pb_memo
+        return self.plan_cache.holds(key)
 
     def submit_all(self, requests: list[ServiceRequest]) -> list[Ticket]:
         """Submit a batch; admission is all-or-error per request."""
@@ -541,48 +583,49 @@ class ExecutionService:
                 self.metrics.histogram("service.batch_size").observe(
                     len(tickets)
                 )
-            for t in tickets:
-                # The ambient bind is what correlates everything below —
-                # Framework.compile, PlanCache, SimRuntime — to this
-                # request.
-                try:
-                    with bind(self.events, t.id):
-                        self._process(t, batch=batch)
-                except BaseException as exc:  # worker must never die silently
-                    self._record_done(
-                        t,
-                        ServiceResponse(
-                            request_id=t.id,
-                            label=t.request.label,
-                            status=RequestStatus.FAILED,
-                            error=f"internal: {type(exc).__name__}: {exc}",
-                        ),
-                        tracer=None,
-                    )
-            with self._lock:
-                self._in_flight -= 1
-                self.metrics.gauge("service.in_flight").set(self._in_flight)
+            try:
+                for t in tickets:
+                    self._run(t, batch)
+            finally:
+                self._leave()
 
-    def _ticket_batch_key(self, ticket: Ticket) -> str:
+    def _run(self, ticket: Ticket, batch: _Batch | None = None) -> None:
+        """Serve one admitted ticket to its response — on a worker, or on
+        the submitting thread for a resident compile."""
+        # The ambient bind is what correlates everything below —
+        # Framework.compile, PlanCache, SimRuntime — to this request.
+        try:
+            with bind(self.events, ticket.id):
+                self._process(ticket, batch=batch)
+        except BaseException as exc:  # a request must never die silently
+            self._record_done(
+                ticket,
+                ServiceResponse(
+                    request_id=ticket.id,
+                    label=ticket.request.label,
+                    status=RequestStatus.FAILED,
+                    error=f"internal: {type(exc).__name__}: {exc}",
+                ),
+                tracer=None,
+            )
+            if not isinstance(exc, Exception):
+                raise  # an interrupt or exit, e.g. Ctrl-C on a submitting thread
+
+    def _leave(self) -> None:
+        with self._cv:
+            self._in_flight -= 1
+            self.metrics.gauge("service.in_flight").set(self._in_flight)
+            if self._closed and not self._in_flight:
+                self._cv.notify_all()  # close() waits for this
+
+    def _ticket_batch_key(self, ticket: Ticket) -> tuple:
         """The coalescing key: requests sharing it can share one batched
-        plan execution.  Memoized per ticket (the key hashes the graph)."""
-        cached = getattr(ticket, "_batch_key", None)
-        if cached is not None:
-            return cached
+        plan execution — the compile key plus planner, mode and host."""
         req = ticket.request
-        key = plan_key(
-            req.template,
-            req.device,
-            req.options or CompileOptions(),
-            kind="service-batch",
-            extra={
-                "planner": req.effective_planner(self.config.pb_max_ops),
-                "mode": req.mode,
-                "host": req.host,
-            },
+        return (
+            ticket._key, req.effective_planner(self.config.pb_max_ops),
+            req.mode, req.host,
         )
-        ticket._batch_key = key  # type: ignore[attr-defined]
-        return key
 
     def _gather_batch(self, leader: Ticket) -> list[Ticket]:
         """Coalesce queued requests compatible with ``leader``.
@@ -788,8 +831,7 @@ class ExecutionService:
             batch is not None and ticket.id != batch.leader_id
         )
         compiled, planner_used, deduped, deduped_from = self._compile_stage(
-            req, "heuristic" if degraded else planner, degraded, tracer,
-            request_id=ticket.id, batch=batch,
+            ticket, "heuristic" if degraded else planner, tracer, batch=batch
         )
         if degraded:
             self.metrics.counter("service.degraded").inc()
@@ -837,15 +879,13 @@ class ExecutionService:
 
     def _compile_stage(
         self,
-        req: ServiceRequest,
+        ticket: Ticket,
         planner: str,
-        degraded: bool,
         tracer: Tracer,
-        *,
-        request_id: int,
         batch: _Batch | None = None,
     ) -> tuple[CompiledTemplate, str, bool, int | None]:
-        """Single-flight compile keyed on the PR-4 content-addressed key.
+        """Single-flight compile keyed on planner and the ticket's
+        content-addressed compile key.
 
         Returns (compiled, planner_used, deduped, deduped_from) —
         ``deduped_from`` is the leader's request id when this request
@@ -856,6 +896,7 @@ class ExecutionService:
         compiled (or failed) on this very worker thread, so the result
         is taken straight off the batch — no locks, no flights.
         """
+        req, request_id, key = ticket.request, ticket.id, ticket._key
         if batch is not None and request_id != batch.leader_id:
             if batch.error is not None:
                 raise batch.error
@@ -876,19 +917,13 @@ class ExecutionService:
             # Leader finished without a compile result (should not
             # happen) — fall through and compile independently.
         opts = req.options or CompileOptions()
-        key = plan_key(
-            req.template,
-            req.device,
-            opts,
-            kind="service",
-            extra={"planner": planner},
-        )
+        flight_key = f"{planner}:{key}"
         with self._lock:
-            flight = self._flights.get(key)
+            flight = self._flights.get(flight_key)
             leader = flight is None
             if leader:
                 flight = _Flight(leader_id=request_id)
-                self._flights[key] = flight
+                self._flights[flight_key] = flight
             else:
                 flight.followers += 1
         assert flight is not None
@@ -946,7 +981,7 @@ class ExecutionService:
             raise
         finally:
             with self._lock:
-                self._flights.pop(key, None)
+                self._flights.pop(flight_key, None)
             flight.event.set()
 
     def _compile_uncontended(
@@ -956,7 +991,8 @@ class ExecutionService:
         opts: CompileOptions,
         key: str,
     ) -> tuple[CompiledTemplate, str, bool]:
-        """The leader's actual compile.  Returns (compiled, used, cached)."""
+        """The leader's actual compile.  Returns (compiled, used, cached).
+        ``key`` is the compile key, which also keys the PB memo."""
         if planner == "pb":
             with self._lock:
                 memo = self._pb_memo.get(key)

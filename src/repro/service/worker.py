@@ -11,9 +11,10 @@ worker threads, plan cache (cross-process tier when the config names a
   about a request — provenance, events, the flight journal — is in the
   caller's ids.  Admission is not acknowledged: the router has already
   counted the request against ``max_queue_depth``.  Completion is pushed
-  back asynchronously via :meth:`Ticket.add_done_callback` as one
-  ``response`` frame; a submit the inner service refuses is answered
-  with an ``error`` frame under the same id.
+  back via :meth:`Ticket.add_done_callback` as one ``response`` frame —
+  from a worker thread, or straight from this loop when the plan is
+  already cached; a submit the inner service refuses is answered with
+  an ``error`` frame under the same id.
 * ``snapshot`` / ``events`` / ``prom`` frames serve the router's
   aggregated telemetry: the snapshot reply additionally ships the raw
   latency-window samples, because fleet percentiles must be computed
@@ -79,8 +80,9 @@ def shard_worker_main(conn: Any, config: ServiceConfig) -> None:
     service.events.emit(
         "worker.start", shard=config.shard_label, pid=os.getpid()
     )
-    # Completion callbacks fire on the inner service's worker threads;
-    # the channel serialises their frames onto the pipe.
+    # Completion callbacks fire on the inner service's worker threads —
+    # or on this thread, at once, for a compile whose plan is cached
+    # (admission served it); the channel serialises their frames.
     channel = Channel(
         conn, INTERNS_PER_PLAN * config.plan_cache_entries, SHARD_INTERNS
     )

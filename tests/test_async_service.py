@@ -114,6 +114,21 @@ class TestAwaitableTickets:
             assert r.deduped_from in ids
             assert r.deduped_from != r.request_id
 
+    def test_await_a_cached_compile(self):
+        """A plan-cache hit is resolved before admission returns; its
+        ticket must still be awaitable, whichever way it was admitted."""
+
+        async def run():
+            async with AsyncExecutionService(ServiceConfig(workers=1)) as svc:
+                await (await svc.submit(edge_request()))
+                via_submit = await svc.submit(edge_request())
+                via_nowait = svc.submit_nowait(edge_request())
+                assert via_submit.done() and via_nowait.done()
+                return await via_submit, await via_nowait
+
+        responses = asyncio.run(run())
+        assert all(r.ok and r.deduped for r in responses)
+
     def test_second_event_loop_rejected(self):
         async def submit():
             svc = AsyncExecutionService(ServiceConfig(workers=1))

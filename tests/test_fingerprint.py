@@ -252,13 +252,35 @@ class TestWorkCounts:
     def test_never_seen_template_is_serialized_once_across_all_keys(
         self, counts
     ):
-        # batching on: the batch key, the service key and the
-        # Framework's cache key are all computed for this one request
+        # batching on: the batch and single-flight keys derive from the
+        # admission key, and the Framework keys the template again
         template = find_edges_graph(SIDE + 8, SIDE + 8, 3, 2)
         config = ServiceConfig(workers=1, batch_window=0.01)
         with ExecutionService(config) as svc:
             assert not serve(svc, template).deduped
         assert counts["graph_to_dict"] == 1
+
+    @pytest.mark.parametrize("batch_window", [0.0, 0.01])
+    def test_repeat_request_makes_one_key_per_hop(
+        self, counts, monkeypatch, batch_window
+    ):
+        # one key at admission, one in Framework.compile's own lookup:
+        # single-flight, batch and PB-memo keys all derive from the first
+        keys = []
+        for module in ("repro.service.service", "repro.core.framework"):
+            def counting(*args, _real=plan_key, **kwargs):
+                keys.append(args[0].name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(f"{module}.plan_key", counting)
+        template = find_edges_graph(SIDE, SIDE, 3, 2)
+        config = ServiceConfig(workers=1, batch_window=batch_window)
+        with ExecutionService(config) as svc:
+            serve(svc, template)
+            keys.clear()
+            counts.update(graph_to_dict=0)
+            assert serve(svc, template).deduped
+        assert len(keys) == 2 and counts["graph_to_dict"] == 0
 
     def test_fingerprint_crosses_the_shard_pipe(self, counts):
         template = find_edges_graph(SIDE, SIDE, 3, 2)

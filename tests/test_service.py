@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core.framework import Framework
+from repro.core.plancache import PlanCache
 from repro.gpusim import TESLA_C870, XEON_WORKSTATION, FaultSpec, GpuDevice
+from repro.obs.flight import journal_dir, read_journal
 from repro.runtime import reference_execute
 from repro.service import (
     ExecutionService,
@@ -161,6 +163,147 @@ class TestSingleFlight:
         assert first.ok and second.ok
         assert first.planner_used.startswith("pb")
         assert second.deduped
+
+
+@pytest.mark.timeout(60)
+class TestResidentHits:
+    """A compile whose plan is already cached is served inside
+    ``submit()`` — through the same ``_run`` path a worker takes."""
+
+    def primed_cache(self):
+        cache = PlanCache()
+        with ExecutionService(ServiceConfig(workers=1), plan_cache=cache) as svc:
+            assert svc.submit(edge_request()).result(timeout=60).ok
+        return cache
+
+    def test_repeat_compile_is_resolved_when_submit_returns(self):
+        clock = lambda: 100.0  # noqa: E731 - a frozen fake clock
+        with ExecutionService(ServiceConfig(workers=1), clock=clock) as svc:
+            first = svc.submit(edge_request()).result(timeout=60)
+            ticket = svc.submit(edge_request())
+            assert ticket.done()
+            response = ticket.result(timeout=0)
+            counters = svc.metrics_snapshot()["counters"]
+            timeline = [e.kind for e in svc.request_timeline(ticket.id)]
+        assert first.ok and not first.deduped
+        assert response.ok and response.deduped
+        assert response.wait_seconds == 0 and response.deduped_from is None
+        assert ticket.cancel() is False  # it has already run
+        assert counters["service.compiles"] == 1
+        assert counters["service.plan_cache_hits"] == 1
+        assert counters["service.dedupe_hits"] == 1
+        assert timeline == [
+            "service.admit", "service.start", "compile.start",
+            "plancache.hit", "compile.done", "service.compile_done",
+            "service.done",
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs, cfg, queued",
+        [
+            ({}, {}, False),
+            ({"size": 80}, {}, True),  # a miss
+            ({"mode": "simulate"}, {}, True),
+            (
+                {"mode": "execute",
+                 "inputs": find_edges_inputs(64, 64, 8, 2)},
+                {},
+                True,
+            ),
+            ({}, {"batch_window": 0.001}, True),
+        ],
+        ids=["hit", "miss", "simulate", "execute", "batch_window"],
+    )
+    def test_only_a_resident_compile_skips_the_queue(self, kwargs, cfg, queued):
+        cache = self.primed_cache()
+        config = ServiceConfig(workers=1, **cfg)
+        with ExecutionService(config, plan_cache=cache) as svc:
+            response = svc.submit(edge_request(**kwargs)).result(timeout=60)
+            gauges = svc.metrics_snapshot()["gauges"]
+        assert response.ok
+        # a hit never touches the queue, so its gauge may not even exist
+        peak = gauges.get("service.queue_depth", {"peak": 0})["peak"]
+        assert peak == (1 if queued else 0)
+
+    def test_resident_pb_plan_skips_the_queue(self):
+        with ExecutionService(ServiceConfig(workers=1)) as svc:
+            svc.submit(edge_request(planner="pb")).result(timeout=60)
+            ticket = svc.submit(edge_request(planner="pb"))
+            assert ticket.done() and ticket.result(timeout=0).deduped
+
+    def test_identical_request_behind_a_blocked_leader_joins_its_flight(
+        self, monkeypatch
+    ):
+        release = threading.Event()
+        original = Framework.compile
+
+        def blocking_compile(self, template, **kwargs):
+            assert release.wait(30), "test forgot to release the leader"
+            return original(self, template, **kwargs)
+
+        monkeypatch.setattr(Framework, "compile", blocking_compile)
+        with ExecutionService(ServiceConfig(workers=2)) as svc:
+            leader = svc.submit(edge_request())
+            follower = svc.submit(edge_request())
+            assert not follower.done()
+            assert wait_until(
+                lambda: svc.metrics_snapshot()["counters"].get(
+                    "service.singleflight_joins", 0
+                ) == 1
+            )
+            release.set()
+            response = follower.result(timeout=30)
+        assert leader.result(timeout=30).ok
+        assert response.ok and response.deduped_from == leader.id
+
+    def test_interrupt_during_a_hit_fails_it_and_propagates(self, monkeypatch):
+        def interrupted(self, template, **kwargs):
+            raise KeyboardInterrupt
+
+        with ExecutionService(ServiceConfig(workers=1)) as svc:
+            assert svc.submit(edge_request()).result(timeout=60).ok
+            monkeypatch.setattr(Framework, "compile", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                svc.submit(edge_request())
+            assert svc.live_snapshot()["in_flight"] == 0
+            assert svc.metrics_snapshot()["counters"]["service.failed"] == 1
+
+    def test_close_waits_for_hits_on_submitting_threads(
+        self, flight_dir, monkeypatch
+    ):
+        config = ServiceConfig(workers=1, flight_dir=flight_dir)
+        svc = ExecutionService(config)
+        request = edge_request()
+        assert svc.submit(request).result(timeout=60).ok
+        original = Framework.compile
+        inside = threading.Event()
+
+        def slow_hit(self, template, **kwargs):
+            inside.set()
+            time.sleep(0.02)  # so close() lands mid-request
+            return original(self, template, **kwargs)
+
+        monkeypatch.setattr(Framework, "compile", slow_hit)
+        admitted = []
+
+        def hammer():
+            while True:
+                try:
+                    admitted.append(svc.submit(request))
+                except ServiceClosedError:
+                    return
+
+        thread = threading.Thread(target=hammer)
+        thread.start()
+        assert wait_until(lambda: len(admitted) >= 10)
+        inside.clear()
+        assert inside.wait(10)
+        svc.close()
+        thread.join(timeout=30)
+        assert all(t.result(timeout=0).ok for t in admitted)
+        assert svc.events.events()[-1].kind == "service.close"
+        records = read_journal(journal_dir(flight_dir, config.shard_label))
+        assert records.records[-1]["kind"] == "service.close"
 
 
 @pytest.mark.timeout(60)

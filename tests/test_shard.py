@@ -108,6 +108,16 @@ class TestRoutingAndDedupe:
             )
             assert r.deduped_from != r.request_id
 
+    def test_repeated_request_is_served_from_the_shard_cache(self):
+        # the repeat is answered by the shard's pipe reader at admission
+        with fleet(shards=2) as svc:
+            first = svc.submit(edge_request()).result(timeout=120)
+            second = svc.submit(edge_request()).result(timeout=120)
+            counters = svc.live_snapshot()["counters"]
+        assert first.ok and not first.deduped
+        assert second.ok and second.deduped
+        assert counters["service.plan_cache_hits"] == 1
+
     def test_single_shard_fleet_works(self):
         with fleet(shards=1) as svc:
             assert svc.submit(edge_request()).result(timeout=120).ok
