@@ -3,7 +3,8 @@
 Times are derived from the device description:
 
 * transfer:  ``latency + bytes / pcie_bandwidth``  (synchronous; the
-  paper's GPUs could not overlap copy and compute)
+  paper's GPUs could not overlap copy and compute); a device-to-device
+  copy costs :meth:`~repro.gpusim.DeviceGroup.peer_time` instead
 * kernel:    ``launch_overhead + max(compute-bound, memory-bound)`` where
   compute-bound is ``flops / (peak_flops * efficiency)`` and memory-bound
   is ``bytes_accessed / internal_bandwidth`` — a roofline model.
@@ -73,10 +74,11 @@ class SharedBus:
 
     A transfer requested at time ``ready`` begins no earlier than the
     bus is free; ``acquire`` returns the actual (begin, end) window and
-    advances the bus.  With one device this degenerates to the
-    unshared-link behaviour (begin == ready whenever requests don't
-    overlap), so :class:`~repro.multigpu.runtime.MultiSimRuntime` can use
-    it unconditionally when contention modelling is on.
+    advances the bus.  The synchronous step loops of
+    :mod:`repro.runtime.executor` put every host<->device copy of a
+    ``shared_bus`` :class:`~repro.gpusim.DeviceGroup` through one bus;
+    with one device it degenerates to the unshared link (a device's own
+    copies never overlap, so begin == ready).
     """
 
     def __init__(self) -> None:

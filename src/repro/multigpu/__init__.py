@@ -3,24 +3,25 @@
 Scales the paper's single-device framework *out*: the operator graph
 (after operator splitting) is partitioned across N simulated GPUs by
 row band, inter-device data movement is planned explicitly (peer
-device-to-device copies, or staged through host memory), and a
-:class:`MultiSimRuntime` coordinates N :class:`~repro.gpusim.SimRuntime`
-instances over a shared PCIe cost model to produce per-device timelines
-and an aggregate speedup report.
+device-to-device copies, or staged through host memory), and the plan
+runs on N per-device clocks behind one host with a shared PCIe cost
+model, producing per-device timelines and an aggregate speedup report.
 
 Pipeline: ``partition_graph`` assigns every operator to a device
 (load-balanced by modeled kernel cost), ``MultiTransferScheduler``
 turns (op order × assignment) into a device-tagged
 :class:`~repro.core.plan.ExecutionPlan`, and ``execute_multi_plan`` /
-``simulate_multi_plan`` run it.  ``compile_multi`` wires the whole
-pipeline behind one call; see docs/MULTIGPU.md.
+``simulate_multi_plan`` run it through :mod:`repro.runtime.executor`'s
+two step loops — the ones a single device runs as their N = 1 case —
+with :class:`MultiSimRuntime` holding the N runtimes and their
+coordination state.  ``compile_multi`` wires the whole pipeline behind
+one call; see docs/MULTIGPU.md.
 """
 
 from .framework import (
     MultiCompiledTemplate,
     compile_multi,
     execute_multi,
-    run_multi_template,
     simulate_multi,
 )
 from .partition import Partition, partition_graph
@@ -44,7 +45,6 @@ __all__ = [
     "execute_multi",
     "execute_multi_plan",
     "partition_graph",
-    "run_multi_template",
     "schedule_multi_transfers",
     "simulate_multi",
     "simulate_multi_plan",

@@ -269,20 +269,3 @@ def simulate_multi(compiled: MultiCompiledTemplate) -> MultiSimulatedRun:
     return simulate_multi_plan(
         compiled.plan, compiled.graph, compiled.group, compiled.host
     )
-
-
-def run_multi_template(
-    template: OperatorGraph,
-    template_inputs: Mapping[str, np.ndarray],
-    group: DeviceGroup,
-    *,
-    host: HostSystem | None = None,
-    options: CompileOptions | None = None,
-    transfer_mode: str = "peer",
-) -> MultiExecutionResult:
-    """One-call convenience API: compile + execute on a device group."""
-    compiled = compile_multi(
-        template, group, host=host, options=options,
-        transfer_mode=transfer_mode,
-    )
-    return execute_multi(compiled, template_inputs)

@@ -1,21 +1,12 @@
 """Coordinated execution of device-tagged plans on N simulated GPUs.
 
 :class:`MultiSimRuntime` owns one :class:`~repro.gpusim.SimRuntime` per
-device of a :class:`~repro.gpusim.DeviceGroup`.  Each device keeps its
-own simulated clock and profiler timeline; the coordinator enforces the
-cross-device happens-before edges a sequential plan implies:
-
-* a staged upload (``CopyToGPU`` of data another device downloaded)
-  cannot begin before the producing ``CopyToCPU`` finished — tracked as
-  ``host_avail[data]``;
-* a ``PeerCopy`` occupies both endpoints: it begins at
-  ``max(src.clock, dst.clock)`` and both clocks advance to its end;
-* with ``shared_bus=True`` all host<->device transfers serialize over
-  one PCIe link (:class:`~repro.gpusim.SharedBus`).
-
-Everything else — allocation, payloads, kernel cost, thrashing — is the
-unmodified single-device runtime, so multi-GPU execution inherits the
-allocator's capacity enforcement and numeric checkability for free.
+device of a :class:`~repro.gpusim.DeviceGroup` (each with its own clock
+and profiler timeline) plus the state that coordinates them: the shared
+bus and when each host copy became available.  The step loops are
+:mod:`repro.runtime.executor`'s — the same ones that run a single device
+as their N = 1 case — so multi-GPU execution inherits the allocator's
+capacity enforcement, kernel costs, thrashing and numeric checkability.
 """
 
 from __future__ import annotations
@@ -26,36 +17,16 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.graph import OperatorGraph
-from repro.core.plan import (
-    CopyToCPU,
-    CopyToGPU,
-    ExecutionPlan,
-    Free,
-    Launch,
-    PeerCopy,
-)
-from repro.gpusim import (
-    FLOAT_BYTES,
-    CostModel,
-    DeviceGroup,
-    HostSystem,
-    SharedBus,
-    SimRuntime,
-)
-from repro.gpusim.profiler import Event, EventKind, Profile
-from repro.ops import get_impl
-from repro.runtime.assemble import assemble_root, input_chunk_array
-from repro.runtime.executor import run_launch
+from repro.core.plan import ExecutionPlan
+from repro.gpusim import DeviceGroup, HostSystem, SharedBus, SimRuntime
+from repro.gpusim.profiler import Profile
+from repro.runtime.executor import execute_steps, simulate_steps
 
 
 class MultiSimRuntime:
     """N simulated GPU contexts behind one host."""
 
-    def __init__(
-        self,
-        group: DeviceGroup,
-        host: HostSystem | None = None,
-    ) -> None:
+    def __init__(self, group: DeviceGroup, host: HostSystem | None = None) -> None:
         self.group = group
         self.host = host
         self.runtimes = [SimRuntime(d, host) for d in group.devices]
@@ -78,51 +49,7 @@ class MultiSimRuntime:
     def thrashed(self) -> bool:
         return any(rt.thrashed for rt in self.runtimes)
 
-    # -- coordinated transfers ------------------------------------------------
-    def _bus_window(self, rt: SimRuntime, do_copy) -> None:
-        """Run one host<->device copy, serialized over the shared bus."""
-        if self.bus is not None:
-            rt.clock = max(rt.clock, self.bus.busy_until)
-        before = rt.clock
-        do_copy()
-        if self.bus is not None:
-            self.bus.busy_until = rt.clock
-            self.bus.total_busy += rt.clock - before
 
-    def h2d(self, dev: int, name: str, array: np.ndarray) -> None:
-        rt = self.runtimes[dev]
-        rt.clock = max(rt.clock, self.host_avail.get(name, 0.0))
-        rt.malloc(name, array.size * FLOAT_BYTES)
-        self._bus_window(rt, lambda: rt.memcpy_h2d(name, array))
-
-    def d2h(self, dev: int, name: str) -> np.ndarray:
-        rt = self.runtimes[dev]
-        out: list[np.ndarray] = []
-        self._bus_window(rt, lambda: out.append(rt.memcpy_d2h(name)))
-        self.host_avail[name] = max(self.host_avail.get(name, 0.0), rt.clock)
-        return out[0]
-
-    def peer_copy(self, name: str, src: int, dst: int) -> None:
-        """Device-to-device copy: payload moves, both clocks advance."""
-        src_rt, dst_rt = self.runtimes[src], self.runtimes[dst]
-        array = src_rt.read_device(name)
-        nbytes = array.size * FLOAT_BYTES
-        dst_rt.malloc(name, nbytes)
-        dst_rt.write_device(name, array)
-        dt = self.group.peer_time(nbytes)
-        begin = max(src_rt.clock, dst_rt.clock)
-        src_rt.profile.record(
-            Event(EventKind.P2P, f"{name}->gpu{dst}", begin, dt, nbytes)
-        )
-        dst_rt.profile.record(
-            Event(EventKind.P2P, f"{name}<-gpu{src}", begin, dt, nbytes)
-        )
-        src_rt.clock = dst_rt.clock = begin + dt
-
-
-# ---------------------------------------------------------------------------
-# Numeric execution (real payloads)
-# ---------------------------------------------------------------------------
 @dataclass
 class MultiExecutionResult:
     """Outcome of a numeric multi-device plan execution."""
@@ -160,65 +87,19 @@ def execute_multi_plan(
     template_inputs: Mapping[str, np.ndarray],
 ) -> MultiExecutionResult:
     """Run a validated device-tagged plan with real payloads."""
-    host: dict[str, np.ndarray] = {}
-
-    def host_fetch(name: str) -> np.ndarray:
-        if name not in host:
-            ds = graph.data[name]
-            if not ds.is_input:
-                raise KeyError(f"host read of {name!r} before it was saved")
-            host[name] = input_chunk_array(graph, name, template_inputs)
-        return host[name]
-
-    def update_working_set() -> None:
-        inputs_bytes = sum(
-            np.asarray(a).size * FLOAT_BYTES for a in template_inputs.values()
-        )
-        copies = sum(
-            a.size * FLOAT_BYTES
-            for n, a in host.items()
-            if not graph.data[n].is_input
-        )
-        for rt in mrt.runtimes:
-            rt.host_working_set = inputs_bytes + copies
-
-    update_working_set()
-    for i, step in enumerate(plan.steps):
-        dev = plan.device_of(i)
-        if isinstance(step, CopyToGPU):
-            mrt.h2d(dev, step.data, host_fetch(step.data))
-        elif isinstance(step, CopyToCPU):
-            host[step.data] = mrt.d2h(dev, step.data)
-            update_working_set()
-        elif isinstance(step, PeerCopy):
-            mrt.peer_copy(step.data, step.src, step.dst)
-        elif isinstance(step, Free):
-            mrt.runtimes[dev].free(step.data)
-        elif isinstance(step, Launch):
-            run_launch(graph, step.op, mrt.runtimes[dev])
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
-    outputs = {
-        name: assemble_root(graph, name, lambda n: host[n])
-        for name, ds in graph.data.items()
-        if ds.is_output and ds.parent is None
-    }
+    outputs = execute_steps(
+        plan, graph, mrt.runtimes, template_inputs, mrt.group,
+        bus=mrt.bus, host_avail=mrt.host_avail,
+    )
     return MultiExecutionResult(
-        outputs=outputs,
-        elapsed=mrt.clock,
-        num_devices=len(mrt),
-        h2d_floats=plan.h2d_floats(graph),
-        d2h_floats=plan.d2h_floats(graph),
-        peer_floats=plan.peer_floats(graph),
-        thrashed=mrt.thrashed,
+        outputs=outputs, elapsed=mrt.clock, num_devices=len(mrt),
+        h2d_floats=plan.h2d_floats(graph), d2h_floats=plan.d2h_floats(graph),
+        peer_floats=plan.peer_floats(graph), thrashed=mrt.thrashed,
         profiles=[rt.profile for rt in mrt.runtimes],
         device_clocks=[rt.clock for rt in mrt.runtimes],
     )
 
 
-# ---------------------------------------------------------------------------
-# Analytic simulation (paper-scale workloads, no payloads)
-# ---------------------------------------------------------------------------
 @dataclass
 class MultiSimulatedRun:
     """Analytic timing of a multi-device plan."""
@@ -251,106 +132,12 @@ def simulate_multi_plan(
     group: DeviceGroup,
     host: HostSystem | None = None,
 ) -> MultiSimulatedRun:
-    """Walk a device-tagged plan analytically against the group cost model.
-
-    Per-device clocks with the same cross-device ordering rules as
-    :class:`MultiSimRuntime`; thrashing uses the shared host working set
-    (inputs plus live host copies), as in the single-device simulator.
-    """
-    n = len(group)
-    costs = [CostModel(d, host) for d in group.devices]
-    bus = SharedBus() if group.shared_bus else None
-    clocks = [0.0] * n
-    host_avail: dict[str, float] = {}
-    inputs_bytes = sum(
-        ds.size * FLOAT_BYTES
-        for ds in graph.data.values()
-        if ds.is_input and not ds.virtual
-    )
-    host_copies: dict[str, int] = {}
-    resident: list[dict[str, int]] = [dict() for _ in range(n)]
-    used = [0] * n
-    peak = [0] * n
-    transfer_time = compute_time = peer_time = 0.0
-    h2d = d2h = peer = 0
-    launches = 0
-    thrashed = False
-
-    def working_set() -> int:
-        return inputs_bytes + sum(host_copies.values())
-
-    def host_transfer(dev: int, nfloats: int) -> float:
-        nonlocal thrashed
-        dt = costs[dev].transfer_time_floats(nfloats)
-        if costs[dev].thrashing(working_set()):
-            thrashed = True
-            if host is not None:
-                dt *= host.paging_penalty
-        if bus is not None:
-            clocks[dev] = max(clocks[dev], bus.busy_until)
-            bus.busy_until = clocks[dev] + dt
-            bus.total_busy += dt
-        return dt
-
-    for i, step in enumerate(plan.steps):
-        dev = plan.device_of(i)
-        if isinstance(step, CopyToGPU):
-            size = graph.data[step.data].size
-            clocks[dev] = max(clocks[dev], host_avail.get(step.data, 0.0))
-            dt = host_transfer(dev, size)
-            clocks[dev] += dt
-            transfer_time += dt
-            h2d += size
-            resident[dev][step.data] = size
-            used[dev] += size
-        elif isinstance(step, CopyToCPU):
-            size = graph.data[step.data].size
-            dt = host_transfer(dev, size)
-            clocks[dev] += dt
-            transfer_time += dt
-            d2h += size
-            host_avail[step.data] = max(
-                host_avail.get(step.data, 0.0), clocks[dev]
-            )
-            if not graph.data[step.data].is_input:
-                host_copies[step.data] = size * FLOAT_BYTES
-        elif isinstance(step, PeerCopy):
-            size = graph.data[step.data].size
-            dt = group.peer_time(size * FLOAT_BYTES)
-            begin = max(clocks[step.src], clocks[step.dst])
-            clocks[step.src] = clocks[step.dst] = begin + dt
-            peer_time += dt
-            peer += size
-            resident[step.dst][step.data] = size
-            used[step.dst] += size
-        elif isinstance(step, Free):
-            used[dev] -= resident[dev].pop(step.data)
-        elif isinstance(step, Launch):
-            op = graph.ops[step.op]
-            impl = get_impl(op.kind)
-            dt = costs[dev].kernel_time(
-                impl.flops(op, graph), impl.bytes_accessed(op, graph)
-            )
-            clocks[dev] += dt
-            compute_time += dt
-            launches += 1
-            for d in op.outputs:
-                size = graph.data[d].size
-                resident[dev][d] = size
-                used[dev] += size
-        for k in range(n):
-            peak[k] = max(peak[k], used[k])
+    """Walk a device-tagged plan analytically against the group cost model."""
+    run, clocks, peak, peer_time, peer = simulate_steps(plan, graph, group, host)
     return MultiSimulatedRun(
-        total_time=max(clocks) if clocks else 0.0,
-        num_devices=n,
-        device_times=clocks,
-        transfer_time=transfer_time,
-        compute_time=compute_time,
-        peer_time=peer_time,
-        h2d_floats=h2d,
-        d2h_floats=d2h,
-        peer_floats=peer,
-        launches=launches,
-        peak_device_floats=peak,
-        thrashed=thrashed,
+        total_time=run.total_time, num_devices=len(group), device_times=clocks,
+        transfer_time=run.transfer_time, compute_time=run.compute_time,
+        peer_time=peer_time, h2d_floats=run.h2d_floats, d2h_floats=run.d2h_floats,
+        peer_floats=peer, launches=run.launches, peak_device_floats=peak,
+        thrashed=run.thrashed,
     )

@@ -13,26 +13,39 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import CompileOptions
+from repro.core import CompileOptions, Framework
 from repro.core.plan import Free, Launch, PeerCopy, PlanError, validate_plan
 from repro.core.scheduling import dfs_schedule, row_band
 from repro.core.serialize import plan_from_dict, plan_to_dict
 from repro.gpusim import (
+    XEON_WORKSTATION,
     DeviceGroup,
     GpuDevice,
     SharedBus,
+    SimRuntime,
     homogeneous_group,
 )
 from repro.multigpu import (
+    MultiSimRuntime,
     compile_multi,
     execute_multi,
+    execute_multi_plan,
     partition_graph,
     schedule_multi_transfers,
     simulate_multi,
+    simulate_multi_plan,
 )
 from repro.obs.chrometrace import chrome_trace
-from repro.runtime import reference_execute
-from repro.templates import find_edges_graph, find_edges_inputs
+from repro.runtime import execute_plan, reference_execute, simulate_plan
+from repro.templates import (
+    SMALL_CNN,
+    cnn_graph,
+    cnn_inputs,
+    dog_pyramid_graph,
+    dog_pyramid_inputs,
+    find_edges_graph,
+    find_edges_inputs,
+)
 
 KB = 1024
 DEV = GpuDevice(name="mg-dev", memory_bytes=256 * KB)
@@ -226,6 +239,47 @@ class TestExecution:
         assert sim.total_time == pytest.approx(max(sim.device_times))
         for peak in sim.peak_device_floats:
             assert peak <= DEV.usable_memory_floats
+
+
+SINGLE_TEMPLATES = {
+    "edge": lambda: (find_edges_graph(48, 40, 5, 4), find_edges_inputs(48, 40, 5, 4, seed=9)),
+    "small-cnn": lambda: (cnn_graph(SMALL_CNN, 48, 48), cnn_inputs(SMALL_CNN, 48, 48, seed=3)),
+    "pyramid": lambda: (dog_pyramid_graph(64, 64), dog_pyramid_inputs(64, 64, seed=4)),
+}
+
+
+class TestSingleDeviceIsOneOfN:
+    """One device is the N = 1 case of the device-tagged walk, bit for bit."""
+
+    @pytest.mark.parametrize("memory", [64 * KB, 64 * KB * KB], ids=["tight", "roomy"])
+    @pytest.mark.parametrize("template", sorted(SINGLE_TEMPLATES))
+    def test_single_plan_walked_as_a_group_of_one(self, template, memory):
+        device = GpuDevice(name="n1-dev", memory_bytes=memory)
+        graph, inputs = SINGLE_TEMPLATES[template]()
+        compiled = Framework(device, host=XEON_WORKSTATION).compile(graph)
+        plan, g = compiled.plan, compiled.graph
+        group = homogeneous_group(device, 1)
+
+        one = execute_plan(plan, g, SimRuntime(device, XEON_WORKSTATION), inputs)
+        multi = execute_multi_plan(plan, g, MultiSimRuntime(group, XEON_WORKSTATION), inputs)
+        assert one.outputs.keys() == multi.outputs.keys()
+        for name, arr in one.outputs.items():
+            assert np.array_equal(multi.outputs[name], arr)
+        assert multi.elapsed == one.elapsed
+        assert multi.device_clocks == [one.elapsed]
+        assert (multi.h2d_floats, multi.d2h_floats) == (one.h2d_floats, one.d2h_floats)
+        assert multi.thrashed == one.thrashed
+        assert multi.profiles[0].events == one.profile.events
+
+        sim = simulate_plan(plan, g, device, XEON_WORKSTATION)
+        msim = simulate_multi_plan(plan, g, group, XEON_WORKSTATION)
+        assert msim.total_time == sim.total_time
+        assert msim.device_times == [sim.total_time]
+        assert msim.peak_device_floats == [sim.peak_device_floats]
+        for name in ("transfer_time", "compute_time", "h2d_floats", "d2h_floats",
+                     "launches", "thrashed"):
+            assert getattr(msim, name) == getattr(sim, name), name
+        assert (msim.peer_time, msim.peer_floats) == (0.0, 0)
 
 
 class TestScalingReport:

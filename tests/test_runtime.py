@@ -1,16 +1,34 @@
 """Tests for plan execution: reference, numeric-on-simulator, analytic."""
 
+import timeit
+
 import numpy as np
 import pytest
 
 from repro.core import (
     Framework,
+    OperatorGraph,
     baseline_plan,
     dfs_schedule,
     make_feasible,
     schedule_transfers,
 )
-from repro.gpusim import GpuDevice, SimRuntime, XEON_WORKSTATION
+from repro.core.plan import (
+    CopyToCPU,
+    CopyToGPU,
+    ExecutionPlan,
+    Free,
+    Launch,
+    validate_plan,
+)
+from repro.gpusim import (
+    GpuDevice,
+    HostSystem,
+    SimRuntime,
+    XEON_WORKSTATION,
+    homogeneous_group,
+)
+from repro.multigpu import simulate_multi_plan
 from repro.runtime import (
     execute_plan,
     reference_execute,
@@ -20,6 +38,8 @@ from repro.templates import (
     SMALL_CNN,
     cnn_graph,
     cnn_inputs,
+    dog_pyramid_graph,
+    dog_pyramid_inputs,
     find_edges_graph,
     find_edges_inputs,
 )
@@ -140,6 +160,87 @@ class TestSimulatePlan:
         plan = schedule_transfers(g, dfs_schedule(g), 10**9)
         sim = simulate_plan(plan, g, DEV, record_events=True)
         assert len(sim.events) == len(plan.steps)
+
+    @pytest.mark.parametrize("memory", [64 * 1024, 64 * 1024 * 1024], ids=["tight", "roomy"])
+    @pytest.mark.parametrize("template", ["edge", "small-cnn", "pyramid"])
+    def test_total_time_is_execute_elapsed(self, template, memory):
+        """Both loops report the same makespan, bit for bit, when the
+        allocator never compacts and the host never pages."""
+        import repro
+
+        graph, inputs = {
+            "edge": lambda: (find_edges_graph(48, 40, 5, 4), find_edges_inputs(48, 40, 5, 4)),
+            "small-cnn": lambda: (cnn_graph(SMALL_CNN, 48, 48), cnn_inputs(SMALL_CNN, 48, 48)),
+            "pyramid": lambda: (dog_pyramid_graph(64, 64), dog_pyramid_inputs(64, 64)),
+        }[template]()
+        device = GpuDevice(name="t", memory_bytes=memory)
+        compiled = repro.compile(graph, device=device, host=XEON_WORKSTATION)
+        run = repro.execute(compiled, inputs)
+        assert run.metrics["counters"].get("gpu.compactions", 0) == 0
+        assert run.thrashed is False
+        assert repro.simulate(compiled).total_time == run.elapsed
+
+
+def _fan_out(k: int):
+    """k operators each read one input and write a template output; the
+    plan downloads every output as it is made, so k host copies stay live."""
+    g = OperatorGraph(f"fan{k}")
+    g.add_data("x", (4, 4), is_input=True)
+    steps = [CopyToGPU("x")]
+    for i in range(k):
+        g.add_data(f"y{i}", (4, 4), is_output=True)
+        g.add_operator(f"o{i}", "relu", ["x"], [f"y{i}"])
+        steps += [Launch(f"o{i}"), CopyToCPU(f"y{i}"), Free(f"y{i}")]
+    plan = ExecutionPlan(steps=steps + [Free("x")])
+    validate_plan(plan, g, 10**6)
+    return g, plan
+
+
+class TestHostAccounting:
+    def test_simulate_cost_per_step_does_not_grow_with_live_host_copies(self):
+        def per_step(k: int) -> float:
+            g, plan = _fan_out(k)
+            best = min(
+                timeit.timeit(lambda: simulate_plan(plan, g, DEV), number=1)
+                for _ in range(5)
+            )
+            return best / len(plan.steps)
+
+        k = 500
+        assert per_step(4 * k) / per_step(k) < 2
+
+    def test_dead_host_copies_retire_on_every_device_count(self):
+        """A staged 2-device plan pages exactly when its single-device
+        replay does: a host copy dies after its last reader on any device."""
+        g = OperatorGraph("staged")
+        g.add_data("x", (64, 64), is_input=True)
+        tagged: list[tuple[int, object]] = [(0, CopyToGPU("x"))]
+        k = 8
+        for i in range(k):
+            g.add_data(f"t{i}", (64, 64))
+            g.add_data(f"y{i}", (64, 64), is_output=True)
+            g.add_operator(f"p{i}", "relu", ["x"], [f"t{i}"])
+            g.add_operator(f"c{i}", "tanh", [f"t{i}"], [f"y{i}"])
+            tagged += [
+                (0, Launch(f"p{i}")), (0, CopyToCPU(f"t{i}")), (0, Free(f"t{i}")),
+                (1, CopyToGPU(f"t{i}")), (1, Launch(f"c{i}")), (1, Free(f"t{i}")),
+                (1, CopyToCPU(f"y{i}")), (1, Free(f"y{i}")),
+            ]
+        tagged.append((0, Free("x")))
+        steps = [s for _, s in tagged]
+        two = ExecutionPlan(steps=steps, devices=[d for d, _ in tagged])
+        one = ExecutionPlan(steps=list(steps))
+        validate_plan(two, g, [10**6, 10**6])
+        validate_plan(one, g, 10**6)
+        floats = 64 * 64 * 4
+        # RAM holds the input, every output and one live intermediate,
+        # but not the intermediates that are already dead.
+        host = HostSystem(name="small", memory_bytes=floats * (k + 2))
+        assert floats * (1 + 2 * k) > host.memory_bytes
+        single = simulate_plan(one, g, DEV, host)
+        assert single.thrashed is False
+        multi = simulate_multi_plan(two, g, homogeneous_group(DEV, 2), host)
+        assert multi.thrashed == single.thrashed
 
 
 class TestCNNEndToEnd:
