@@ -51,8 +51,9 @@ from .splitting import SplitReport
 
 #: bump when the entry payload or key layout changes; old disk entries
 #: are then treated as corrupt and rewritten
-#: (2: plan dicts carry schema_version; 3: keys compose memoised parts)
-CACHE_VERSION = 3
+#: (2: plan dicts carry schema_version; 3: keys compose memoised parts;
+#: 4: device-group plans honour ``eviction_policy="cost"``)
+CACHE_VERSION = 4
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,15 @@ runs on N per-device clocks behind one host with a shared PCIe cost
 model, producing per-device timelines and an aggregate speedup report.
 
 Pipeline: ``partition_graph`` assigns every operator to a device
-(load-balanced by modeled kernel cost), ``MultiTransferScheduler``
-turns (op order × assignment) into a device-tagged
-:class:`~repro.core.plan.ExecutionPlan`, and ``execute_multi_plan`` /
-``simulate_multi_plan`` run it through :mod:`repro.runtime.executor`'s
-two step loops — the ones a single device runs as their N = 1 case —
-with :class:`MultiSimRuntime` holding the N runtimes and their
-coordination state.  ``compile_multi`` wires the whole pipeline behind
+(load-balanced by modeled kernel cost), the one transfer scheduler
+(:func:`repro.core.transfers.schedule_transfers`, given that device
+column and per-device capacities) turns (op order × assignment) into a
+device-tagged :class:`~repro.core.plan.ExecutionPlan`, and
+``execute_multi_plan`` / ``simulate_multi_plan`` run it through
+:mod:`repro.runtime.executor`'s two step loops.  Both the scheduler and
+the step loops plan or run a single device as their N = 1 case;
+:class:`MultiSimRuntime` holds the N runtimes and their coordination
+state.  ``compile_multi`` wires the whole pipeline behind
 one call; see docs/MULTIGPU.md.
 """
 
@@ -32,20 +34,17 @@ from .runtime import (
     execute_multi_plan,
     simulate_multi_plan,
 )
-from .transfers import MultiTransferScheduler, schedule_multi_transfers
 
 __all__ = [
     "MultiCompiledTemplate",
     "MultiExecutionResult",
     "MultiSimRuntime",
     "MultiSimulatedRun",
-    "MultiTransferScheduler",
     "Partition",
     "compile_multi",
     "execute_multi",
     "execute_multi_plan",
     "partition_graph",
-    "schedule_multi_transfers",
     "simulate_multi",
     "simulate_multi_plan",
 ]

@@ -12,11 +12,13 @@ twists:
   infeasible — halo floors, minimum rows — it falls back to the plain
   capacity split).
 
-* **Partition + device-tagged plan.**  After the usual operator
-  scheduling, :func:`~repro.multigpu.partition.partition_graph` assigns
-  devices and :class:`~repro.multigpu.transfers.MultiTransferScheduler`
-  emits a plan with the device dimension and explicit peer/staged
-  inter-device transfers, validated per device.
+* **Partition + device-tagged plan.**  After lowering and the usual
+  operator scheduling, :func:`~repro.multigpu.partition.partition_graph`
+  assigns devices, and the one transfer scheduler,
+  :func:`repro.core.transfers.schedule_transfers`, walks the lowered
+  tables with that device column and per-device capacities: it emits a
+  plan with the device dimension and explicit peer/staged inter-device
+  transfers, validated per device.
 """
 
 from __future__ import annotations
@@ -26,12 +28,14 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.core.columnar import lower
 from repro.core.framework import CompileOptions
 from repro.core.graph import OperatorGraph
 from repro.core.plan import ExecutionPlan, validate_plan
 from repro.core.plancache import CachedPlan, PlanCache, default_cache, plan_key
-from repro.core.scheduling import get_scheduler
-from repro.core.splitting import SplitReport, make_feasible
+from repro.core.scheduling import dfs_naive_schedule, dfs_schedule, get_scheduler
+from repro.core.splitting import InfeasibleTemplateError, SplitReport, make_feasible
+from repro.core.transfers import schedule_transfers
 from repro.gpusim import DeviceGroup, HostSystem
 from repro.obs import Span, Tracer
 
@@ -43,7 +47,6 @@ from .runtime import (
     execute_multi_plan,
     simulate_multi_plan,
 )
-from .transfers import schedule_multi_transfers
 
 
 @dataclass
@@ -75,15 +78,6 @@ class MultiCompiledTemplate:
             partition=partition_summary(self.graph, self.partition),
         )
         return s
-
-
-def _max_op_footprint(graph: OperatorGraph) -> int:
-    """Largest single-operator working set (distinct inputs + outputs)."""
-    worst = 0
-    for op in graph.ops.values():
-        names = dict.fromkeys(list(op.inputs) + list(op.outputs))
-        worst = max(worst, sum(graph.data[d].size for d in names))
-    return worst
 
 
 def compile_multi(
@@ -126,9 +120,6 @@ def compile_multi(
     n = len(group)
     caps = group.usable_memory_floats
     cap_min = min(caps)
-    # The multi-device eviction set omits the single-device-only "cost"
-    # refinement; fall back to the Belady rule it refines.
-    policy = "belady" if opts.eviction_policy == "cost" else opts.eviction_policy
     tracer = Tracer()
     with tracer.span(
         "compile_multi",
@@ -143,34 +134,44 @@ def compile_multi(
         report = SplitReport()
         with tracer.span("splitting", devices=n) as sp:
             if opts.split:
-                split_cap = cap_min
-                if n > 1:
-                    split_cap = min(
-                        cap_min, max(1, _max_op_footprint(graph) // n)
-                    )
+                # With one device this is min(cap_min, max footprint),
+                # which splits exactly what ``cap_min`` splits.
+                split_cap = min(cap_min, max(1, graph.max_footprint() // n))
                 try:
                     report = make_feasible(graph, split_cap)
-                except Exception:
+                except InfeasibleTemplateError:
                     # Finer-than-necessary split infeasible (halo floors,
                     # minimum rows): fall back to the plain capacity split.
                     graph = template.copy()
                     report = make_feasible(graph, cap_min)
             sp.set(split_ops=len(report.split_ops), ops_after=len(graph.ops))
+        with tracer.span("lowering", devices=n) as sp:
+            col = lower(graph)
+            sp.set(ops=col.n_ops, data=col.n_data)
         with tracer.span("operator_scheduling", scheduler=opts.scheduler) as sp:
-            op_order = get_scheduler(opts.scheduler)(graph)
+            scheduler = get_scheduler(opts.scheduler)
+            if scheduler in (dfs_schedule, dfs_naive_schedule):
+                op_order = scheduler(graph, col)
+            else:
+                op_order = scheduler(graph)  # greedy/bfs/topo read the graph
             sp.set(ops=len(op_order))
         with tracer.span("partition", devices=n) as sp:
             part = partition_graph(graph, op_order, group, host)
             sp.set(imbalance=part.imbalance)
+        policy = opts.eviction_policy
         with tracer.span("transfer_scheduling", policy=policy) as sp:
-            plan = schedule_multi_transfers(
+            plan = schedule_transfers(
                 graph,
                 op_order,
-                group,
-                part,
+                caps,
                 policy=policy,
                 eager_free=opts.eager_free,
+                col=col,
+                op_device=[part.assignment[o] for o in col.op_names],
                 transfer_mode=transfer_mode,
+            )
+            plan.label = f"multigpu:{n}dev+{policy}+{transfer_mode}+" + (
+                "eager" if opts.eager_free else "lazy"
             )
             sp.set(
                 steps=len(plan.steps),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import CompileOptions, Framework
+from repro.core import CompileOptions, Framework, schedule_transfers
 from repro.core.plan import Free, Launch, PeerCopy, PlanError, validate_plan
 from repro.core.scheduling import dfs_schedule, row_band
 from repro.core.serialize import plan_from_dict, plan_to_dict
@@ -31,7 +31,6 @@ from repro.multigpu import (
     execute_multi,
     execute_multi_plan,
     partition_graph,
-    schedule_multi_transfers,
     simulate_multi,
     simulate_multi_plan,
 )
@@ -54,6 +53,14 @@ DEV = GpuDevice(name="mg-dev", memory_bytes=256 * KB)
 def _edge():
     g = find_edges_graph(48, 40, 5, 4)
     return g, find_edges_inputs(48, 40, 5, 4, seed=9)
+
+
+def group_plan(g, order, group, part, *, capacities=None, **kw):
+    """Plan a device group with the one transfer scheduler."""
+    return schedule_transfers(
+        g, order, capacities or group.usable_memory_floats,
+        op_device=[part.device_of(o) for o in g.ops], **kw,
+    )
 
 
 class TestDeviceGroup:
@@ -128,14 +135,14 @@ class TestScheduler:
 
     def test_peer_mode_emits_peer_copies(self):
         g, order, group, part = self._parts(2)
-        plan = schedule_multi_transfers(g, order, group, part)
+        plan = group_plan(g, order, group, part)
         assert plan.num_devices == 2
         assert len(plan.devices) == len(plan.steps)
         validate_plan(plan, g, group.usable_memory_floats)
 
     def test_staged_mode_never_peers(self):
         g, order, group, part = self._parts(2)
-        plan = schedule_multi_transfers(
+        plan = group_plan(
             g, order, group, part, transfer_mode="staged"
         )
         assert not any(isinstance(s, PeerCopy) for s in plan.steps)
@@ -143,8 +150,8 @@ class TestScheduler:
 
     def test_peer_floats_accounting(self):
         g, order, group, part = self._parts(2)
-        peer = schedule_multi_transfers(g, order, group, part)
-        staged = schedule_multi_transfers(
+        peer = group_plan(g, order, group, part)
+        staged = group_plan(
             g, order, group, part, transfer_mode="staged"
         )
         if any(isinstance(s, PeerCopy) for s in peer.steps):
@@ -154,21 +161,15 @@ class TestScheduler:
 
     def test_rejects_unknown_policy_and_mode(self):
         g, order, group, part = self._parts(2)
-        from repro.multigpu import MultiTransferScheduler
-
         with pytest.raises(ValueError):
-            MultiTransferScheduler(g, group, part, policy="magic")
+            group_plan(g, order, group, part, policy="magic")
         with pytest.raises(ValueError):
-            MultiTransferScheduler(g, group, part, transfer_mode="wires")
+            group_plan(g, order, group, part, transfer_mode="wires")
 
     def test_capacity_overflow_raises(self):
         g, order, group, part = self._parts(2)
-        from repro.multigpu import MultiTransferScheduler
-
         with pytest.raises(PlanError):
-            MultiTransferScheduler(
-                g, group, part, capacities=[64, 64]
-            ).schedule(order)
+            group_plan(g, order, group, part, capacities=[64, 64])
 
 
 class TestSerialization:
@@ -177,7 +178,7 @@ class TestSerialization:
         order = dfs_schedule(g)
         group = homogeneous_group(DEV, 2)
         part = partition_graph(g, order, group)
-        plan = schedule_multi_transfers(g, order, group, part)
+        plan = group_plan(g, order, group, part)
         raw = plan_to_dict(plan)
         back = plan_from_dict(raw)
         assert back.devices == plan.devices
@@ -191,7 +192,7 @@ class TestSerialization:
         order = dfs_schedule(g)
         group = homogeneous_group(DEV, 2)
         part = partition_graph(g, order, group)
-        plan = schedule_multi_transfers(g, order, group, part)
+        plan = group_plan(g, order, group, part)
         plan.devices.append(0)
         with pytest.raises(PlanError):
             validate_plan(plan, g, group.usable_memory_floats)

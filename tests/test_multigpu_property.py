@@ -1,5 +1,8 @@
 """Hypothesis property tests for the multi-GPU partitioner and scheduler.
 
+The scheduler is ``repro.core.transfers.schedule_transfers`` given the
+partition as a device column and one capacity per device.
+
 Three families of invariants over random layered graphs, device counts,
 policies and transfer modes:
 
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import schedule_transfers
 from repro.core.plan import (
     CopyToCPU,
     CopyToGPU,
@@ -29,11 +33,7 @@ from repro.core.plan import (
 )
 from repro.core.scheduling import dfs_schedule
 from repro.gpusim import GpuDevice, homogeneous_group
-from repro.multigpu import (
-    MultiTransferScheduler,
-    partition_graph,
-    schedule_multi_transfers,
-)
+from repro.multigpu import partition_graph
 from repro.gpusim import CostModel
 from repro.multigpu.partition import modeled_op_cost
 
@@ -66,6 +66,14 @@ def _setup(seed: int, n: int, *, headroom: float = 2.0):
     order = dfs_schedule(graph)
     part = partition_graph(graph, order, group)
     return graph, group, order, part
+
+
+def _schedule(graph, order, group, part, **kw) -> ExecutionPlan:
+    """Plan a device group: the partition as an op-id-indexed column."""
+    return schedule_transfers(
+        graph, order, group.usable_memory_floats,
+        op_device=[part.device_of(o) for o in graph.ops], **kw,
+    )
 
 
 def _replay(plan: ExecutionPlan, graph, num_devices: int) -> list[int]:
@@ -148,7 +156,7 @@ class TestResidency:
     @given(seed=graph_seeds, n=device_counts, policy=policies, mode=modes)
     def test_replay_and_validate(self, seed, n, policy, mode):
         graph, group, order, part = _setup(seed, n)
-        plan = schedule_multi_transfers(
+        plan = _schedule(
             graph, order, group, part, policy=policy, transfer_mode=mode
         )
         caps = group.usable_memory_floats
@@ -165,9 +173,7 @@ class TestResidency:
     @given(seed=graph_seeds, n=st.integers(min_value=2, max_value=4))
     def test_lazy_free_still_valid(self, seed, n):
         graph, group, order, part = _setup(seed, n)
-        plan = schedule_multi_transfers(
-            graph, order, group, part, eager_free=False
-        )
+        plan = _schedule(graph, order, group, part, eager_free=False)
         validate_plan(plan, graph, group.usable_memory_floats)
         _replay(plan, graph, n)
 
@@ -234,10 +240,10 @@ class TestBelady:
     def test_never_evicts_next_used(self, seed, n, mode, headroom):
         """Random graphs: tight headroom forces occasional evictions."""
         graph, group, order, part = _setup(seed, n, headroom=headroom)
-        sched = MultiTransferScheduler(
-            graph, group, part, policy="belady", transfer_mode=mode
+        plan = _schedule(
+            graph, order, group, part, policy="belady", transfer_mode=mode
         )
-        _check_belady(sched.schedule(order), graph, part, n)
+        _check_belady(plan, graph, part, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_under_heavy_pressure(self, n):
@@ -254,7 +260,7 @@ class TestBelady:
         group = homogeneous_group(dev, n)
         order = dfs_schedule(graph)
         part = partition_graph(graph, order, group)
-        plan = schedule_multi_transfers(graph, order, group, part)
+        plan = _schedule(graph, order, group, part)
         validate_plan(plan, graph, group.usable_memory_floats)
         checked = _check_belady(plan, graph, part, n)
         assert checked > 0, "expected real eviction pressure in this config"

@@ -141,7 +141,7 @@ class TestGeneralProperties:
         """A repeated operator has the right *set* but is not a cover."""
         from repro.core import PBScheduler
         from repro.gpusim import GpuDevice, homogeneous_group
-        from repro.multigpu import partition_graph, schedule_multi_transfers
+        from repro.multigpu import partition_graph
 
         g = find_edges_graph(32, 32, 5, 4)
         order = dfs_schedule(g)
@@ -149,8 +149,9 @@ class TestGeneralProperties:
         group = homogeneous_group(GpuDevice(name="dup", memory_bytes=2**24), 2)
         calls = {
             "core": lambda: schedule_transfers(g, dup, 10**9),
-            "multi_transfers": lambda: schedule_multi_transfers(
-                g, dup, group, partition_graph(g, order, group)
+            "multi_transfers": lambda: schedule_transfers(
+                g, dup, group.usable_memory_floats,
+                op_device=[1] * len(g.ops),
             ),
             "partition": lambda: partition_graph(g, dup, group),
             "pb_fixed_order": lambda: PBScheduler(g, 10**9, fixed_order=dup),
