@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.core.baseline import baseline_transfer_floats
 from repro.core.graph import OperatorGraph
 from repro.gpusim import CostModel, GpuDevice, HostSystem
-from repro.ops import get_impl
+from repro.ops import launch_cost
 
 
 def io_lower_bound_floats(graph: OperatorGraph) -> int:
@@ -53,9 +53,9 @@ def best_possible(
     flops = 0.0
     bytes_accessed = 0.0
     for op in graph.ops.values():
-        impl = get_impl(op.kind)
-        flops += impl.flops(op, graph)
-        bytes_accessed += impl.bytes_accessed(op, graph)
+        op_flops, op_bytes = launch_cost(op, graph)
+        flops += op_flops
+        bytes_accessed += op_bytes
     compute = cost.kernel_time(flops, bytes_accessed)
     return BestPossible(
         time=transfer + compute,

@@ -21,7 +21,7 @@ from repro.core.graph import OperatorGraph, op_out_specs, op_slots
 from repro.core.plan import CopyToCPU, CopyToGPU, ExecutionPlan, Free, Launch
 from repro.core.splitting import chunk_range, chunks_of
 from repro.gpusim import GpuDevice
-from repro.ops import get_impl
+from repro.ops import launch_cost
 
 _CODEGEN_PARAM_KEYS = (
     "mode",
@@ -103,7 +103,7 @@ def generate_python(
             w.write(f"    rt.free({step.data!r})\n")
         elif isinstance(step, Launch):
             op = graph.ops[step.op]
-            impl = get_impl(op.kind)
+            flops, bytes_accessed = launch_cost(op, graph)
             in_specs = [
                 (s.rows, _chunk_refs(graph, s.chunks))
                 for s in op_slots(op, graph)
@@ -121,8 +121,7 @@ def generate_python(
                 f"{_literal_params(op)!r},\n"
                 f"            {in_specs!r},\n"
                 f"            {out_specs!r},\n"
-                f"            flops={impl.flops(op, graph)!r}, "
-                f"bytes_accessed={impl.bytes_accessed(op, graph)!r})\n"
+                f"            flops={flops!r}, bytes_accessed={bytes_accessed!r})\n"
             )
     # Stitch chunked template outputs back together.
     for name, ds in graph.data.items():

@@ -216,14 +216,17 @@ class OperatorGraph:
     **Mutator contract.**  Change a graph only through its mutators
     (``add_*`` / ``remove_*`` / :meth:`set_op_io` / :meth:`mark_output` /
     assigning :attr:`name`).  Each of them drops what the graph has
-    derived from its content: the adjacency and chunk indexes, and the
+    derived from its content: the adjacency and chunk indexes, the
     memoised structural fingerprint that every plan-cache, single-flight,
     batch and shard-routing key is composed from
-    (:func:`repro.core.plancache.graph_fingerprint`).  Code that writes
-    around them — a ``DataStructure`` field, an ``Operator.params`` key,
-    the ``data`` / ``ops`` tables themselves — must call
-    :meth:`invalidate_caches` before the graph is next keyed; otherwise
-    the stale fingerprint serves the *old* graph's plan from the cache.
+    (:func:`repro.core.plancache.graph_fingerprint`), and the per-operator
+    launch costs every plan interpreter reads
+    (:func:`repro.ops.launch_cost`).  Code that writes around them — a
+    ``DataStructure`` field, an ``Operator.params`` key, the ``data`` /
+    ``ops`` tables themselves — must call :meth:`invalidate_caches`
+    before the graph is next keyed or walked; otherwise the stale
+    fingerprint serves the *old* graph's plan from the cache, and the
+    stale costs time the old graph's kernels.
     """
 
     def __init__(self, name: str = "template") -> None:
@@ -238,6 +241,8 @@ class OperatorGraph:
         self._succs: dict[str, list[str]] | None = None
         self._sorted_chunks: dict[str, tuple[list[str], list[int], list[int]]] = {}
         self._fingerprint: str | None = None
+        # op name -> (flops, bytes_accessed); filled by repro.ops.launch_cost
+        self._launch_costs: dict[str, tuple[float, float]] | None = None
 
     @property
     def name(self) -> str:
@@ -247,6 +252,7 @@ class OperatorGraph:
     def name(self, value: str) -> None:
         self._name = value
         self._fingerprint = None  # the name is part of the serialized graph
+        self._launch_costs = None
 
     def __getstate__(self) -> dict[str, Any]:
         """Pickle the tables and the fingerprint, not the derived indexes:
@@ -274,8 +280,8 @@ class OperatorGraph:
 
     def invalidate_caches(self) -> None:
         """Drop everything derived from the graph's content (adjacency,
-        chunk indexes, fingerprint) after a change the mutators did not
-        see."""
+        chunk indexes, fingerprint, launch costs) after a change the
+        mutators did not see."""
         self._invalidate_adjacency()
         self._invalidate_chunks()
 
@@ -284,12 +290,14 @@ class OperatorGraph:
         self._preds = None
         self._succs = None
         self._fingerprint = None
+        self._launch_costs = None
 
     def _invalidate_chunks(self) -> None:
         """Chunk structure changed (add/remove data, ``virtual`` flip)."""
         if self._sorted_chunks:
             self._sorted_chunks = {}
         self._fingerprint = None
+        self._launch_costs = None
 
     def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         if self._preds is None:
@@ -378,6 +386,7 @@ class OperatorGraph:
         host at the end of the plan)."""
         self.data[name].is_output = is_output
         self._fingerprint = None  # no index depends on the flag
+        self._launch_costs = None
 
     def remove_operator(self, name: str) -> Operator:
         op = self.ops.pop(name)

@@ -31,7 +31,7 @@ from typing import Sequence
 from repro.core.graph import OperatorGraph
 from repro.core.scheduling import row_band
 from repro.gpusim import FLOAT_BYTES, CostModel, DeviceGroup
-from repro.ops import get_impl
+from repro.ops import launch_cost
 
 
 @dataclass
@@ -62,9 +62,7 @@ def modeled_op_cost(
     graph: OperatorGraph, op_name: str, cost: CostModel
 ) -> float:
     """Roofline kernel seconds for one operator on the model's device."""
-    op = graph.ops[op_name]
-    impl = get_impl(op.kind)
-    return cost.kernel_time(impl.flops(op, graph), impl.bytes_accessed(op, graph))
+    return cost.kernel_time(*launch_cost(graph.ops[op_name], graph))
 
 
 def _band_order(
@@ -113,31 +111,26 @@ def partition_graph(
     if len(op_order) != len(graph.ops) or set(op_order) != set(graph.ops):
         raise ValueError("op_order must cover exactly the graph's operators")
     n = len(group)
+    models = [CostModel(d, host) for d in group.devices]
     if n == 1:
-        costs = [
-            sum(
-                modeled_op_cost(graph, o, CostModel(group[0], host))
-                for o in op_order
-            )
-        ]
         return Partition(
             assignment={o: 0 for o in op_order},
             num_devices=1,
-            device_costs=costs,
+            device_costs=[sum(modeled_op_cost(graph, o, models[0]) for o in op_order)],
         )
 
     ordered = _band_order(graph, op_order)
-    # Heterogeneous groups: cost each op on the device currently being
-    # filled, so a slower device gets a proportionally smaller band.
-    models = [CostModel(d, host) for d in group.devices]
-    total = sum(modeled_op_cost(graph, o, models[0]) for o in ordered)
+    loads = [launch_cost(graph.ops[o], graph) for o in ordered]
+    total = sum(models[0].kernel_time(*load) for load in loads)
 
     assignment: dict[str, int] = {}
     device_costs = [0.0] * n
     dev = 0
     remaining = total
-    for i, op_name in enumerate(ordered):
-        c = modeled_op_cost(graph, op_name, models[dev])
+    for i, (op_name, load) in enumerate(zip(ordered, loads)):
+        # Heterogeneous groups: cost each op on the device currently being
+        # filled, so a slower device gets a proportionally smaller band.
+        c = models[dev].kernel_time(*load)
         devices_left = n - dev
         ideal = remaining / devices_left if devices_left else remaining
         ops_left = len(ordered) - i

@@ -6,7 +6,7 @@ this package populates the registry (see :mod:`repro.ops.base`).
 """
 
 from . import convolution, elementwise, fused, matmul, reduction, subsample  # noqa: F401
-from .base import OpImpl, get_impl, known_kinds, register
+from .base import OpImpl, get_impl, known_kinds, launch_cost, register
 from .convolution import Conv2D, conv2d_valid, same_padding
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "conv2d_valid",
     "get_impl",
     "known_kinds",
+    "launch_cost",
     "register",
     "same_padding",
 ]

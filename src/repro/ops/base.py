@@ -7,7 +7,8 @@ statically defined memory footprint plus, where needed, *splitting rules*
 
 * shape inference (static footprints),
 * a numpy reference execution (stands in for the CUDA kernels),
-* cost figures (flops / bytes for the simulator's roofline model),
+* cost figures (flops / bytes for the simulator's roofline model, read
+  through :func:`launch_cost`),
 * the splitting rule: for an output row range, which rows of each input
   are required (``None`` for inputs that must not be split, e.g. the
   convolution kernel matrix — Section 3.2 last paragraph).
@@ -156,3 +157,23 @@ def get_impl(kind: str) -> OpImpl:
 
 def known_kinds() -> list[str]:
     return sorted(_REGISTRY)
+
+
+def launch_cost(op: "Operator", graph: "OperatorGraph") -> tuple[float, float]:
+    """``(flops, bytes_accessed)`` of one launch of ``op`` in ``graph``.
+
+    Footprints are static, so a launch's cost is too: it is derived once
+    per operator and memoised on the graph (``_launch_costs``), which
+    drops the memo wherever it drops its fingerprint.  Every plan
+    interpreter reads costs here; :meth:`OpImpl.flops` and
+    :meth:`OpImpl.bytes_accessed` stay the per-kind definitions.
+    Concurrent readers of one graph fill an entry with the same value.
+    """
+    costs = graph._launch_costs
+    if costs is None:
+        costs = graph._launch_costs = {}
+    cost = costs.get(op.name)
+    if cost is None:
+        impl = get_impl(op.kind)
+        cost = costs[op.name] = (impl.flops(op, graph), impl.bytes_accessed(op, graph))
+    return cost

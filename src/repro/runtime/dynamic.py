@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core.graph import OperatorGraph, op_slots
 from repro.gpusim import FLOAT_BYTES, SimRuntime
-from repro.ops import get_impl
+from repro.ops import get_impl, launch_cost
 
 from .assemble import assemble_root, gather_slot, input_chunk_array, scatter_outputs
 from .executor import ExecutionResult
@@ -159,9 +159,7 @@ class DynamicExecutor:
                 )
 
             scatter_outputs(graph, op, results, put)
-            self.rt.launch(
-                op_name, impl.flops(op, graph), impl.bytes_accessed(op, graph)
-            )
+            self.rt.launch(op_name, *launch_cost(op, graph))
             # Reference counting: retire inputs whose last read this was.
             for d in ins:
                 self._refs[d] -= 1

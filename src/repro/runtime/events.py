@@ -61,7 +61,7 @@ from repro.core.plan import (
 )
 from repro.gpusim import FLOAT_BYTES, CostModel, GpuDevice, HostSystem
 from repro.gpusim.profiler import Event, EventKind, Profile
-from repro.ops import get_impl
+from repro.ops import get_impl, launch_cost
 
 from .assemble import assemble_root, gather_slot, input_chunk_array, scatter_outputs
 
@@ -250,10 +250,7 @@ def _build_event_graph(
             touched.setdefault(step.data, []).append(i)
         elif isinstance(step, Launch):
             op = graph.ops[step.op]
-            impl = get_impl(op.kind)
-            eg.durations[i] = cost.kernel_time(
-                impl.flops(op, graph), impl.bytes_accessed(op, graph)
-            )
+            eg.durations[i] = cost.kernel_time(*launch_cost(op, graph))
             d = [last_upload[x] for x in op.inputs if x in last_upload]
             if prev_launch is not None:
                 d.append(prev_launch)  # single in-order compute queue
@@ -587,7 +584,7 @@ def execute_plan_events(
             profile.record(
                 Event(
                     EventKind.KERNEL, step.op, start, end - start,
-                    int(impl.bytes_accessed(op, graph)),
+                    int(launch_cost(op, graph)[1]),
                 )
             )
         elif isinstance(step, Free):

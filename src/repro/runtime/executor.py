@@ -43,7 +43,7 @@ from repro.gpusim import (
 )
 from repro.gpusim.profiler import Event, EventKind, Profile
 from repro.obs.provenance import provenance_summary
-from repro.ops import get_impl
+from repro.ops import get_impl, launch_cost
 
 from .assemble import assemble_root, gather_slot, input_chunk_array, scatter_outputs
 
@@ -149,7 +149,7 @@ def execute_steps(
             impl = get_impl(op.kind)
             ins = [gather_slot(graph, s, rt.read_device) for s in op_slots(op, graph)]
             scatter_outputs(graph, op, impl.execute(op, ins), partial(put, rt))
-            rt.launch(step.op, impl.flops(op, graph), impl.bytes_accessed(op, graph))
+            rt.launch(step.op, *launch_cost(op, graph))
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown step {step!r}")
     return {
@@ -322,8 +322,7 @@ def simulate_steps(
             dt = 0.0
         elif isinstance(step, Launch):
             op = graph.ops[step.op]
-            impl = get_impl(op.kind)
-            dt = costs[dev].kernel_time(impl.flops(op, graph), impl.bytes_accessed(op, graph))
+            dt = costs[dev].kernel_time(*launch_cost(op, graph))
             clocks[dev] += dt
             compute_time += dt
             for d in op.outputs:

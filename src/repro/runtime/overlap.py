@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from repro.core.graph import OperatorGraph
 from repro.core.plan import CopyToCPU, CopyToGPU, ExecutionPlan, Launch
 from repro.gpusim import CostModel, GpuDevice, HostSystem
-from repro.ops import get_impl
+from repro.ops import launch_cost
 
 
 @dataclass
@@ -122,10 +122,7 @@ def simulate_plan_overlap(
             copy_steps.append(i)
         elif isinstance(step, Launch):
             op = graph.ops[step.op]
-            impl = get_impl(op.kind)
-            durations[i] = cost.kernel_time(
-                impl.flops(op, graph), impl.bytes_accessed(op, graph)
-            )
+            durations[i] = cost.kernel_time(*launch_cost(op, graph))
             d = [last_upload[x] for x in op.inputs if x in last_upload]
             if prev_launch is not None:
                 d.append(prev_launch)  # single in-order compute queue

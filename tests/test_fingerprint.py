@@ -3,7 +3,9 @@
 Three things are pinned here.  *Freshness*: after any sequence of graph
 mutators the key equals the key of a memo-less round trip of the graph
 (a hypothesis state machine; ``conftest._fresh_keys`` applies the same
-oracle to every key the plancache / framework / service suites compute).
+oracle to every key the plancache / framework / service suites compute),
+and so does every memoised launch cost, which is dropped wherever the
+fingerprint is.
 *Work*: a template is serialized once, however many keys, requests and
 processes it passes through — counted, not timed.  *Transport*: the
 fingerprint rides in the pickle and the derived indexes do not.
@@ -37,6 +39,7 @@ from repro.core import plancache
 from repro.core.plancache import graph_fingerprint
 from repro.core.splitting import InfeasibleTemplateError, make_feasible
 from repro.gpusim import TESLA_C870, XEON_WORKSTATION, GpuDevice
+from repro.ops import launch_cost
 from repro.service import ExecutionService, ServiceConfig, ServiceRequest
 from repro.service.ipc import (
     ROUTER_INTERNS,
@@ -51,17 +54,15 @@ OPTIONS = CompileOptions(split_headroom=1.0)
 SIDE = 48
 
 
-def memo_free_key(graph) -> str:
-    return plan_key(graph_from_dict(graph_to_dict(graph)), DEVICE, OPTIONS)
-
-
 # ---------------------------------------------------------------------------
 # Freshness
 # ---------------------------------------------------------------------------
 class GraphMachine(RuleBasedStateMachine):
-    """Random mutator sequences; the memo is warm before every step
-    (the invariant keys the graph), so a mutator that forgot to drop it
-    shows as a key that differs from the memo-less one."""
+    """Random mutator sequences; both memos are warm before every step
+    (the invariant keys the graph and costs every operator), so a
+    mutator that forgot to drop one shows as a key or a cost that
+    differs from the memo-less graph's, or as launch costs outliving
+    the fingerprint they were derived beside."""
 
     def __init__(self):
         super().__init__()
@@ -117,8 +118,14 @@ class GraphMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def set_op_io(self, data):
         op = self.g.ops[data.draw(st.sampled_from(self.added_leaves()))]
-        src = data.draw(st.sampled_from(self.planes(inputs_only=True)))
-        self.g.set_op_io(op.name, [src], op.outputs)
+        # one or two reads: a rewire that changes the operator's cost
+        srcs = data.draw(
+            st.lists(
+                st.sampled_from(self.planes(inputs_only=True)),
+                min_size=1, max_size=2, unique=True,
+            )
+        )
+        self.g.set_op_io(op.name, srcs, op.outputs)
 
     @precondition(lambda self: self.added_leaves())
     @rule(data=st.data())
@@ -158,8 +165,14 @@ class GraphMachine(RuleBasedStateMachine):
             pass  # a half-split graph must still key freshly
 
     @invariant()
-    def key_is_fresh(self):
-        assert plan_key(self.g, DEVICE, OPTIONS) == memo_free_key(self.g)
+    def memos_are_fresh(self):
+        # one invariant, so nothing re-warms the fingerprint first
+        if self.g._launch_costs is not None:
+            assert self.g._fingerprint is not None
+        fresh = graph_from_dict(graph_to_dict(self.g))  # memo-free
+        assert plan_key(self.g, DEVICE, OPTIONS) == plan_key(fresh, DEVICE, OPTIONS)
+        for name, op in self.g.ops.items():
+            assert launch_cost(op, self.g) == launch_cost(fresh.ops[name], fresh)
 
 
 GraphMachine.TestCase.settings = settings(

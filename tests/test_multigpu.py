@@ -7,6 +7,7 @@ coordinated runtime, the analytic simulator, the scaling report, the
 per-device Chrome-trace export, and the CLI surface.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -124,6 +125,45 @@ class TestPartition:
         g, _ = _edge()
         with pytest.raises(ValueError):
             partition_graph(g, ["nope"], homogeneous_group(DEV, 2))
+
+    # sha256 prefixes of (assignment, device_costs as float.hex), recorded
+    # while the partitioner still derived each operator's cost per read
+    PINNED = {
+        ("edge", 2, False): "bf897dd208c9be04",
+        ("edge", 2, True): "9678b7fbe0d18542",
+        ("edge", 4, False): "3c99d55cb288e466",
+        ("edge", 4, True): "3034518f3452ca30",
+        ("small-cnn", 2, False): "cb7e6eb64ee6fb3b",
+        ("small-cnn", 2, True): "d277e7d9b88b6237",
+        ("small-cnn", 4, False): "34b0f73cc4f92ff0",
+        ("small-cnn", 4, True): "a255dcf9e8bdce00",
+        ("pyramid", 2, False): "b450c189d1606043",
+        ("pyramid", 2, True): "1d9381ef74ca8fae",
+        ("pyramid", 4, False): "cf34f2ecc4711a0d",
+        ("pyramid", 4, True): "069f93be75481127",
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED), ids=str)
+    def test_partition_is_pinned(self, case):
+        from repro.core.splitting import make_feasible
+
+        template, n, mixed = case
+        g = {
+            "edge": lambda: find_edges_graph(96, 80, 5, 4),
+            "small-cnn": lambda: cnn_graph(SMALL_CNN, 64, 48),
+            "pyramid": lambda: dog_pyramid_graph(96, 96, 3),
+        }[template]()
+        make_feasible(g, g.total_data_size() // 6)
+        # mixed: every device after the first is a slower part
+        slow = GpuDevice(
+            name="slow", memory_bytes=256 * KB, num_cores=32, internal_bandwidth=20e9
+        )
+        devices = (DEV,) + ((slow if mixed else DEV),) * (n - 1)
+        part = partition_graph(g, dfs_schedule(g), DeviceGroup(devices), XEON_WORKSTATION)
+        blob = json.dumps(
+            [list(part.assignment.items()), [c.hex() for c in part.device_costs]]
+        )
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == self.PINNED[case]
 
 
 class TestScheduler:
