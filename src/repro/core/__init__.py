@@ -87,10 +87,7 @@ from .splitting import (
     chunks_of,
     estimate_split,
     make_feasible,
-    partition_data,
     select_chunks,
-    split_combine,
-    split_operator,
 )
 from .transfers import schedule_transfers
 
@@ -153,7 +150,6 @@ __all__ = [
     "op_out_specs",
     "op_slots",
     "output_size",
-    "partition_data",
     "pb_joint_optimum",
     "pb_plan_or_heuristic",
     "pb_optimal_plan",
@@ -166,8 +162,6 @@ __all__ = [
     "schedule_transfers",
     "select_chunks",
     "slot_size",
-    "split_combine",
-    "split_operator",
     "topo_schedule",
     "validate_plan",
 ]

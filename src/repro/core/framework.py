@@ -211,13 +211,14 @@ class Framework:
             for h in candidates  # h > 1.0 only ever out of core
         ]
         footprint = template.max_footprint() if len(candidates) > 1 else 0
-        dedupe: dict[str, CompiledTemplate] | None = (
+        dedupe: dict[str, tuple[CompiledTemplate, dict[str, int]]] | None = (
             {} if sum(cap < footprint for cap in split_caps) > 1 else None
         )
         tracer = Tracer()
         best: CompiledTemplate | None = None
+        best_reasons: dict[str, int] = {}
         best_headroom = candidates[0]
-        unsplit: CompiledTemplate | None = None
+        unsplit: tuple[CompiledTemplate, dict[str, int]] | None = None
         with tracer.span(
             "compile",
             template=template.name,
@@ -234,19 +235,19 @@ class Framework:
                     tracer.event(
                         "candidate_dedupe", headroom=headroom, graph="unsplit"
                     )
-                    compiled = unsplit
+                    compiled, reasons = unsplit
                 else:
-                    compiled = self._compile_once(
+                    compiled, reasons = self._compile_once(
                         template, opts, capacity, split_cap, headroom, tracer,
                         dedupe if splits else None,
                     )
                     if not splits:
-                        unsplit = compiled
+                        unsplit = compiled, reasons
                 if best is None or (
                     compiled.transfer_floats(),
                     len(compiled.plan.launches()),
                 ) < (best.transfer_floats(), len(best.plan.launches())):
-                    best = compiled
+                    best, best_reasons = compiled, reasons
                     best_headroom = headroom
             assert best is not None
             root.set(
@@ -256,7 +257,7 @@ class Framework:
             )
         best.spans = sorted(tracer.spans, key=lambda s: s.start)
         best.metrics = self._compile_metrics(
-            best, len(candidates), tracer, cache=cache
+            best, len(candidates), tracer, best_reasons, cache=cache
         )
         if cache is not None and key is not None:
             cache.put(
@@ -350,8 +351,11 @@ class Framework:
         compiled: CompiledTemplate,
         candidates: int,
         tracer: Tracer,
+        reasons: dict[str, int],
         cache: PlanCache | None = None,
     ) -> dict[str, object]:
+        """The compile's metrics snapshot; ``reasons`` is the plan's
+        :func:`provenance_summary`, tallied once by the caller."""
         metrics = MetricsRegistry()
         if cache is not None:
             metrics.counter("plan_cache.hit")
@@ -368,7 +372,7 @@ class Framework:
         metrics.gauge("plan.peak_device_floats").set(
             compiled.peak_device_floats
         )
-        for reason, count in provenance_summary(compiled.plan).items():
+        for reason, count in reasons.items():
             metrics.counter(f"plan.reason.{reason}").inc(count)
         return metrics.snapshot()
 
@@ -380,12 +384,14 @@ class Framework:
         split_cap: int,
         headroom: float,
         tracer: Tracer,
-        dedupe: dict[str, CompiledTemplate] | None,
-    ) -> CompiledTemplate:
+        dedupe: dict[str, tuple[CompiledTemplate, dict[str, int]]] | None,
+    ) -> tuple[CompiledTemplate, dict[str, int]]:
         """One candidate: split a working copy to ``split_cap``, plan it.
 
-        ``dedupe`` (fingerprint -> result) is passed for candidates that
-        may split to the same graph as an earlier one.
+        Returns the result and its plan's provenance tally (counted once,
+        for the span here and the metrics of the winner).  ``dedupe``
+        (fingerprint -> both) is passed for candidates that may split to
+        the same graph as an earlier one.
         """
         graph = template.copy()
         with tracer.span("splitting", headroom=headroom) as sp:
@@ -438,10 +444,11 @@ class Framework:
                 eager_free=opts.eager_free,
                 col=col,
             )
+            reasons = provenance_summary(plan)
             sp.set(
                 steps=len(plan.steps),
                 transfer_floats=plan.transfer_floats(graph),
-                evictions=provenance_summary(plan).get("evicted", 0),
+                evictions=reasons.get("evicted", 0),
             )
         with tracer.span("validate", headroom=headroom) as sp:
             peak = validate_plan(plan, graph, capacity)
@@ -458,8 +465,8 @@ class Framework:
             fused_units=fused,
         )
         if dedupe is not None and fp is not None:
-            dedupe[fp] = compiled
-        return compiled
+            dedupe[fp] = compiled, reasons
+        return compiled, reasons
 
     def compile_incremental(
         self,
@@ -501,7 +508,9 @@ class Framework:
             peak_device_floats=peak,
         )
         compiled.spans = sorted(tracer.spans, key=lambda s: s.start)
-        compiled.metrics = self._compile_metrics(compiled, 1, tracer)
+        compiled.metrics = self._compile_metrics(
+            compiled, 1, tracer, provenance_summary(plan)
+        )
         return compiled
 
     # -- execution --------------------------------------------------------------

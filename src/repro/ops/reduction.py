@@ -5,7 +5,7 @@
 not data parallel" operators (Section 3.2): a row split cannot simply
 partition the output.  The splitter handles this kind specially — parts
 produce *partial* results over their row ranges and a generated combine
-operator merges them (see :func:`repro.core.splitting.split_operator`).
+operator merges them (see :func:`repro.core.splitting.make_feasible`).
 
 ``combine_partials`` is that generated merge step.
 """

@@ -8,6 +8,10 @@ is the gate that does not drift.  The pins here are exact:
   none; the first walk derives each launched operator once; every later
   walk of the same graph, through any plan interpreter, derives none;
   a mutator makes the next walk derive them again.
+* Splitting plans its cuts on row ranges and builds the result once:
+  one ``DataStructure`` per new datum, one ``Operator`` per new part,
+  no graph rewiring and one topological pass (the closing validation).
+* A compile tallies each candidate plan's provenance notes once.
 """
 
 from collections import Counter
@@ -16,8 +20,13 @@ import pytest
 
 from repro.analysis import best_possible
 from repro.codegen import generate_python
-from repro.core import Framework, PlanCache
+from repro.core import Framework, PlanCache, make_feasible
+from repro.core import framework as framework_module
+from repro.core import graph as graph_module
+from repro.core import splitting as splitting_module
+from repro.core.graph import DataStructure, Operator, OperatorGraph
 from repro.core.plan import Launch
+from repro.obs import provenance_summary
 from repro.gpusim import XEON_WORKSTATION, GpuDevice, SimRuntime, homogeneous_group
 from repro.multigpu import simulate_multi_plan
 from repro.ops import get_impl, known_kinds
@@ -117,3 +126,78 @@ class TestLaunchCostIsDerivedOncePerGraph:
         flops_calls.clear()
         simulate_plan(compiled.plan, graph, DEVICE, HOST)
         assert flops_calls == []
+
+
+@pytest.fixture
+def graph_work(monkeypatch):
+    """Counts of vertex constructions and graph mutator / traversal calls.
+
+    The graph and splitting modules build vertices from counting
+    subclasses; a vertex is counted at ``__new__``, so a construction
+    that skips ``__init__`` counts too.
+    """
+    counts: Counter = Counter()
+    for cls in (DataStructure, Operator):
+        def new(kind, *args, _name=cls.__name__, **kwargs):
+            counts[_name] += 1
+            return object.__new__(kind)
+
+        counting = type(cls.__name__, (cls,), {"__slots__": (), "__new__": new})
+        for module in (graph_module, splitting_module):
+            monkeypatch.setattr(module, cls.__name__, counting, raising=False)
+    for method in ("set_op_io", "remove_operator", "remove_data_bulk",
+                   "topological_order"):
+        real = getattr(OperatorGraph, method)
+
+        def counted(self, *args, _real=real, _method=method, **kwargs):
+            counts[_method] += 1
+            if _method == "topological_order":
+                counts["ops_ordered"] += len(self.ops)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(OperatorGraph, method, counted)
+    return counts
+
+
+class TestSplittingBuildsOnce:
+    def test_every_vertex_is_built_once_and_nothing_is_rewired(self, graph_work):
+        template = find_edges_graph(512, 512, 5, 4)
+        graph = template.copy()
+        graph_work.clear()
+        report = make_feasible(graph, DEVICE.usable_memory_floats // 2)
+        assert report.rounds >= 1 and len(report.split_ops) == len(template.ops)
+        new_data = [d for d in graph.data if d not in template.data]
+        new_ops = [o for o in graph.ops if o not in template.ops]
+        assert len(new_ops) > 500
+        assert graph_work["DataStructure"] == len(new_data)
+        assert graph_work["Operator"] == len(new_ops)
+        assert graph_work["set_op_io"] == 0
+        assert graph_work["remove_operator"] == 0
+        assert graph_work["remove_data_bulk"] == 0
+        # Round 0 orders the template's operators, the closing validation
+        # the split graph's; the round that finds nothing over capacity
+        # orders nothing.
+        assert graph_work["topological_order"] == 2
+        assert graph_work["ops_ordered"] == len(template.ops) + len(graph.ops)
+
+
+def test_a_compile_tallies_each_candidate_plan_once(monkeypatch):
+    calls = []
+
+    def tally(plan):
+        calls.append(plan)
+        return provenance_summary(plan)
+
+    monkeypatch.setattr(framework_module, "provenance_summary", tally)
+    template = find_edges_graph(96, 80, 5, 4)
+    compiled = Framework(DEVICE, host=HOST, plan_cache=PlanCache()).compile(template)
+    candidates = compiled.metrics["counters"]["compile.candidates"]
+    assert candidates > 1
+    assert len(calls) == len({id(plan) for plan in calls}) <= candidates
+    assert any(plan is compiled.plan for plan in calls)
+    reasons = {
+        key[len("plan.reason."):]: value
+        for key, value in compiled.metrics["counters"].items()
+        if key.startswith("plan.reason.")
+    }
+    assert reasons == provenance_summary(compiled.plan)

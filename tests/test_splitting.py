@@ -12,13 +12,13 @@ from repro.core import (
     chunks_of,
     estimate_split,
     make_feasible,
-    partition_data,
     select_chunks,
-    split_operator,
 )
 from repro.core.graph import op_slots
 from repro.runtime import reference_execute
 from repro.templates import find_edges_graph, find_edges_inputs
+
+from .reference_splitting import _split_reduction, partition_data, split_combine, split_operator
 
 rng = np.random.default_rng(7)
 
@@ -330,9 +330,6 @@ class TestTreeCombine:
         assert len(merges) > 1  # an actual tree, not a flat combine
 
     def test_split_combine_direct(self):
-        from repro.core import split_combine
-        from repro.core.splitting import _split_reduction
-
         g = self.build(H=64, W=4)
         _split_reduction(g, "r", 8)
         combine = next(o for o in g.ops if o.endswith(".combine"))
@@ -346,9 +343,6 @@ class TestTreeCombine:
         )
 
     def test_fan_in_below_two_rejected(self):
-        from repro.core import split_combine
-        from repro.core.splitting import _split_reduction
-
         g = self.build(H=64, W=4)
         _split_reduction(g, "r", 4)
         combine = next(o for o in g.ops if o.endswith(".combine"))
