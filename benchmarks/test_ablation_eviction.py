@@ -16,9 +16,9 @@ POLICIES = ("belady", "cost", "ltu", "lru", "fifo")
 
 
 def build_cases():
-    edge = find_edges_graph(1200, 1200, 16, 8)
+    edge = find_edges_graph(1200, 1200, 16, 8).copy()
     make_feasible(edge, 2_000_000)
-    cnn = cnn_graph(SMALL_CNN, 148, 148)
+    cnn = cnn_graph(SMALL_CNN, 148, 148).copy()
     make_feasible(cnn, 40_000)
     return [("edge 1200^2 8-orient", edge, 2_500_000), ("small CNN 148^2", cnn, 60_000)]
 

@@ -19,9 +19,9 @@ from repro.templates import SMALL_CNN, cnn_graph, find_edges_graph
 
 def build_cases():
     cap = GEFORCE_8800_GTX.usable_memory_floats // 64  # force out-of-core
-    edge = find_edges_graph(1500, 1500, 16, 4)
+    edge = find_edges_graph(1500, 1500, 16, 4).copy()
     make_feasible(edge, cap // 16)
-    cnn = cnn_graph(SMALL_CNN, 148, 148)
+    cnn = cnn_graph(SMALL_CNN, 148, 148).copy()
     make_feasible(cnn, 40_000)
     return [("edge 1500^2 (split)", edge, cap // 8), ("small CNN 148^2 (split)", cnn, 60_000)]
 

@@ -210,7 +210,7 @@ def _write_trace(args, compiled, profile=None, simulated_events=None) -> None:
 def _print_compile_stats(compiled) -> None:
     """Phase wall-time table + plan-cache counters (``--stats``)."""
     phases = [
-        "splitting", "offload_units", "lowering", "operator_scheduling",
+        "splitting", "lowering", "operator_scheduling",
         "transfer_scheduling", "validate", "partition",
         "fragment_compile", "stitch",
     ]

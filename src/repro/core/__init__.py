@@ -1,8 +1,8 @@
 """The framework's core compilation pipeline (the paper's contribution).
 
-Operator-graph IR, operator splitting, offload-unit identification,
-operator scheduling, data-transfer scheduling, the exact Pseudo-Boolean
-formulation, and the end-to-end Framework driver.
+Operator-graph IR, operator splitting, operator scheduling, data-transfer
+scheduling, the exact Pseudo-Boolean formulation, and the end-to-end
+Framework driver.
 """
 
 from .baseline import baseline_plan, baseline_transfer_floats
@@ -32,7 +32,6 @@ from .incremental import (
     fragment_key,
     graph_fragments,
 )
-from .offload import identify_offload_units
 from .plancache import (
     CachedPlan,
     PlanCache,
@@ -142,7 +141,6 @@ __all__ = [
     "estimate_split",
     "get_scheduler",
     "greedy_schedule",
-    "identify_offload_units",
     "linear_extensions",
     "load_plan",
     "lower",

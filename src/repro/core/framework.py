@@ -4,7 +4,7 @@ Ties the compilation steps together exactly as the paper's flow diagram:
 
     domain-specific template (operator graph)
       -> operator splitting             (satisfy GPU memory constraints)
-      -> offload-unit identification    (one operator per unit by default)
+      -> offload units                  (one operator per unit: no pass)
       -> offload + data transfer scheduling
       -> execution plan
       -> code generation / plan execution
@@ -35,7 +35,6 @@ from repro.runtime.executor import (
 from .baseline import baseline_plan
 from .columnar import lower
 from .graph import OperatorGraph
-from .offload import identify_offload_units
 from .plan import ExecutionPlan, validate_plan
 from .plancache import (
     CachedPlan,
@@ -69,9 +68,6 @@ class CompileOptions:
     #: volume (streaming pipelines prefer finer splits, reuse-heavy
     #: graphs like CNNs prefer minimal ones).
     split_headroom: float | str = "auto"
-    #: fuse chains of operators into coarser offload units (Section 3.1
-    #: discusses the trade-off; the paper itself uses one op per unit)
-    fuse_offload_units: bool = False
 
     def headroom_candidates(self) -> tuple[float, ...]:
         if self.split_headroom == "auto":
@@ -83,7 +79,7 @@ class CompileOptions:
 class CompiledTemplate:
     """Result of compiling one template for one device."""
 
-    graph: OperatorGraph  # the (possibly split) working graph
+    graph: OperatorGraph  # the (possibly split) working graph, frozen
     plan: ExecutionPlan
     op_order: list[str]
     split_report: SplitReport
@@ -91,7 +87,6 @@ class CompiledTemplate:
     host: HostSystem | None
     options: CompileOptions
     peak_device_floats: int = 0
-    fused_units: int = 0
     #: wall-clock trace spans of every compilation phase (repro.obs)
     spans: list[Span] = field(default_factory=list)
     #: metrics snapshot of the compilation (plan gauges, reason counters)
@@ -268,7 +263,6 @@ class Framework:
                     op_order=list(best.op_order),
                     split_report=best.split_report,
                     peak_device_floats=best.peak_device_floats,
-                    fused_units=best.fused_units,
                     metrics=best.metrics,
                 ),
             )
@@ -288,7 +282,8 @@ class Framework:
         """Rehydrate a cache hit as a fresh :class:`CompiledTemplate`.
 
         The graph/plan/split-report objects are shared with the cache
-        entry (the executors only read them); the op-order list is copied
+        entry (the graph is frozen, the executors only read the rest); the
+        op-order list is copied
         because callers may reorder it.  The compile-metrics snapshot is
         reused from fill time with the cache counters and wall time
         overlaid, so a warm compile never re-walks the plan.
@@ -311,7 +306,6 @@ class Framework:
             host=self.host,
             options=opts if opts is not None else self.options,
             peak_device_floats=entry.peak_device_floats,
-            fused_units=entry.fused_units,
         )
         compiled.spans = sorted(tracer.spans, key=lambda s: s.start)
         compiled.metrics = self._cache_hit_metrics(
@@ -386,7 +380,8 @@ class Framework:
         tracer: Tracer,
         dedupe: dict[str, tuple[CompiledTemplate, dict[str, int]]] | None,
     ) -> tuple[CompiledTemplate, dict[str, int]]:
-        """One candidate: split a working copy to ``split_cap``, plan it.
+        """One candidate: split a working copy to ``split_cap``, freeze
+        it, plan it.
 
         Returns the result and its plan's provenance tally (counted once,
         for the span here and the metrics of the winner).  ``dedupe``
@@ -404,6 +399,7 @@ class Framework:
                 rounds=report.rounds,
                 ops_after=len(graph.ops),
             )
+        graph.freeze()
         fp: str | None = None
         if dedupe is not None:
             # Candidates that split to the same graph would schedule
@@ -416,11 +412,6 @@ class Framework:
                     "candidate_dedupe", headroom=headroom, graph=fp[:16]
                 )
                 return prior
-        fused = 0
-        with tracer.span("offload_units", headroom=headroom) as sp:
-            if opts.fuse_offload_units:
-                fused = identify_offload_units(graph, capacity)
-            sp.set(fused_units=fused)
         with tracer.span("lowering", headroom=headroom) as sp:
             col = lower(graph)
             sp.set(ops=col.n_ops, data=col.n_data)
@@ -462,7 +453,6 @@ class Framework:
             host=self.host,
             options=opts,
             peak_device_floats=peak,
-            fused_units=fused,
         )
         if dedupe is not None and fp is not None:
             dedupe[fp] = compiled, reasons

@@ -150,9 +150,9 @@ def output_size(op: "Operator", graph: "OperatorGraph") -> int:
 # ---------------------------------------------------------------------------
 # The one definition of "copy a graph vertex", shared by
 # :meth:`OperatorGraph.copy` and fragment extraction.  It relies on the
-# mutation discipline in DESIGN.md: passes rebind ``op.params`` keys and
-# ``Slot``/``OutSpec`` fields, they never mutate a param value reachable
-# from another graph.
+# freeze rule in DESIGN.md: the splitter rebinds ``op.params`` keys and
+# ``Slot``/``OutSpec`` fields of its own copy, it never mutates a param
+# value reachable from another graph.
 _ATOMS = frozenset({str, int, float, bool, type(None), bytes, complex})
 
 
@@ -208,35 +208,39 @@ class GraphError(ValueError):
 
 
 class OperatorGraph:
-    """A mutable parallel-operator-graph with dependency indexes.
+    """A parallel-operator-graph with dependency indexes: a value once
+    built.
 
     Insertion order is preserved and used as the deterministic tiebreak
     in every traversal, so compilation is reproducible.
 
-    **Mutator contract.**  Change a graph only through its mutators
-    (``add_*`` / ``remove_*`` / :meth:`set_op_io` / :meth:`mark_output` /
-    assigning :attr:`name`).  Each of them drops what the graph has
-    derived from its content: the adjacency and chunk indexes, the
-    memoised structural fingerprint that every plan-cache, single-flight,
-    batch and shard-routing key is composed from
-    (:func:`repro.core.plancache.graph_fingerprint`), and the per-operator
-    launch costs every plan interpreter reads
-    (:func:`repro.ops.launch_cost`).  Code that writes around them — a
-    ``DataStructure`` field, an ``Operator.params`` key, the ``data`` /
-    ``ops`` tables themselves — must call :meth:`invalidate_caches`
-    before the graph is next keyed or walked; otherwise the stale
-    fingerprint serves the *old* graph's plan from the cache, and the
-    stale costs time the old graph's kernels.
+    **Freeze rule.**  A graph is append-only (:meth:`add_data`,
+    :meth:`add_operator`, :meth:`mark_output`) until :meth:`freeze`, and
+    read-only after: every mutator then raises :class:`GraphError`, and
+    :meth:`copy` is the edit path.  Template factories,
+    :func:`~repro.core.serialize.graph_from_dict` and the compile
+    pipeline (after splitting) freeze what they hand out, and every
+    plan-cache entry holds a frozen graph.  What the graph derives from
+    its content is memoised on it: the adjacency and chunk indexes, the
+    structural fingerprint every plan-cache, single-flight, batch and
+    shard-routing key is composed from
+    (:func:`repro.core.plancache.graph_fingerprint`), and the
+    per-operator launch costs every plan interpreter reads
+    (:func:`repro.ops.launch_cost`).  A mutator drops them all before it
+    edits; on a frozen graph each is written once.  Writing around the
+    mutators (a ``DataStructure`` field, an ``Operator.params`` key)
+    is not an edit path.
     """
 
     def __init__(self, name: str = "template") -> None:
         self._name = name
+        self._frozen = False
         self.data: dict[str, DataStructure] = {}
         self.ops: dict[str, Operator] = {}
         self.producer: dict[str, str] = {}  # data -> producing op
         self.consumers: dict[str, list[str]] = {}  # data -> consuming ops
         self.children: dict[str, list[str]] = {}  # root -> chunk names
-        # Derived from the tables above, dropped on any mutation.
+        # Derived from the tables above (see the freeze rule).
         self._preds: dict[str, list[str]] | None = None
         self._succs: dict[str, list[str]] | None = None
         self._sorted_chunks: dict[str, tuple[list[str], list[int], list[int]]] = {}
@@ -248,56 +252,41 @@ class OperatorGraph:
     def name(self) -> str:
         return self._name
 
-    @name.setter
-    def name(self, value: str) -> None:
-        self._name = value
-        self._fingerprint = None  # the name is part of the serialized graph
-        self._launch_costs = None
+    @property
+    def frozen(self) -> bool:
+        return self._frozen
 
-    def __getstate__(self) -> dict[str, Any]:
-        """Pickle the tables and the fingerprint, not the derived indexes:
-        those are rebuilt lazily, the fingerprint costs a full
-        serialization to recompute — a shard must not re-hash what the
-        router hashed."""
-        return {
-            "name": self._name,
-            "data": self.data,
-            "ops": self.ops,
-            "producer": self.producer,
-            "consumers": self.consumers,
-            "children": self.children,
-            "fingerprint": self._fingerprint,
-        }
+    def freeze(self) -> "OperatorGraph":
+        """Make the graph read-only (O(1)); returns it."""
+        self._frozen = True
+        return self
 
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.__init__(state["name"])  # type: ignore[misc]
-        self.data = state["data"]
-        self.ops = state["ops"]
-        self.producer = state["producer"]
-        self.consumers = state["consumers"]
-        self.children = state["children"]
-        self._fingerprint = state["fingerprint"]
-
-    def invalidate_caches(self) -> None:
-        """Drop everything derived from the graph's content (adjacency,
-        chunk indexes, fingerprint, launch costs) after a change the
-        mutators did not see."""
-        self._invalidate_adjacency()
-        self._invalidate_chunks()
-
-    def _invalidate_adjacency(self) -> None:
-        """Operator wiring changed (add/remove operator, set_op_io)."""
-        self._preds = None
-        self._succs = None
-        self._fingerprint = None
-        self._launch_costs = None
-
-    def _invalidate_chunks(self) -> None:
-        """Chunk structure changed (add/remove data, ``virtual`` flip)."""
+    def _begin_edit(self) -> None:
+        """Every mutator's guard: refuse a frozen graph, else drop what
+        was derived from the content."""
+        if self._frozen:
+            raise GraphError(f"graph {self._name!r} is frozen; edit a copy()")
+        self._preds = self._succs = None
         if self._sorted_chunks:
             self._sorted_chunks = {}
         self._fingerprint = None
         self._launch_costs = None
+
+    def __getstate__(self) -> tuple:
+        """Pickle the tables, the fingerprint and the freeze flag (a
+        tuple: no key strings on the shard pipe), not the derived
+        indexes: those are rebuilt lazily, the fingerprint costs a full
+        serialization to recompute — a shard must not re-hash what the
+        router hashed."""
+        return (
+            self._name, self.data, self.ops, self.producer, self.consumers,
+            self.children, self._fingerprint, self._frozen,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        self.__init__(state[0])  # type: ignore[misc]
+        (_, self.data, self.ops, self.producer, self.consumers,
+         self.children, self._fingerprint, self._frozen) = state
 
     def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         if self._preds is None:
@@ -332,6 +321,7 @@ class OperatorGraph:
         row_range: tuple[int, int] | None = None,
         virtual: bool = False,
     ) -> DataStructure:
+        self._begin_edit()
         if name in self.data:
             raise GraphError(f"duplicate data structure {name!r}")
         ds = DataStructure(
@@ -347,7 +337,6 @@ class OperatorGraph:
         self.consumers.setdefault(name, [])
         if parent is not None:
             self.children.setdefault(parent, []).append(name)
-        self._invalidate_chunks()
         return ds
 
     def add_operator(
@@ -358,6 +347,7 @@ class OperatorGraph:
         outputs: Iterable[str],
         **params: Any,
     ) -> Operator:
+        self._begin_edit()
         if name in self.ops:
             raise GraphError(f"duplicate operator {name!r}")
         op = Operator(name, kind, tuple(inputs), tuple(outputs), params)
@@ -378,119 +368,13 @@ class OperatorGraph:
             self.producer[d] = name
         for d in op.inputs:
             self.consumers[d].append(name)
-        self._invalidate_adjacency()
         return op
 
     def mark_output(self, name: str, is_output: bool = True) -> None:
         """Set whether ``name`` is a template output (copied back to the
         host at the end of the plan)."""
+        self._begin_edit()
         self.data[name].is_output = is_output
-        self._fingerprint = None  # no index depends on the flag
-        self._launch_costs = None
-
-    def remove_operator(self, name: str) -> Operator:
-        op = self.ops.pop(name)
-        for d in op.outputs:
-            del self.producer[d]
-        for d in op.inputs:
-            self.consumers[d].remove(name)
-        self._invalidate_adjacency()
-        return op
-
-    def set_op_io(
-        self,
-        op_name: str,
-        inputs: Iterable[str],
-        outputs: Iterable[str],
-    ) -> None:
-        """Rewire an operator's inputs/outputs, keeping indexes consistent.
-
-        An input kept across the rewire whose datum has no producer (a
-        template input, e.g. a shared kernel) skips the remove+append
-        cycle on its consumers list: only producing operators observe
-        consumer order (through :meth:`op_successors`), and a shared
-        input's list can hold tens of thousands of split parts — one
-        O(n) removal per rewired part is quadratic in the part count.
-        """
-        op = self.ops[op_name]
-        old_in = op.inputs
-        new_in = tuple(dict.fromkeys(inputs))
-        old_counts: dict[str, int] = {}
-        for d in old_in:
-            old_counts[d] = old_counts.get(d, 0) + 1
-        stable = {
-            d
-            for d in new_in
-            if old_counts.get(d) == 1 and d not in self.producer
-        }
-        for d in op.outputs:
-            del self.producer[d]
-        for d in old_in:
-            if d not in stable:
-                self.consumers[d].remove(op_name)
-        new_out = tuple(dict.fromkeys(outputs))
-        for d in new_in:
-            if d not in self.data:
-                raise GraphError(f"set_op_io({op_name}): unknown input {d!r}")
-        for d in new_out:
-            if d not in self.data:
-                raise GraphError(f"set_op_io({op_name}): unknown output {d!r}")
-            if d in self.producer:
-                raise GraphError(
-                    f"set_op_io({op_name}): {d!r} already produced by "
-                    f"{self.producer[d]!r}"
-                )
-        op.inputs = new_in
-        op.outputs = new_out
-        for d in new_out:
-            self.producer[d] = op_name
-        for d in new_in:
-            if d not in stable:
-                self.consumers[d].append(op_name)
-        self._invalidate_adjacency()
-
-    def remove_data(self, name: str) -> DataStructure:
-        if name in self.producer:
-            raise GraphError(f"cannot remove {name!r}: produced by an operator")
-        if self.consumers.get(name):
-            raise GraphError(f"cannot remove {name!r}: still consumed")
-        self.consumers.pop(name, None)
-        ds = self.data.pop(name)
-        if ds.parent is not None:
-            self.children[ds.parent].remove(name)
-        self._invalidate_chunks()
-        return ds
-
-    def remove_data_bulk(self, names: Iterable[str]) -> None:
-        """Remove several (unproduced, unconsumed) data structures at once.
-
-        Equivalent to :meth:`remove_data` per name, but each shared
-        parent's chunk list is compacted in a single pass rather than
-        one O(P) scan per removal — the difference between linear and
-        quadratic retirement when repartitioning replaces thousands of
-        chunks of one root.
-        """
-        doomed: list[str] = []
-        for name in names:
-            if name in self.producer:
-                raise GraphError(
-                    f"cannot remove {name!r}: produced by an operator"
-                )
-            if self.consumers.get(name):
-                raise GraphError(f"cannot remove {name!r}: still consumed")
-            doomed.append(name)
-        if not doomed:
-            return
-        gone = set(doomed)
-        parents: dict[str, None] = {}
-        for name in doomed:
-            self.consumers.pop(name, None)
-            ds = self.data.pop(name)
-            if ds.parent is not None:
-                parents.setdefault(ds.parent)
-        for p in parents:
-            self.children[p] = [c for c in self.children[p] if c not in gone]
-        self._invalidate_chunks()
 
     # -- dependency structure -----------------------------------------------
     def op_predecessors(self, op_name: str) -> list[str]:
@@ -608,7 +492,7 @@ class OperatorGraph:
         )
 
     def copy(self, name: str | None = None) -> "OperatorGraph":
-        """Independent copy (passes mutate graphs; templates stay pristine).
+        """Independent, unfrozen copy: the edit path of a frozen graph.
 
         A structural clone, not ``copy.deepcopy``: vertices go through
         :func:`clone_data` / :func:`clone_operator`, the indexes are

@@ -109,6 +109,7 @@ def extract_fragment(
     duplicated into each fragment that reads them), with consumer lists
     filtered to fragment members and insertion order preserved — the
     extraction is deterministic, so the fragment's content hash is too.
+    The fragment is returned frozen.
     """
     opset = set(op_names)
     sub = OperatorGraph(name or f"{graph.name}::fragment")
@@ -141,8 +142,7 @@ def extract_fragment(
         sub.ops[o] = clone_operator(op)
         for d in op.outputs:
             sub.producer[d] = o
-    sub.invalidate_caches()  # the tables were filled around the mutators
-    return sub
+    return sub.freeze()
 
 
 def fragment_key(
@@ -250,7 +250,6 @@ def compile_incremental(
                 op_order=list(compiled.op_order),
                 split_report=compiled.split_report,
                 peak_device_floats=compiled.peak_device_floats,
-                fused_units=compiled.fused_units,
             )
             if cache is not None:
                 cache.put(key, entry)
@@ -290,9 +289,9 @@ def _stitch(
     (their earlier copy was freed in that fragment's drain).
 
     Data structures, operators and plan steps are *shared* with the
-    cache entries rather than copied — the same read-only discipline as
-    :meth:`Framework._compile_from_cache` — so stitching stays cheap
-    (proportional to step count, not a deep copy of 100k-op graphs).
+    cache entries rather than copied — their graphs are frozen, and so
+    is the stitched one — so stitching stays cheap (proportional to step
+    count, not a deep copy of 100k-op graphs).
     """
     g = OperatorGraph(template.name)
     steps: list[Step] = []
@@ -300,7 +299,6 @@ def _stitch(
     split_ops: dict = {}
     partitioned: dict = {}
     rounds = 0
-    fused = 0
     with_notes = all(
         len(e.plan.notes) == len(e.plan.steps) for e in entries
     )
@@ -328,8 +326,7 @@ def _stitch(
         split_ops.update(entry.split_report.split_ops)
         partitioned.update(entry.split_report.partitioned_roots)
         rounds = max(rounds, entry.split_report.rounds)
-        fused += entry.fused_units
-    g.invalidate_caches()  # the tables were filled around the mutators
+    g.freeze()
     plan = ExecutionPlan(
         steps=steps,
         capacity_floats=capacity,
@@ -355,5 +352,4 @@ def _stitch(
         host=fw.host,
         options=opts,
         peak_device_floats=peak,
-        fused_units=fused,
     )

@@ -44,7 +44,7 @@ from typing import Any, Callable
 
 from ..obs.live.events import publish
 from .filelock import FileLock
-from .graph import OperatorGraph
+from .graph import GraphError, OperatorGraph
 from .plan import ExecutionPlan
 from .serialize import graph_from_dict, graph_to_dict, plan_from_dict, plan_to_dict
 from .splitting import SplitReport
@@ -98,11 +98,10 @@ def graph_fingerprint(graph: OperatorGraph) -> str:
     :func:`graph_to_dict` JSON — the one definition, shared by
     :func:`plan_key`, the fragment keys and the split-candidate dedupe.
 
-    Memoised on the graph.  Every mutator and ``invalidate_caches()``
-    drops it, a same-named ``copy()`` and ``pickle`` carry it, so a
-    template is serialized once however many keys, processes and
-    requests it passes through (see the mutator contract on
-    :class:`OperatorGraph`)."""
+    Memoised on the graph.  Every mutator drops it, a same-named
+    ``copy()`` and ``pickle`` carry it, so a template is serialized once
+    however many keys, processes and requests it passes through (see
+    the freeze rule on :class:`OperatorGraph`)."""
     fp = graph._fingerprint
     if fp is None:
         blob = _canonical_json(graph_to_dict(graph))
@@ -155,7 +154,6 @@ class CachedPlan:
     op_order: list[str]
     split_report: SplitReport
     peak_device_floats: int = 0
-    fused_units: int = 0
     #: compile-metrics snapshot at fill time (reused on hits so a warm
     #: compile does not re-walk a 100k-step plan to rebuild gauges)
     metrics: dict[str, Any] = field(default_factory=dict)
@@ -174,7 +172,6 @@ class CachedPlan:
                 "partitioned_roots": dict(self.split_report.partitioned_roots),
             },
             "peak_device_floats": self.peak_device_floats,
-            "fused_units": self.fused_units,
             "metrics": self.metrics,
             "extra": self.extra,
         }
@@ -197,7 +194,6 @@ class CachedPlan:
                 partitioned_roots=dict(sr.get("partitioned_roots", {})),
             ),
             peak_device_floats=int(raw.get("peak_device_floats", 0)),
-            fused_units=int(raw.get("fused_units", 0)),
             metrics=dict(raw.get("metrics", {})),
             extra=dict(raw.get("extra", {})),
         )
@@ -279,6 +275,11 @@ class PlanCache:
 
     # -- memory tier -----------------------------------------------------
     def _mem_put(self, key: str, entry: CachedPlan) -> None:
+        # Hits share the entry's graph with every caller: it must be a
+        # value none of them can edit.
+        if not entry.graph.frozen:
+            raise GraphError(f"plan-cache entry graph {entry.graph.name!r} "
+                             "is not frozen")
         self._mem[key] = entry
         self._mem.move_to_end(key)
         while len(self._mem) > self.max_entries:

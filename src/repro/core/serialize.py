@@ -5,10 +5,7 @@ compilation from execution ("compile once, deploy to the runtime
 library"), enables inspection/diffing of plans, and gives the generated
 programs a stable sidecar format.  Everything the executor needs — the
 split graph (including slot/out-spec region metadata) and the step
-sequence — round-trips losslessly.
-
-Fused offload units carry a private sub-graph in their params; it is
-serialized recursively.
+sequence — round-trips losslessly.  A loaded graph is frozen.
 
 Versioning
 ----------
@@ -90,8 +87,6 @@ def _params_to_dict(params: dict[str, Any]) -> dict[str, Any]:
                 }
                 for s in value
             ]
-        elif key == "subgraph":
-            out[key] = graph_to_dict(value)
         else:
             out[key] = value
     return out
@@ -118,8 +113,6 @@ def _params_from_dict(raw: dict[str, Any]) -> dict[str, Any]:
                 )
                 for s in value
             ]
-        elif key == "subgraph":
-            out[key] = graph_from_dict(value)
         elif key in ("out_range",) and value is not None:
             out[key] = tuple(value)
         else:
@@ -175,7 +168,7 @@ def graph_from_dict(raw: dict[str, Any]) -> OperatorGraph:
             o["outputs"],
             **_params_from_dict(o["params"]),
         )
-    return g
+    return g.freeze()
 
 
 # ---------------------------------------------------------------------------

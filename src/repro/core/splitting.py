@@ -140,8 +140,9 @@ class _Plan:
     tables in content and order: template entries map to ``None`` / the
     template's ``Operator``, a new chunk to ``(root, range)``, a new
     partial result to ``(None, shape)``, a touched operator to
-    :class:`_Op`.  Every change is the index update the graph's own
-    mutator would make; no vertex is built before :meth:`build`.
+    :class:`_Op`.  Every change is the index update the oracle's
+    rewiring helpers make on a graph; no vertex is built before
+    :meth:`build`.
     """
 
     def __init__(self, graph: OperatorGraph) -> None:
@@ -243,8 +244,8 @@ class _Plan:
             self.cons[d].remove(name)
 
     def rewire(self, name: str, op: _Op, inputs, outputs) -> None:
-        """:meth:`OperatorGraph.set_op_io`'s index updates: a kept input read
-        once keeps its consumer-list place unless it has a producer."""
+        """The oracle's ``set_op_io`` index updates: a kept input read once
+        keeps its consumer-list place unless it has a producer."""
         prod, cons = self.prod, self.cons
         old_in, new_in = op.inputs, tuple(dict.fromkeys(inputs))
         once = set(old_in)
@@ -612,8 +613,11 @@ class _Plan:
         return int(fp.max() + const)
 
     def build(self) -> None:
-        """Create every surviving vertex once and swap the tables in."""
+        """Create every surviving vertex once and swap the tables in
+        (through the graph's mutator guard: a frozen graph raises here,
+        before anything changes)."""
         g = self.g
+        g._begin_edit()
         new_ds = DataStructure.__new__
         data = {}
         for d, rec in self.data.items():
@@ -647,7 +651,6 @@ class _Plan:
             ops[o] = op
         g.data, g.ops = data, ops
         g.producer, g.consumers, g.children = self.prod, self.cons, self.children
-        g.invalidate_caches()
 
 
 def _pieces(tiles: tuple, rng: tuple[int, int]) -> list:

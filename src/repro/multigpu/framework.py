@@ -145,6 +145,7 @@ def compile_multi(
                     graph = template.copy()
                     report = make_feasible(graph, cap_min)
             sp.set(split_ops=len(report.split_ops), ops_after=len(graph.ops))
+        graph.freeze()
         with tracer.span("lowering", devices=n) as sp:
             col = lower(graph)
             sp.set(ops=col.n_ops, data=col.n_data)

@@ -164,7 +164,7 @@ def launch_cost(op: "Operator", graph: "OperatorGraph") -> tuple[float, float]:
 
     Footprints are static, so a launch's cost is too: it is derived once
     per operator and memoised on the graph (``_launch_costs``), which
-    drops the memo wherever it drops its fingerprint.  Every plan
+    every mutator drops; on a frozen graph it is written once.  Every plan
     interpreter reads costs here; :meth:`OpImpl.flops` and
     :meth:`OpImpl.bytes_accessed` stay the per-kind definitions.
     Concurrent readers of one graph fill an entry with the same value.

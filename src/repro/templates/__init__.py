@@ -2,6 +2,7 @@
 
 Edge detection (cancer-diagnosis micrographs) and convolutional neural
 networks (face/pose detection), expressed as parallel operator graphs.
+Every factory returns a frozen graph: edit a ``copy()``.
 """
 
 from .api import cnn_forward, find_edges

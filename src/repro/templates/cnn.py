@@ -203,7 +203,7 @@ def cnn_graph(
     for n in names:
         g.mark_output(n)
     g.validate()
-    return g
+    return g.freeze()
 
 
 def cnn_inputs(

@@ -102,7 +102,7 @@ def find_edges_graph(
             "Combine", _COMBINE_KINDS[combine_op], responses, ["Edg"]
         )
     g.validate()
-    return g
+    return g.freeze()
 
 
 def edge_forest_graph(
@@ -167,7 +167,7 @@ def edge_forest_graph(
             [f"{p}Edg"],
         )
     g.validate()
-    return g
+    return g.freeze()
 
 
 def edge_forest_inputs(

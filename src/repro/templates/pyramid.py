@@ -83,7 +83,7 @@ def dog_pyramid_graph(
             g.add_operator(f"S{o}", "subsample", [blur_b], [nxt], factor=2)
             src = nxt
     g.validate()
-    return g
+    return g.freeze()
 
 
 def dog_pyramid_inputs(

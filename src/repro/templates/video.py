@@ -61,7 +61,7 @@ def video_edge_graph(
         g.add_data(out, (height, width), is_output=True)
         g.add_operator(f"Cmb{t}", "max", responses, [out])
     g.validate()
-    return g
+    return g.freeze()
 
 
 def video_edge_inputs(

@@ -16,11 +16,13 @@ is absent locally, the ``_timeout_watchdog`` fixture below provides a
 best-effort SIGALRM fallback, so the marker never silently degrades to
 a no-op.
 
-The graph fingerprint under ``plan_key`` is memoised on the graph, so a
-write around the graph's mutators would serve a stale plan.  The
-``_fresh_keys`` fixture is the oracle for that: in the modules that
-exercise keys it recomputes every key from a memo-less round trip of
-the graph and fails the test on any difference.
+The graph fingerprint under ``plan_key`` is memoised on the graph: every
+mutator drops it, and a frozen graph (what factories, loaders and the
+compile pipeline hand out) keeps it for good, so a write around the
+mutators would serve a stale plan.  The ``_fresh_keys`` fixture is the
+oracle for that: in the modules that exercise keys it recomputes every
+key from a memo-less round trip of the graph and fails the test on any
+difference.  Tests that edit a factory's template edit a ``copy()``.
 """
 
 import os

@@ -3,8 +3,11 @@
 This is the Section 3.2 fixpoint as it was implemented before splitting
 became plan-then-build: every split removes the operator, partitions the
 touched arrays by creating and retiring chunk data structures, rewires
-every producer and consumer through ``OperatorGraph.set_op_io`` and adds
-the part operators one by one.  ``tests/test_splitting_differential.py``
+every producer and consumer through :func:`set_op_io` and adds the part
+operators one by one.  :class:`OperatorGraph` is append-only, so the
+three rewiring mutators this needs (:func:`set_op_io`,
+:func:`remove_operator`, :func:`remove_data_bulk`) live here, as helpers
+over the graph's tables that go through its mutator guard.  ``tests/test_splitting_differential.py``
 pins :func:`repro.core.make_feasible` to :func:`make_feasible` here —
 serialized graph, producer / consumers / children order and
 ``SplitReport`` — and ``tests/test_splitting.py`` drives the single-step
@@ -17,11 +20,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from typing import Iterable
 
 import numpy as np
 
 from repro.core.graph import (
     GraphError,
+    Operator,
     OperatorGraph,
     OutSpec,
     Slot,
@@ -36,6 +41,99 @@ from repro.core.splitting import (
     select_chunks,
 )
 from repro.ops import get_impl
+
+
+# ---------------------------------------------------------------------------
+# Rewiring mutators (the former ``OperatorGraph`` methods)
+# ---------------------------------------------------------------------------
+def remove_operator(graph: OperatorGraph, name: str) -> Operator:
+    graph._begin_edit()
+    op = graph.ops.pop(name)
+    for d in op.outputs:
+        del graph.producer[d]
+    for d in op.inputs:
+        graph.consumers[d].remove(name)
+    return op
+
+
+def set_op_io(
+    graph: OperatorGraph,
+    op_name: str,
+    inputs: Iterable[str],
+    outputs: Iterable[str],
+) -> None:
+    """Rewire an operator's inputs/outputs, keeping indexes consistent.
+
+    An input kept across the rewire whose datum has no producer (a
+    template input, e.g. a shared kernel) skips the remove+append
+    cycle on its consumers list: only producing operators observe
+    consumer order (through ``op_successors``), and a shared input's
+    list can hold tens of thousands of split parts — one O(n) removal
+    per rewired part is quadratic in the part count.
+    """
+    graph._begin_edit()
+    op = graph.ops[op_name]
+    old_in = op.inputs
+    new_in = tuple(dict.fromkeys(inputs))
+    old_counts: dict[str, int] = {}
+    for d in old_in:
+        old_counts[d] = old_counts.get(d, 0) + 1
+    stable = {
+        d
+        for d in new_in
+        if old_counts.get(d) == 1 and d not in graph.producer
+    }
+    for d in op.outputs:
+        del graph.producer[d]
+    for d in old_in:
+        if d not in stable:
+            graph.consumers[d].remove(op_name)
+    new_out = tuple(dict.fromkeys(outputs))
+    for d in new_in:
+        if d not in graph.data:
+            raise GraphError(f"set_op_io({op_name}): unknown input {d!r}")
+    for d in new_out:
+        if d not in graph.data:
+            raise GraphError(f"set_op_io({op_name}): unknown output {d!r}")
+        if d in graph.producer:
+            raise GraphError(
+                f"set_op_io({op_name}): {d!r} already produced by "
+                f"{graph.producer[d]!r}"
+            )
+    op.inputs = new_in
+    op.outputs = new_out
+    for d in new_out:
+        graph.producer[d] = op_name
+    for d in new_in:
+        if d not in stable:
+            graph.consumers[d].append(op_name)
+
+
+def remove_data_bulk(graph: OperatorGraph, names: Iterable[str]) -> None:
+    """Remove several unproduced, unconsumed data structures, compacting
+    each shared parent's chunk list in a single pass rather than one
+    O(P) scan per removal — the difference between linear and quadratic
+    retirement when repartitioning replaces thousands of chunks of one
+    root."""
+    doomed: list[str] = []
+    for name in names:
+        if name in graph.producer:
+            raise GraphError(f"cannot remove {name!r}: produced by an operator")
+        if graph.consumers.get(name):
+            raise GraphError(f"cannot remove {name!r}: still consumed")
+        doomed.append(name)
+    if not doomed:
+        return
+    graph._begin_edit()
+    gone = set(doomed)
+    parents: dict[str, None] = {}
+    for name in doomed:
+        graph.consumers.pop(name, None)
+        ds = graph.data.pop(name)
+        if ds.parent is not None:
+            parents.setdefault(ds.parent)
+    for p in parents:
+        graph.children[p] = [c for c in graph.children[p] if c not in gone]
 
 
 def _per_row(graph: OperatorGraph, root: str) -> int:
@@ -142,7 +240,7 @@ def partition_data(
             spec.chunks = new_chunks
         pop.params["out_specs"] = specs
         outputs = [n for s in specs for n, _ in s.chunks]
-        graph.set_op_io(prod, pop.inputs, outputs)
+        set_op_io(graph, prod, pop.inputs, outputs)
     # Consumers.  Replaying the sequential order needs one more care:
     # rewiring an operator moves it to the end of the consumers lists of
     # the replaced chunks it *keeps*, so at each chunk the sequential
@@ -192,15 +290,15 @@ def partition_data(
             slot.chunks = rebuilt
         cop.params["slots"] = slots
         inputs = [n for s in slots for n in s.chunks]
-        graph.set_op_io(cons, inputs, cop.outputs)
+        set_op_io(graph, cons, inputs, cop.outputs)
     # Retire the replaced chunks.  Flipping ``virtual`` bypasses the
     # graph mutators (the ``params`` writes above are each followed by a
     # ``set_op_io``), so drop the graph's caches and fingerprint
     # explicitly — after the last direct write.
     if root in replaced:
         ds.virtual = True
-    graph.remove_data_bulk(oc for oc in replaced if oc != root)
-    graph.invalidate_caches()
+    remove_data_bulk(graph, (oc for oc in replaced if oc != root))
+    graph._begin_edit()
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +346,7 @@ def split_operator(
     in_rows0 = graph.data[slots[0].root].rows
     # The original operator goes away first so rewiring skips it.
     original_params = dict(op.params)
-    graph.remove_operator(op_name)
+    remove_operator(graph, op_name)
     # Partition every split input root at the parts' required-start rows.
     for i, slot in enumerate(slots):
         starts = []
@@ -392,7 +490,7 @@ def _split_reduction(
     original_params = dict(op.params)
     out_chunks = [(n, r) for spec in out_specs for n, r in spec.chunks]
     out_root = out_specs[0].root
-    graph.remove_operator(op_name)
+    remove_operator(graph, op_name)
     partition_data(graph, in_root, cuts[1:-1])
     part_names: list[str] = []
     partials: list[str] = []
@@ -453,7 +551,7 @@ def split_combine(
     fn = op.params.get("fn", "sum")
     weights = op.params.get("weights")
     base = op.params.get("part_of", op_name)
-    graph.remove_operator(op_name)
+    remove_operator(graph, op_name)
     return _combine_tree(
         graph,
         graph.fresh_name(base),

@@ -83,7 +83,7 @@ class TestDotExport:
     def test_split_graph_clusters_chunks(self):
         from repro.core import make_feasible
 
-        g = find_edges_graph(64, 48, 5, 4)
+        g = find_edges_graph(64, 48, 5, 4).copy()
         make_feasible(g, g.max_footprint() // 2)
         dot = graph_to_dot(g)
         assert "cluster_" in dot

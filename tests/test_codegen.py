@@ -27,7 +27,7 @@ DEV = GpuDevice(name="codegen-dev", memory_bytes=256 * 1024)
 
 
 def compile_edge(cap_frac=0.5):
-    g = find_edges_graph(48, 40, 5, 4)
+    g = find_edges_graph(48, 40, 5, 4).copy()
     cap = int(g.max_footprint() * cap_frac)
     make_feasible(g, cap)
     plan = schedule_transfers(g, dfs_schedule(g), cap)

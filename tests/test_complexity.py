@@ -7,10 +7,11 @@ is the gate that does not drift.  The pins here are exact:
   a graph (:func:`repro.ops.launch_cost`).  The compile pipeline derives
   none; the first walk derives each launched operator once; every later
   walk of the same graph, through any plan interpreter, derives none;
-  a mutator makes the next walk derive them again.
+  an (unfrozen) copy derives them afresh, its frozen original never again.
 * Splitting plans its cuts on row ranges and builds the result once:
   one ``DataStructure`` per new datum, one ``Operator`` per new part,
-  no graph rewiring and one topological pass (the closing validation).
+  one pass through the graph's mutator guard (the table swap) and one
+  topological pass (the closing validation).
 * A compile tallies each candidate plan's provenance notes once.
 """
 
@@ -24,7 +25,7 @@ from repro.core import Framework, PlanCache, make_feasible
 from repro.core import framework as framework_module
 from repro.core import graph as graph_module
 from repro.core import splitting as splitting_module
-from repro.core.graph import DataStructure, Operator, OperatorGraph
+from repro.core.graph import DataStructure, GraphError, Operator, OperatorGraph
 from repro.core.plan import Launch
 from repro.obs import provenance_summary
 from repro.gpusim import XEON_WORKSTATION, GpuDevice, SimRuntime, homogeneous_group
@@ -113,24 +114,27 @@ class TestLaunchCostIsDerivedOncePerGraph:
         WALKS[walk](compiled)
         assert flops_calls == []
 
-    def test_a_mutator_makes_the_next_walk_derive_again(
+    def test_a_copy_derives_the_original_does_not(
         self, compiled, flops_calls
     ):
         graph = compiled.graph
+        assert graph.frozen
         simulate_plan(compiled.plan, graph, DEVICE, HOST)
-        op = next(iter(graph.ops.values()))
-        graph.set_op_io(op.name, op.inputs, op.outputs)
+        clone = graph.copy()
         flops_calls.clear()
-        simulate_plan(compiled.plan, graph, DEVICE, HOST)
+        simulate_plan(compiled.plan, clone, DEVICE, HOST)
         assert Counter(flops_calls) == Counter(set(launched(compiled)))
         flops_calls.clear()
         simulate_plan(compiled.plan, graph, DEVICE, HOST)
+        simulate_plan(compiled.plan, clone, DEVICE, HOST)
         assert flops_calls == []
+        with pytest.raises(GraphError, match="frozen"):
+            graph.add_data("extra", (1, 1))
 
 
 @pytest.fixture
 def graph_work(monkeypatch):
-    """Counts of vertex constructions and graph mutator / traversal calls.
+    """Counts of vertex constructions, mutator-guard and traversal calls.
 
     The graph and splitting modules build vertices from counting
     subclasses; a vertex is counted at ``__new__``, so a construction
@@ -145,8 +149,7 @@ def graph_work(monkeypatch):
         counting = type(cls.__name__, (cls,), {"__slots__": (), "__new__": new})
         for module in (graph_module, splitting_module):
             monkeypatch.setattr(module, cls.__name__, counting, raising=False)
-    for method in ("set_op_io", "remove_operator", "remove_data_bulk",
-                   "topological_order"):
+    for method in ("_begin_edit", "topological_order"):
         real = getattr(OperatorGraph, method)
 
         def counted(self, *args, _real=real, _method=method, **kwargs):
@@ -171,9 +174,7 @@ class TestSplittingBuildsOnce:
         assert len(new_ops) > 500
         assert graph_work["DataStructure"] == len(new_data)
         assert graph_work["Operator"] == len(new_ops)
-        assert graph_work["set_op_io"] == 0
-        assert graph_work["remove_operator"] == 0
-        assert graph_work["remove_data_bulk"] == 0
+        assert graph_work["_begin_edit"] == 1  # the one table swap
         # Round 0 orders the template's operators, the closing validation
         # the split graph's; the round that finds nothing over capacity
         # orders nothing.

@@ -105,7 +105,7 @@ def test_columnar_equivalent_split_graph():
     """Byte identity holds on a graph after operator splitting too."""
     from repro.core import make_feasible
 
-    graph = find_edges_graph(96, 64, 5, 4)
+    graph = find_edges_graph(96, 64, 5, 4).copy()
     make_feasible(graph, 8 * KB // 4)
     assert_engine_matches_reference(graph)
 

@@ -75,7 +75,7 @@ def test_heap_matches_linear_on_random_graphs(
 def test_heap_matches_linear_on_split_graph(policy, eager_free):
     from repro.core.splitting import make_feasible
 
-    graph = find_edges_graph(512, 512, 5, 4)
+    graph = find_edges_graph(512, 512, 5, 4).copy()
     capacity = (256 * 1024 // 4) * 9 // 10
     make_feasible(graph, capacity)
     heap, linear = plans_for(

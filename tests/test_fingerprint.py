@@ -1,11 +1,11 @@
 """The memoised graph fingerprint under ``plan_key``.
 
-Three things are pinned here.  *Freshness*: after any sequence of graph
-mutators the key equals the key of a memo-less round trip of the graph
-(a hypothesis state machine; ``conftest._fresh_keys`` applies the same
-oracle to every key the plancache / framework / service suites compute),
-and so does every memoised launch cost, which is dropped wherever the
-fingerprint is.
+Three things are pinned here.  *Freshness*: after any sequence of
+appends, freezes, copies and splits, the key — and every other memo on
+the graph — equals that of a memo-less round trip of the graph, and a
+frozen graph refuses every mutator (a hypothesis state machine;
+``conftest._fresh_keys`` applies the same key oracle to every key the
+plancache / framework / service suites compute).
 *Work*: a template is serialized once, however many keys, requests and
 processes it passes through — counted, not timed.  *Transport*: the
 fingerprint rides in the pickle and the derived indexes do not.
@@ -58,55 +58,43 @@ SIDE = 48
 # Freshness
 # ---------------------------------------------------------------------------
 class GraphMachine(RuleBasedStateMachine):
-    """Random mutator sequences; both memos are warm before every step
-    (the invariant keys the graph and costs every operator), so a
-    mutator that forgot to drop one shows as a key or a cost that
-    differs from the memo-less graph's, or as launch costs outliving
-    the fingerprint they were derived beside."""
+    """Random append / freeze / copy / pickle / split sequences.  Every
+    memo is warm before every step (the invariant reads them all), so a
+    mutator that forgot to drop one shows as a memo that differs from
+    the memo-free graph's; once frozen, every mutator must raise and
+    leave the graph as it was."""
 
     def __init__(self):
         super().__init__()
-        self.g = find_edges_graph(SIDE, SIDE, 3, 2)
+        self.g = find_edges_graph(SIDE, SIDE, 3, 2).copy()
         self.serial = 0
 
     def fresh(self, prefix: str) -> str:
         self.serial += 1
         return f"{prefix}{self.serial}"
 
-    def planes(self, *, inputs_only: bool = False) -> list[str]:
+    def planes(self) -> list[str]:
         """Whole (unsplit) image-sized data an added operator may read."""
         return [
             d
             for d, ds in self.g.data.items()
-            if ds.shape == (SIDE, SIDE)
-            and ds.parent is None
-            and not ds.virtual
-            and (ds.is_input or not inputs_only)
+            if ds.shape == (SIDE, SIDE) and ds.parent is None and not ds.virtual
         ]
 
-    def added_leaves(self) -> list[str]:
-        """Operators this machine added that nothing consumes and that
-        splitting has not rewritten."""
+    def added_outputs(self) -> list[str]:
+        """Outputs of operators this machine added, splitting untouched."""
         return [
-            o
+            op.outputs[0]
             for o, op in self.g.ops.items()
-            if o.startswith("t")
-            and op.outputs[0] in self.planes()
-            and not self.g.consumers[op.outputs[0]]
+            if o.startswith("t") and op.outputs[0] in self.planes()
         ]
 
-    def spare_inputs(self) -> list[str]:
-        return [
-            d
-            for d in self.planes(inputs_only=True)
-            if d.startswith("x") and not self.g.consumers[d]
-        ]
-
+    @precondition(lambda self: not self.g.frozen)
     @rule()
     def add_data(self):
         self.g.add_data(self.fresh("x"), (SIDE, SIDE), is_input=True)
 
-    @precondition(lambda self: self.planes())
+    @precondition(lambda self: not self.g.frozen and self.planes())
     @rule(data=st.data())
     def add_operator(self, data):
         src = data.draw(st.sampled_from(self.planes()))
@@ -114,65 +102,63 @@ class GraphMachine(RuleBasedStateMachine):
         self.g.add_data(out, (SIDE, SIDE), is_output=True)
         self.g.add_operator(self.fresh("t"), "tanh", [src], [out])
 
-    @precondition(lambda self: self.added_leaves())
-    @rule(data=st.data())
-    def set_op_io(self, data):
-        op = self.g.ops[data.draw(st.sampled_from(self.added_leaves()))]
-        # one or two reads: a rewire that changes the operator's cost
-        srcs = data.draw(
-            st.lists(
-                st.sampled_from(self.planes(inputs_only=True)),
-                min_size=1, max_size=2, unique=True,
-            )
-        )
-        self.g.set_op_io(op.name, srcs, op.outputs)
-
-    @precondition(lambda self: self.added_leaves())
-    @rule(data=st.data())
-    def remove_operator_and_its_output(self, data):
-        op = self.g.remove_operator(
-            data.draw(st.sampled_from(self.added_leaves()))
-        )
-        self.g.remove_data(op.outputs[0])
-
-    @precondition(lambda self: self.spare_inputs())
-    @rule()
-    def remove_data_bulk(self):
-        self.g.remove_data_bulk(self.spare_inputs())
-
-    @precondition(lambda self: self.added_leaves())
+    @precondition(lambda self: not self.g.frozen and self.added_outputs())
     @rule(data=st.data(), flag=st.booleans())
     def mark_output(self, data, flag):
-        op = self.g.ops[data.draw(st.sampled_from(self.added_leaves()))]
-        self.g.mark_output(op.outputs[0], flag)
+        self.g.mark_output(data.draw(st.sampled_from(self.added_outputs())), flag)
+
+    @precondition(lambda self: not self.g.frozen)
+    @rule(capacity=st.sampled_from([1 << 11, 1 << 12, 1 << 13, 1 << 20]))
+    def make_feasible(self, capacity):
+        try:
+            make_feasible(self.g, capacity)
+        except InfeasibleTemplateError:
+            pass  # the graph is left as it was
 
     @rule()
-    def rename(self):
-        self.g.name = self.fresh("edges")
+    def freeze(self):
+        self.g.freeze()
 
     @rule(rename=st.booleans())
     def copy(self, rename):
         before = plan_key(self.g, DEVICE, OPTIONS)
         clone = self.g.copy(self.fresh("copy") if rename else None)
         assert (plan_key(clone, DEVICE, OPTIONS) == before) is not rename
+        assert not clone.frozen
         self.g = clone
 
-    @rule(capacity=st.sampled_from([1 << 11, 1 << 12, 1 << 13, 1 << 20]))
-    def make_feasible(self, capacity):
-        try:
-            make_feasible(self.g, capacity)
-        except (InfeasibleTemplateError, GraphError):
-            pass  # a half-split graph must still key freshly
+    @rule()
+    def pickle(self):
+        clone = pickle.loads(pickle.dumps(self.g))
+        assert clone.frozen == self.g.frozen
+        self.g = clone
 
     @invariant()
-    def memos_are_fresh(self):
-        # one invariant, so nothing re-warms the fingerprint first
-        if self.g._launch_costs is not None:
-            assert self.g._fingerprint is not None
-        fresh = graph_from_dict(graph_to_dict(self.g))  # memo-free
-        assert plan_key(self.g, DEVICE, OPTIONS) == plan_key(fresh, DEVICE, OPTIONS)
-        for name, op in self.g.ops.items():
-            assert launch_cost(op, self.g) == launch_cost(fresh.ops[name], fresh)
+    def memos_are_fresh_and_a_frozen_graph_refuses_edits(self):
+        g = self.g
+        fresh = graph_from_dict(graph_to_dict(g))  # memo-free
+        assert plan_key(g, DEVICE, OPTIONS) == plan_key(fresh, DEVICE, OPTIONS)
+        for name, op in g.ops.items():
+            assert launch_cost(op, g) == launch_cost(fresh.ops[name], fresh)
+            assert g.op_predecessors(name) == fresh.op_predecessors(name)
+            assert sorted(g.op_successors(name)) == sorted(
+                fresh.op_successors(name)
+            )
+        for d, ds in g.data.items():
+            if ds.virtual:
+                assert g.sorted_chunks(d) == fresh.sorted_chunks(d)
+        if not g.frozen:
+            return
+        before = graph_to_dict(g)
+        src = next(d for d, ds in g.data.items() if not ds.virtual)
+        for edit in (
+            lambda: g.add_data(self.fresh("x"), (SIDE, SIDE)),
+            lambda: g.add_operator(self.fresh("t"), "tanh", [src], [src]),
+            lambda: g.mark_output(src),
+        ):
+            with pytest.raises(GraphError, match="frozen"):
+                edit()
+        assert graph_to_dict(g) == before
 
 
 GraphMachine.TestCase.settings = settings(
@@ -183,11 +169,11 @@ TestGraphMachine = GraphMachine.TestCase
 
 class TestMemo:
     def test_memo_is_reused_until_a_mutator_drops_it(self):
-        g = find_edges_graph(SIDE, SIDE, 3, 2)
+        g = find_edges_graph(SIDE, SIDE, 3, 2).copy()
         assert g._fingerprint is None
         fp = graph_fingerprint(g)
         assert g._fingerprint == fp == graph_fingerprint(g)
-        g.invalidate_caches()
+        g.add_data("extra", (1, 1), is_input=True)
         assert g._fingerprint is None
 
     def test_same_named_copy_carries_the_memo_and_a_renamed_one_does_not(self):
@@ -308,34 +294,48 @@ class TestWorkCounts:
         assert plan_key(decoded, DEVICE, OPTIONS) == routed
         assert counts["graph_to_dict"] == 0
 
+    def test_a_template_off_the_shard_pipe_stays_frozen(self):
+        request = ServiceRequest(
+            template=find_edges_graph(SIDE, SIDE, 3, 2), device=DEVICE,
+            host=XEON_WORKSTATION,
+        )
+        frame = encode_frame({"kind": "submit", "id": 1, "request": request})
+        decoded = decode_frame(frame)["request"].template
+        assert decoded.frozen
+        with pytest.raises(GraphError, match="frozen"):
+            decoded.add_data("extra", (1, 1), is_input=True)
+        assert "extra" not in decoded.data
+
 
 # ---------------------------------------------------------------------------
 # Served templates
 # ---------------------------------------------------------------------------
+EDITS = {
+    "add_operator": lambda g: g.add_operator(
+        "extra", "tanh", ["E2"], [g.add_data("extra_out", (SIDE, SIDE),
+                                             is_output=True).name]
+    ),
+    "mark_output": lambda g: g.mark_output("E2"),
+}
+
+
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize(
-    "mutate",
-    [
-        lambda g: g.add_operator(
-            "extra", "tanh", ["E2"], [g.add_data("extra_out", (SIDE, SIDE),
-                                                 is_output=True).name]
-        ),
-        lambda g: g.set_op_io("R1", ["Img"], ["E2"]),
-        lambda g: g.mark_output("E2"),
-    ],
-    ids=["add_operator", "set_op_io", "mark_output"],
-)
-def test_mutating_a_served_template_compiles_afresh(mutate):
+@pytest.mark.parametrize("edit", EDITS.values(), ids=EDITS)
+def test_an_edited_copy_of_a_served_template_compiles_afresh(edit):
     template = find_edges_graph(SIDE, SIDE, 3, 2)
     with ExecutionService(ServiceConfig(workers=1)) as svc:
         first = serve(svc, template)
         before = plan_key(template, DEVICE, CompileOptions())
-        mutate(template)
-        assert plan_key(template, DEVICE, CompileOptions()) != before
-        second = serve(svc, template)
+        with pytest.raises(GraphError, match="frozen"):
+            edit(template)
+        assert plan_key(template, DEVICE, CompileOptions()) == before
+        edited = template.copy()
+        edit(edited)
+        assert plan_key(edited, DEVICE, CompileOptions()) != before
+        second = serve(svc, edited)
         compiles = svc.metrics_snapshot()["counters"]["service.compiles"]
     assert not second.deduped and compiles == 2
-    assert second.value.graph.ops.keys() == template.ops.keys()
+    assert second.value.graph.ops.keys() == edited.ops.keys()
     assert plan_to_dict(second.value.plan) != plan_to_dict(first.value.plan)
 
 
@@ -347,12 +347,12 @@ class TestPickle:
         g = find_edges_graph(SIDE, SIDE, 3, 2)
         g.topological_order()  # warm the derived indexes
         fp = graph_fingerprint(g)
-        assert set(g.__getstate__()) == {
-            "name", "data", "ops", "producer", "consumers", "children",
-            "fingerprint",
-        }
+        assert g.__getstate__() == (
+            g.name, g.data, g.ops, g.producer, g.consumers, g.children,
+            fp, True,
+        )
         clone = pickle.loads(pickle.dumps(g))
-        assert clone._fingerprint == fp
+        assert clone._fingerprint == fp and clone.frozen
         assert clone._preds is None and clone._sorted_chunks == {}
         assert graph_to_dict(clone) == graph_to_dict(g)
 

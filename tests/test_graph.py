@@ -181,51 +181,77 @@ class TestFootprints:
         assert s["io_floats"] == 32
 
 
-class TestRewiring:
-    def test_set_op_io(self):
-        g = diamond()
-        g.add_data("Y2", (4, 4))
-        g.set_op_io("B", ["Img"], ["Y2"])
-        assert g.producer["Y2"] == "B"
-        assert "Y" not in g.producer
-        assert g.consumers["Img"] == ["A", "B"]
-
-    def test_set_op_io_conflict(self):
-        g = diamond()
-        with pytest.raises(GraphError):
-            g.set_op_io("B", ["Img"], ["X"])  # X produced by A
-
-    def test_remove_operator(self):
-        g = diamond()
-        g.remove_operator("C")
-        assert "C" not in g.ops
-        assert g.consumers["X"] == []
-
-    def test_remove_data_guards(self):
-        g = diamond()
-        with pytest.raises(GraphError):
-            g.remove_data("X")  # produced
-        g.remove_operator("C")
-        g.remove_operator("A")
-        g.remove_data("X")
-        assert "X" not in g.data
-
+class TestChildren:
     def test_children_index(self):
         g = OperatorGraph()
         g.add_data("root", (4, 2), virtual=True)
         g.add_data("c1", (2, 2), parent="root", row_range=(0, 2))
         g.add_data("c2", (2, 2), parent="root", row_range=(2, 4))
         assert g.children["root"] == ["c1", "c2"]
-        g.remove_data("c1")
-        assert g.children["root"] == ["c2"]
+
+
+class TestFreeze:
+    """Append-only until ``freeze()``, read-only after; ``copy()`` is the
+    edit path."""
+
+    MUTATORS = {
+        "add_data": lambda g: g.add_data("Z", (4, 4)),
+        "add_operator": lambda g: g.add_operator("D", "remap", ["X"], ["Y"]),
+        "mark_output": lambda g: g.mark_output("X"),
+    }
+
+    @pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS)
+    def test_frozen_graph_refuses_every_mutator(self, mutate):
+        g = diamond().freeze()
+        before = (list(g.data), list(g.ops), dict(g.producer),
+                  {d: list(c) for d, c in g.consumers.items()},
+                  g.data["X"].is_output)
+        with pytest.raises(GraphError, match="frozen"):
+            mutate(g)
+        assert before == (list(g.data), list(g.ops), dict(g.producer),
+                          {d: list(c) for d, c in g.consumers.items()},
+                          g.data["X"].is_output)
+
+    def test_name_is_read_only(self):
+        g = diamond()
+        with pytest.raises(AttributeError):
+            g.name = "other"
+        assert g.copy("other").name == "other"
+
+    def test_freeze_returns_the_graph_and_copy_thaws(self):
+        g = diamond()
+        assert not g.frozen
+        assert g.freeze() is g and g.frozen
+        h = g.copy()
+        assert not h.frozen
+        h.add_data("Z", (4, 4))
+        assert "Z" not in g.data
+
+    def test_mutator_drops_the_memos_before_freezing(self):
+        g = diamond()
+        g.add_data("V", (4, 4), virtual=True)
+        g.add_data("V0", (4, 4), parent="V", row_range=(0, 4))
+        assert g.op_successors("A") == ["C"]
+        assert g.sorted_chunks("V")[0] == ["V0"]
+        g.add_data("X2", (4, 4))
+        g.add_operator("E", "remap", ["X"], ["X2"])
+        assert g.op_successors("A") == ["C", "E"]
+        g.add_data("V1", (4, 4), parent="V", row_range=(4, 8))
+        assert g.sorted_chunks("V")[0] == ["V0", "V1"]
+
+    def test_pickle_carries_the_flag(self):
+        import pickle
+
+        assert pickle.loads(pickle.dumps(diamond().freeze())).frozen
+        assert not pickle.loads(pickle.dumps(diamond())).frozen
 
 
 class TestCopy:
     def test_copy_is_deep(self):
         g = diamond()
         h = g.copy()
-        h.remove_operator("C")
-        assert "C" in g.ops
+        h.add_data("Z", (4, 4))
+        assert "Z" not in g.data
         h.data["X"].shape = (9, 9)
         assert g.data["X"].shape == (4, 4)
 

@@ -205,6 +205,8 @@ def test_any_submit_sequence_decodes_to_the_senders_keys(steps):
                 template = find_edges_graph(side, side, 3, 2)
             elif step == "mutate":
                 serial += 1
+                if template.frozen:  # a factory's graph: edit a copy
+                    template = template.copy()
                 template.add_data(f"extra{serial}", (4, 4), is_input=True)
             if step != "repeat":
                 hashed_before = False

@@ -48,9 +48,9 @@ SHAPE = (48, 40, 5, 4)
 
 
 def three_ways(walk, graph):
-    """``walk`` on a cold memo, on the same graph warm, and on a memo-free
-    round trip of it."""
-    graph.invalidate_caches()
+    """``walk`` on a cold memo (a frozen copy no walk has seen), on the
+    same copy warm, and on a memo-free round trip of the graph."""
+    graph = graph.copy().freeze()
     cold = walk(graph)
     assert graph._launch_costs
     warm = walk(graph)
@@ -168,15 +168,14 @@ class TestTransport:
 class TestSharedGraph:
     @pytest.mark.timeout(120)
     def test_threads_walking_one_cold_graph_agree(self, compiled):
-        graph = compiled.graph
-        fresh = graph_from_dict(graph_to_dict(graph))
+        fresh = graph_from_dict(graph_to_dict(compiled.graph))
         expected = simulate_plan(compiled.plan, fresh, DEVICE, HOST)
         results = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                graph.invalidate_caches()
+                graph = compiled.graph.copy().freeze()  # a cold cached graph
                 with ThreadPoolExecutor(8) as pool:
                     futures = [
                         pool.submit(simulate_plan, compiled.plan, graph, DEVICE, HOST)

@@ -71,7 +71,7 @@ def test_matches_oracle_on_random_graphs(seed, n, policy, mode, eager, headroom)
 
 def _pressured_edge(n: int):
     """``TestBelady::test_under_heavy_pressure``'s split edge template."""
-    graph = find_edges_graph(64, 64, 5, 4)
+    graph = find_edges_graph(64, 64, 5, 4).copy()
     cap = graph.total_data_size() // 6
     make_feasible(graph, cap // 2)
     dev = GpuDevice(name="prop-dev", memory_bytes=64 * KB)

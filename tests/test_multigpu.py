@@ -101,7 +101,7 @@ class TestPartition:
 
     def test_band_contiguity(self):
         """Parts of the same row band land on the same device."""
-        g, _ = _edge()
+        g = _edge()[0].copy()
         from repro.core.splitting import make_feasible
 
         make_feasible(g, g.total_data_size() // 4)
@@ -152,7 +152,7 @@ class TestPartition:
             "edge": lambda: find_edges_graph(96, 80, 5, 4),
             "small-cnn": lambda: cnn_graph(SMALL_CNN, 64, 48),
             "pyramid": lambda: dog_pyramid_graph(96, 96, 3),
-        }[template]()
+        }[template]().copy()
         make_feasible(g, g.total_data_size() // 6)
         # mixed: every device after the first is a slower part
         slow = GpuDevice(

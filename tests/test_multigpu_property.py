@@ -251,7 +251,7 @@ class TestBelady:
         from repro.core.splitting import make_feasible
         from repro.templates import find_edges_graph
 
-        graph = find_edges_graph(64, 64, 5, 4)
+        graph = find_edges_graph(64, 64, 5, 4).copy()
         footprint = graph.total_data_size()
         cap = footprint // 6
         make_feasible(graph, cap // 2)

@@ -35,7 +35,6 @@ class TestRegistry:
             "matmul",
             "reduce",
             "combine_partials",
-            "fused",
         ):
             assert k in kinds
 

@@ -4,8 +4,11 @@ Covers the cache contract end to end: keys are stable across processes
 and sensitive to every compile input; warm compiles return byte-identical
 plans with hit counters set; the disk tier survives restarts and recovers
 from corruption; caching off produces the same plans as caching on.
+Every entry holds a frozen graph, so no caller can edit what a hit
+shares.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,14 +20,16 @@ from repro.core import (
     CachedPlan,
     CompileOptions,
     Framework,
+    GraphError,
     PlanCache,
+    graph_to_dict,
     plan_key,
     plan_to_dict,
 )
-from repro.core.plancache import CACHE_VERSION
+from repro.core.plancache import CACHE_VERSION, SharedPlanCache
 from repro.gpusim import GpuDevice, homogeneous_group
 from repro.multigpu import compile_multi
-from repro.templates import find_edges_graph
+from repro.templates import edge_forest_graph, find_edges_graph
 
 KB = 1024
 DEVICE = GpuDevice(name="pc-dev", memory_bytes=256 * KB)
@@ -293,3 +298,79 @@ class TestCacheTiers:
     def test_max_entries_validation(self):
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
+
+
+# ---------------------------------------------------------------------------
+# Entries hold frozen graphs
+# ---------------------------------------------------------------------------
+def assert_read_only(graph):
+    """Every mutator raises on ``graph`` and leaves it as it was; the same
+    edit of a ``copy()`` goes through."""
+    src = next(d for d, ds in graph.data.items() if not ds.virtual)
+    new = graph.fresh_name("extra")
+    edits = {
+        "add_data": lambda g: g.add_data(new, (4, 4), is_input=True),
+        "add_operator": lambda g: g.add_operator(
+            new, "tanh", [src], [g.add_data(new, g.data[src].shape).name]
+        ),
+        "mark_output": lambda g: g.mark_output(src, not g.data[src].is_output),
+    }
+    assert graph.frozen
+    before = graph_to_dict(graph)
+    for edit in edits.values():
+        edit(graph.copy())
+        with pytest.raises(GraphError, match="frozen"):
+            edit(graph)
+    assert graph_to_dict(graph) == before
+
+
+class TestEntriesAreFrozen:
+    def test_a_compile_hit_cannot_be_edited(self):
+        cache = PlanCache()
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=cache)
+        g = split_graph()
+        cold = fw.compile(g)
+        warm = fw.compile(g)
+        assert cache.stats()["hits"] == 1 and warm.graph is cold.graph
+        assert_read_only(warm.graph)
+        assert plan_bytes(fw.compile(g)) == plan_bytes(cold)
+
+    def test_a_compile_multi_entry_cannot_be_edited(self):
+        cache = PlanCache()
+        compiled = compile_multi(
+            find_edges_graph(256, 256, 5, 4), homogeneous_group(DEVICE, 2),
+            options=OPTIONS, plan_cache=cache,
+        )
+        (entry,) = cache._mem.values()
+        assert entry.graph is compiled.graph
+        assert_read_only(entry.graph)
+
+    def test_an_incremental_fragment_entry_cannot_be_edited(self):
+        cache = PlanCache()
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=cache)
+        result = fw.compile_incremental(edge_forest_graph(3, 64, 64, 5, 4))
+        assert len(cache) == result.total_fragments == 3
+        for entry in cache._mem.values():
+            assert_read_only(entry.graph)
+        assert_read_only(result.compiled.graph)  # the stitch
+
+    def test_a_disk_hit_cannot_be_edited(self, tmp_path):
+        g = small_graph()
+        d = str(tmp_path / "plans")
+        Framework(DEVICE, options=OPTIONS, plan_cache=PlanCache(disk_dir=d)).compile(g)
+        cache = PlanCache(disk_dir=d)
+        warm = Framework(DEVICE, options=OPTIONS, plan_cache=cache).compile(g)
+        assert cache.stats()["disk_hits"] == 1
+        assert_read_only(warm.graph)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["local", "shared"])
+    def test_put_refuses_an_unfrozen_graph(self, tmp_path, shared):
+        cache = SharedPlanCache(str(tmp_path)) if shared else PlanCache()
+        Framework(DEVICE, options=OPTIONS, plan_cache=cache).compile(small_graph())
+        (key,) = cache._mem
+        entry = cache._mem[key]
+        thawed = dataclasses.replace(entry, graph=entry.graph.copy())
+        with pytest.raises(GraphError, match="not frozen"):
+            cache.put("other", thawed)
+        assert list(cache._mem) == [key] and cache._mem[key] is entry
+

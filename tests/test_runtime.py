@@ -66,7 +66,7 @@ class TestReferenceExecute:
 
 class TestExecutePlan:
     def build(self, cap_frac=0.5):
-        g = find_edges_graph(48, 40, 5, 4)
+        g = find_edges_graph(48, 40, 5, 4).copy()
         cap = int(g.max_footprint() * cap_frac)
         make_feasible(g, cap)
         plan = schedule_transfers(g, dfs_schedule(g), cap)
@@ -114,7 +114,7 @@ class TestExecutePlan:
 
 class TestSimulatePlan:
     def test_agrees_with_numeric_execution(self):
-        g = find_edges_graph(48, 40, 5, 4)
+        g = find_edges_graph(48, 40, 5, 4).copy()
         cap = int(g.max_footprint() * 0.5)
         make_feasible(g, cap)
         plan = schedule_transfers(g, dfs_schedule(g), cap)
@@ -137,7 +137,7 @@ class TestSimulatePlan:
         working set exceeds RAM (Table 2's inconsistent entries)."""
         from repro.gpusim import HostSystem
 
-        g = find_edges_graph(64, 48, 5, 4)
+        g = find_edges_graph(64, 48, 5, 4).copy()
         cap = g.max_footprint() // 2
         make_feasible(g, cap)
         plan = schedule_transfers(g, dfs_schedule(g), cap)

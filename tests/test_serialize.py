@@ -16,7 +16,6 @@ from repro.core import (
     save_plan,
     validate_plan,
 )
-from repro.core.offload import identify_offload_units
 from repro.gpusim import GpuDevice, SimRuntime
 from repro.runtime import execute_plan, reference_execute
 from repro.templates import find_edges_graph, find_edges_inputs
@@ -55,25 +54,6 @@ class TestGraphRoundTrip:
                 assert [(s.root, s.rows, s.chunks) for s in hs] == [
                     (s.root, s.rows, s.chunks) for s in gs
                 ]
-
-    def test_fused_subgraph(self):
-        g = find_edges_graph(16, 16, 3, 2)
-        # Build a chain to fuse.
-        from repro.core.graph import OperatorGraph
-
-        chain = OperatorGraph("c")
-        chain.add_data("x", (8, 8), is_input=True)
-        chain.add_data("y", (8, 8))
-        chain.add_data("z", (8, 8), is_output=True)
-        chain.add_operator("a", "tanh", ["x"], ["y"])
-        chain.add_operator("b", "remap", ["y"], ["z"])
-        identify_offload_units(chain, 10**9)
-        restored = graph_from_dict(graph_to_dict(chain))
-        restored.validate()
-        (op,) = restored.ops.values()
-        assert op.kind == "fused"
-        sub = op.params["subgraph"]
-        assert set(sub.ops) == {"a", "b"}
 
     def test_json_clean(self, compiled):
         text = json.dumps(graph_to_dict(compiled.graph))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    GraphError,
     InfeasibleTemplateError,
     OperatorGraph,
     chunk_range,
@@ -15,6 +16,7 @@ from repro.core import (
     select_chunks,
 )
 from repro.core.graph import op_slots
+from repro.core.serialize import graph_to_dict
 from repro.runtime import reference_execute
 from repro.templates import find_edges_graph, find_edges_inputs
 
@@ -158,8 +160,7 @@ class TestSplitOperator:
         g = OperatorGraph()
         g.add_data("a", (4, 4), is_input=True)
         g.add_data("b", (4, 4), is_output=True)
-        g.add_operator("f", "fused", ["a"], ["b"], subgraph=None,
-                       input_names=["a"], output_names=["b"])
+        g.add_operator("f", "combine_partials", ["a"], ["b"], fn="sum")
         with pytest.raises(InfeasibleTemplateError):
             split_operator(g, "f", 2)
 
@@ -238,7 +239,7 @@ class TestMakeFeasible:
 
     def test_footprints_bounded(self):
         for cap_frac in (1.0, 0.5, 0.25, 0.1):
-            g = find_edges_graph(60, 40, 7, 4)
+            g = find_edges_graph(60, 40, 7, 4).copy()
             cap = int(g.max_footprint() * cap_frac) + 100
             rep = make_feasible(g, cap)
             assert all(g.op_footprint(o) <= cap for o in g.ops)
@@ -247,7 +248,7 @@ class TestMakeFeasible:
         inputs = find_edges_inputs(48, 40, 5, 4, seed=3)
         ref = reference_execute(find_edges_graph(48, 40, 5, 4), inputs)["Edg"]
         for cap in (6000, 3000, 1500, 800):
-            g = find_edges_graph(48, 40, 5, 4)
+            g = find_edges_graph(48, 40, 5, 4).copy()
             make_feasible(g, cap)
             out = reference_execute(g, inputs)["Edg"]
             np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
@@ -262,8 +263,24 @@ class TestMakeFeasible:
         with pytest.raises(ValueError):
             make_feasible(g, 0)
 
-    def test_report_contents(self):
+    def test_a_frozen_graph_raises_and_stays_unsplit(self):
         g = find_edges_graph(60, 40, 7, 4)
+        assert g.frozen
+
+        def state():
+            return (graph_to_dict(g), dict(g.producer),
+                    {d: list(c) for d, c in g.consumers.items()},
+                    {r: list(c) for r, c in g.children.items()})
+
+        before = state()
+        with pytest.raises(GraphError, match="frozen"):
+            make_feasible(g, g.max_footprint() // 2)
+        assert state() == before
+        rep = make_feasible(g, 10**9)  # nothing to split: only checked
+        assert not rep.any_split and state() == before
+
+    def test_report_contents(self):
+        g = find_edges_graph(60, 40, 7, 4).copy()
         cap = g.max_footprint() // 2
         rep = make_feasible(g, cap)
         assert rep.any_split

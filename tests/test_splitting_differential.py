@@ -12,6 +12,9 @@ copies of one template and must agree on:
   consumer order feeds the scheduler;
 * the ``SplitReport``, dict order included;
 * for an infeasible case, the exception type and message.
+
+``TestRewiring`` pins the rewiring helpers the oracle keeps for itself
+(an :class:`OperatorGraph` is append-only).
 """
 
 import json
@@ -20,11 +23,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import OperatorGraph, graph_to_dict, make_feasible
+from repro.core import GraphError, OperatorGraph, graph_to_dict, make_feasible
 from repro.gpusim import GpuDevice
 from repro.templates import SMALL_CNN, cnn_graph, dog_pyramid_graph, find_edges_graph
 
 from . import reference_splitting as reference
+from .test_graph import diamond
 
 FAST = settings(
     max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -56,6 +60,7 @@ def assert_same_split(build, capacity: int, presplit: int | None = None) -> None
     """
     template = build()
     if presplit is not None:
+        template = template.copy()  # factories hand out frozen graphs
         try:
             reference.make_feasible(template, presplit)
         except reference.InfeasibleTemplateError:
@@ -208,3 +213,47 @@ def test_edge_2048_at_256kb():
     """The benchmark's tier case: 2048² edge detection on a 256 KB device."""
     capacity = GpuDevice(name="256k", memory_bytes=256 * 1024).usable_memory_floats
     assert_same_split(lambda: find_edges_graph(2048, 2048, 5, 4), capacity)
+
+
+class TestRewiring:
+    def test_set_op_io(self):
+        g = diamond()
+        g.add_data("Y2", (4, 4))
+        reference.set_op_io(g, "B", ["Img"], ["Y2"])
+        assert g.producer["Y2"] == "B"
+        assert "Y" not in g.producer
+        assert g.consumers["Img"] == ["A", "B"]
+
+    def test_set_op_io_conflict(self):
+        g = diamond()
+        with pytest.raises(GraphError):
+            reference.set_op_io(g, "B", ["Img"], ["X"])  # X produced by A
+
+    def test_remove_operator(self):
+        g = diamond()
+        reference.remove_operator(g, "C")
+        assert "C" not in g.ops
+        assert g.consumers["X"] == []
+
+    def test_remove_data_guards(self):
+        g = diamond()
+        with pytest.raises(GraphError):
+            reference.remove_data_bulk(g, ["X"])  # produced
+        reference.remove_operator(g, "C")
+        reference.remove_operator(g, "A")
+        reference.remove_data_bulk(g, ["X"])
+        assert "X" not in g.data
+
+    def test_remove_data_bulk_compacts_children(self):
+        g = OperatorGraph()
+        g.add_data("root", (4, 2), virtual=True)
+        g.add_data("c1", (2, 2), parent="root", row_range=(0, 2))
+        g.add_data("c2", (2, 2), parent="root", row_range=(2, 4))
+        reference.remove_data_bulk(g, ["c1"])
+        assert g.children["root"] == ["c2"]
+
+    def test_helpers_refuse_a_frozen_graph(self):
+        g = diamond().freeze()
+        with pytest.raises(GraphError, match="frozen"):
+            reference.remove_operator(g, "C")
+        assert "C" in g.ops

@@ -111,7 +111,7 @@ class TestGeneralProperties:
         assert validate_plan(plan, g, cap) <= cap
 
     def test_split_graph_plans_valid(self):
-        g = find_edges_graph(60, 40, 7, 8)
+        g = find_edges_graph(60, 40, 7, 8).copy()
         cap = g.max_footprint() // 3
         make_feasible(g, cap)
         for order_fn in (dfs_schedule, bfs_schedule):
