@@ -16,8 +16,9 @@ engine work ahead of the compute queue.  The pass hoists every
   (earlier uploads extend residency, so this is checked explicitly).
 
 The transformed plan has identical transfer volume and remains valid for
-synchronous execution; its benefit shows up under
-:func:`repro.runtime.simulate_plan_overlap`.
+synchronous execution; its benefit shows up on the event engine's
+in-order copy stream (:func:`repro.runtime.simulate_plan_overlap` with
+``in_order_copy=True``).
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ from .events import (
     execute_plan_events,
     plan_streams,
     simulate_plan_events,
+    simulate_plan_overlap,
     step_stream,
 )
 from .executor import ExecutionResult, SimulatedRun, execute_plan, simulate_plan
-from .overlap import OverlapResult, simulate_plan_overlap
 from .reference import reference_execute
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "EventExecutionResult",
     "EventTimeline",
     "ExecutionResult",
-    "OverlapResult",
     "SimulatedRun",
     "StreamEvent",
     "assemble_root",

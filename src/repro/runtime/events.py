@@ -5,8 +5,6 @@ walks plan steps one at a time on a single simulated clock, so a plan's
 elapsed time is the *sum* of its transfer and compute costs — exactly
 the hardware limitation the paper worked under (Section 3.3.2: "We did
 not overlap computation and communication in our experiments").
-:mod:`repro.runtime.overlap` predicts what concurrent copy/compute
-engines would do, but only by re-timing a finished plan.
 
 This module closes that gap: plan steps become dependency-tracked
 **events** issued onto explicit streams — one compute engine plus copy
@@ -15,10 +13,11 @@ each event *fires when its predecessors complete*, not in serialized
 plan order.  Firing an event performs its numeric work, so the engine
 is a real executor: outputs are byte-identical to the synchronous path
 (the same numpy operator impls see the same operands in dependency
-order) while the recorded timeline genuinely overlaps.
+order) while the recorded timeline genuinely overlaps.  The
+timing-only run with one shared copy engine is the two-engine overlap
+predictor (:func:`simulate_plan_overlap`).
 
-Dependency model (identical to :func:`simulate_plan_overlap`, which is
-the validation oracle — see ``tests/test_events.py``):
+Dependency model:
 
 * a launch waits on the uploads of its inputs and on the previous
   launch (one in-order compute queue);
@@ -33,18 +32,19 @@ simultaneous residency, and plans reach this engine after
 compaction, fault injection) stays with the synchronous executor; the
 differential matrix pins this engine bitwise against it.
 
-Invariants, asserted across the differential matrix and the overlap
-benchmark gate:
+Invariants, asserted across the differential matrix, the overlap
+benchmark gate and the oracle ``tests/reference_events.py``:
 
 * outputs are byte-identical to :func:`execute_plan`;
 * ``total_time <= sync_total_time`` (overlap never loses);
-* with a single shared copy engine the executed timeline equals
-  :func:`simulate_plan_overlap`'s prediction exactly.
+* every configuration fires the same events, in the same order, as the
+  oracle's round-by-round loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Mapping
 
 import numpy as np
@@ -74,7 +74,7 @@ HOST_STREAM = "host"
 
 #: ``copy_streams`` modes: one DMA engine per direction (what current
 #: hardware exposes) or a single shared copy engine (the
-#: ``simulate_plan_overlap`` hardware model, used for validation).
+#: :func:`simulate_plan_overlap` hardware model).
 COPY_STREAM_MODES = ("per-direction", "shared")
 
 
@@ -160,6 +160,14 @@ class EventTimeline:
             return 0.0
         return min(max(self.hidden_transfer_time / self.copy_busy, 0.0), 1.0)
 
+    @property
+    def exposed_transfer_fraction(self) -> float:
+        """Fraction of copy time NOT hidden behind compute."""
+        if self.copy_busy == 0:
+            return 0.0
+        exposed = max(self.total_time - self.compute_busy, 0.0)
+        return min(exposed / self.copy_busy, 1.0)
+
     def by_stream(self) -> dict[str, list[StreamEvent]]:
         out: dict[str, list[StreamEvent]] = {}
         for ev in self.events:
@@ -179,12 +187,14 @@ class EventTimeline:
 # ---------------------------------------------------------------------------
 @dataclass
 class _EventGraph:
-    durations: dict[int, float] = field(default_factory=dict)
-    deps: dict[int, list[int]] = field(default_factory=dict)
-    stream_of: dict[int, str] = field(default_factory=dict)
+    """Per plan step: duration, stream, dependencies and their reverse."""
+
+    durations: list[float]
+    deps: list[list[int]]
+    users: list[list[int]]
+    streams: list[str]
     compute_order: list[int] = field(default_factory=list)
     copy_queues: dict[str, list[int]] = field(default_factory=dict)
-    free_order: list[int] = field(default_factory=list)
 
 
 def _build_event_graph(
@@ -194,13 +204,7 @@ def _build_event_graph(
     *,
     copy_streams: str,
 ) -> _EventGraph:
-    """Durations, dependency edges and stream assignment per plan step.
-
-    The timed-step dependency construction is kept verbatim from
-    :func:`simulate_plan_overlap` — that equality is load-bearing (the
-    engine must reproduce the oracle's timing bit-for-bit on the shared
-    copy-engine configuration).
-    """
+    """Durations, dependency edges (both ways) and streams per plan step."""
     if copy_streams not in COPY_STREAM_MODES:
         raise ValueError(
             f"copy_streams must be one of {COPY_STREAM_MODES}, "
@@ -213,64 +217,50 @@ def _build_event_graph(
             "the event engine executes single-device plans; multi-device "
             "plans run through repro.multigpu"
         )
-    eg = _EventGraph()
-    if copy_streams == "shared":
-        eg.copy_queues[SHARED_COPY] = []
-    else:
-        eg.copy_queues[H2D_STREAM] = []
-        eg.copy_queues[D2H_STREAM] = []
+    n = len(plan.steps)
+    eg = _EventGraph([0.0] * n, [[] for _ in range(n)], [[] for _ in range(n)], [])
+    copies = (SHARED_COPY,) if copy_streams == "shared" else (H2D_STREAM, D2H_STREAM)
+    eg.copy_queues = {name: [] for name in copies}
     last_upload: dict[str, int] = {}
     last_download: dict[str, int] = {}
     producer_launch: dict[str, int] = {}
     touched: dict[str, list[int]] = {}
-    prev_launch: int | None = None
     for i, step in enumerate(plan.steps):
         stream = step_stream(step, copy_streams=copy_streams)
-        eg.stream_of[i] = stream
-        if isinstance(step, CopyToGPU):
+        eg.streams.append(stream)
+        deps = eg.deps[i]
+        if isinstance(step, (CopyToGPU, CopyToCPU)):
+            # Re-uploading evicted data needs the saving download done;
+            # a download needs the launch that produced the data.
+            up = isinstance(step, CopyToGPU)
+            source = (last_download if up else producer_launch).get(step.data)
+            if source is not None:
+                deps.append(source)
+            (last_upload if up else last_download)[step.data] = i
             eg.durations[i] = cost.transfer_time_floats(graph.data[step.data].size)
-            # Re-uploading evicted data needs the saving download done.
-            eg.deps[i] = (
-                [last_download[step.data]]
-                if step.data in last_download
-                else []
-            )
-            last_upload[step.data] = i
-            eg.copy_queues[stream].append(i)
-            touched.setdefault(step.data, []).append(i)
-        elif isinstance(step, CopyToCPU):
-            eg.durations[i] = cost.transfer_time_floats(graph.data[step.data].size)
-            eg.deps[i] = (
-                [producer_launch[step.data]]
-                if step.data in producer_launch
-                else []
-            )
-            last_download[step.data] = i
             eg.copy_queues[stream].append(i)
             touched.setdefault(step.data, []).append(i)
         elif isinstance(step, Launch):
             op = graph.ops[step.op]
             eg.durations[i] = cost.kernel_time(*launch_cost(op, graph))
-            d = [last_upload[x] for x in op.inputs if x in last_upload]
-            if prev_launch is not None:
-                d.append(prev_launch)  # single in-order compute queue
-            eg.deps[i] = d
+            deps.extend(last_upload[x] for x in op.inputs if x in last_upload)
+            if eg.compute_order:  # single in-order compute queue
+                deps.append(eg.compute_order[-1])
             for x in op.outputs:
                 producer_launch[x] = i
                 last_upload.pop(x, None)  # device-born: no upload needed
                 touched.setdefault(x, []).append(i)
             for x in op.inputs:
                 touched.setdefault(x, []).append(i)
-            prev_launch = i
             eg.compute_order.append(i)
         elif isinstance(step, Free):
             # Host bookkeeping: fires after every prior touch of the
             # buffer; costs nothing; nothing depends on it.
-            eg.durations[i] = 0.0
-            eg.deps[i] = list(touched.get(step.data, []))
-            eg.free_order.append(i)
+            deps.extend(touched.get(step.data, ()))
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown step {step!r}")
+        for d in deps:
+            eg.users[d].append(i)
     return eg
 
 
@@ -290,92 +280,92 @@ def _run_event_loop(
     an event is issued — the numeric executor performs the step's work
     there, so execution order *is* the dependency order, not plan order.
 
-    Engine policies match :func:`simulate_plan_overlap`: the compute
-    engine issues in plan order; each copy engine issues the ready
-    transfer that can start earliest (out-of-order past blocked
-    downloads), or only its FIFO head with ``in_order_copy``.
+    The loop runs in rounds.  Each round the compute engine issues its
+    next launch in plan order if it is ready; then each copy engine
+    issues one ready transfer — the lowest-index one that can start the
+    moment the engine is free, else the one that can start earliest
+    (out-of-order issue past blocked downloads), or only its FIFO head
+    with ``in_order_copy``; then every free that became ready fires, in
+    plan order.  An event's unmet dependencies are counted down as its
+    predecessors issue, so each event is issued once and each edge
+    decremented once.
     """
-    finish: dict[int, float] = {}
+    steps, durations, deps, users, streams = (
+        plan.steps, eg.durations, eg.deps, eg.users, eg.streams
+    )
+    n = len(durations)
+    ready_at = [0.0] * n  # latest finish among an event's dependencies
+    unmet = [len(d) for d in deps]
     clocks: dict[str, float] = {name: 0.0 for name in eg.copy_queues}
     clocks[COMPUTE] = 0.0
-    next_compute = 0
-    pending_copy = {name: list(q) for name, q in eg.copy_queues.items()}
-    pending_free = list(eg.free_order)
+    heads = dict.fromkeys(eg.copy_queues, 0)  # in_order_copy FIFO heads
+    # Ready transfers per copy engine: those that must wait for a
+    # dependency past the engine's clock, keyed (ready time, index), and
+    # those that could start now, keyed by index.
+    later: dict[str, list[tuple[float, int]]] = {s: [] for s in eg.copy_queues}
+    now: dict[str, list[int]] = {s: [] for s in eg.copy_queues}
+    frees: list[int] = []
     fired: list[StreamEvent] = []
-    copy_busy = sum(eg.durations[i] for q in eg.copy_queues.values() for i in q)
-    compute_busy = sum(eg.durations[i] for i in eg.compute_order)
+    copy_busy = sum(durations[i] for q in eg.copy_queues.values() for i in q)
+    compute_busy = sum(durations[i] for i in eg.compute_order)
 
-    def ready(i: int) -> bool:
-        return all(d in finish for d in eg.deps[i])
+    def became_ready(i: int) -> None:
+        stream = streams[i]
+        if stream == HOST_STREAM:
+            frees.append(i)
+        elif stream != COMPUTE and not in_order_copy:
+            heappush(later[stream], (ready_at[i], i))
 
-    def issue(i: int, stream: str, start: float) -> None:
-        end = start + eg.durations[i]
-        finish[i] = end
-        ev = StreamEvent(
-            index=i,
-            step=plan.steps[i],
-            stream=stream,
-            start=start,
-            finish=end,
-            deps=tuple(eg.deps[i]),
-        )
-        fired.append(ev)
+    def issue(i: int, stream: str, start: float) -> float:
+        end = start + durations[i]
+        fired.append(StreamEvent(i, steps[i], stream, start, end, tuple(deps[i])))
         if fire is not None:
-            fire(i, plan.steps[i], stream, start, end)
+            fire(i, steps[i], stream, start, end)
+        for u in users[i]:
+            if end > ready_at[u]:
+                ready_at[u] = end
+            unmet[u] -= 1
+            if not unmet[u]:
+                became_ready(u)
+        return end
 
-    while (
-        next_compute < len(eg.compute_order)
-        or any(pending_copy.values())
-        or pending_free
-    ):
-        progressed = False
+    for i in range(n):
+        if not unmet[i]:
+            became_ready(i)
+    next_compute = 0
+    while len(fired) < n:
+        fired_before = len(fired)
         # Compute engine: strict plan order.
         if next_compute < len(eg.compute_order):
             i = eg.compute_order[next_compute]
-            if ready(i):
-                start = max(
-                    clocks[COMPUTE],
-                    max((finish[d] for d in eg.deps[i]), default=0.0),
-                )
-                issue(i, COMPUTE, start)
-                clocks[COMPUTE] = finish[i]
+            if not unmet[i]:
+                clocks[COMPUTE] = issue(i, COMPUTE, max(clocks[COMPUTE], ready_at[i]))
                 next_compute += 1
-                progressed = True
-        # Copy engines: among ready transfers, issue the one that can
-        # start earliest (out-of-order issue past blocked downloads, as
-        # a multi-stream runtime would); plan order breaks ties.  With
-        # in_order_copy only the head of each FIFO may issue.
-        for stream, pending in pending_copy.items():
-            best_k = -1
-            best_start = float("inf")
-            candidates = pending[:1] if in_order_copy else pending
-            for k, i in enumerate(candidates):
-                if ready(i):
-                    start = max(
-                        clocks[stream],
-                        max((finish[d] for d in eg.deps[i]), default=0.0),
-                    )
-                    if start < best_start:
-                        best_start = start
-                        best_k = k
-                    if start <= clocks[stream]:
-                        break  # cannot start before the engine is free
-            if best_k >= 0:
-                i = pending.pop(best_k)
-                issue(i, stream, best_start)
-                clocks[stream] = finish[i]
-                progressed = True
-        # Host stream: frees fire as soon as their last toucher is done.
-        still_pending: list[int] = []
-        for i in pending_free:
-            if ready(i):
-                start = max((finish[d] for d in eg.deps[i]), default=0.0)
-                issue(i, HOST_STREAM, start)
-                progressed = True
+        for stream, queue in eg.copy_queues.items():
+            clock = clocks[stream]
+            if in_order_copy:
+                k = heads[stream]
+                if k == len(queue) or unmet[queue[k]]:
+                    continue
+                heads[stream] = k + 1
+                i = queue[k]
             else:
-                still_pending.append(i)
-        pending_free = still_pending
-        if not progressed:  # pragma: no cover - defensive
+                waiting, startable = later[stream], now[stream]
+                while waiting and waiting[0][0] <= clock:
+                    heappush(startable, heappop(waiting)[1])
+                if startable:
+                    i = heappop(startable)
+                elif waiting:
+                    i = heappop(waiting)[1]
+                else:
+                    continue
+            clocks[stream] = issue(i, stream, max(clock, ready_at[i]))
+        # Host stream: frees fire as soon as their last toucher is done.
+        frees.sort()
+        for i in frees:
+            issue(i, HOST_STREAM, ready_at[i])
+        frees.clear()
+        if len(fired) == fired_before:  # pragma: no cover - defensive
             raise RuntimeError("event engine deadlocked (cyclic dependencies?)")
     total = max(clocks.values(), default=0.0)
     return EventTimeline(
@@ -399,16 +389,34 @@ def simulate_plan_events(
 ) -> EventTimeline:
     """Timing-only run of the event engine (no payloads materialised).
 
-    With ``copy_streams="shared"`` this reproduces
-    :func:`simulate_plan_overlap` exactly; the per-direction default can
-    only be faster (independent uploads and downloads no longer contend
-    for one DMA engine) and never slower than the synchronous walk.
+    The per-direction default can only be faster than one shared copy
+    engine (independent uploads and downloads no longer contend for one
+    DMA engine) and never slower than the synchronous walk.
     """
     cost = CostModel(device, host)
     eg = _build_event_graph(plan, graph, cost, copy_streams=copy_streams)
     timeline = _run_event_loop(plan, eg, in_order_copy=in_order_copy)
     timeline.copy_streams = copy_streams
     return timeline
+
+
+def simulate_plan_overlap(
+    plan: ExecutionPlan,
+    graph: OperatorGraph,
+    device: GpuDevice,
+    host: HostSystem | None = None,
+    *,
+    in_order_copy: bool = False,
+) -> EventTimeline:
+    """Two-engine overlap prediction: one compute and one copy engine.
+
+    ``in_order_copy=True`` models a copy stream fed in plan order, where
+    :func:`repro.core.planopt.hoist_uploads` pays off; the default
+    models out-of-order issue across streams.
+    """
+    return simulate_plan_events(
+        plan, graph, device, host, copy_streams="shared", in_order_copy=in_order_copy
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -483,34 +491,6 @@ _KIND_STREAMS = {
 }
 
 
-class _StreamStore:
-    """Device-side payload store for the event engine.
-
-    Payload coercions mirror :class:`~repro.gpusim.SimRuntime` exactly
-    (contiguous float32 on write, defensive copy on download) so the
-    event engine's outputs are byte-identical to the synchronous
-    executor's.
-    """
-
-    def __init__(self) -> None:
-        self._data: dict[str, np.ndarray] = {}
-
-    def write(self, name: str, array: np.ndarray) -> None:
-        self._data[name] = np.ascontiguousarray(array, dtype=np.float32)
-
-    def read_device(self, name: str) -> np.ndarray:
-        try:
-            return self._data[name]
-        except KeyError:
-            raise KeyError(f"device buffer {name!r} not resident") from None
-
-    def download(self, name: str) -> np.ndarray:
-        return self.read_device(name).copy()
-
-    def free(self, name: str) -> None:
-        self._data.pop(name, None)
-
-
 def execute_plan_events(
     plan: ExecutionPlan,
     graph: OperatorGraph,
@@ -532,7 +512,9 @@ def execute_plan_events(
     """
     cost = CostModel(device, host)
     eg = _build_event_graph(plan, graph, cost, copy_streams=copy_streams)
-    store = _StreamStore()
+    # Device payloads, coerced as SimRuntime coerces them (contiguous
+    # float32 on write, a copy on download): outputs stay byte-identical.
+    resident: dict[str, np.ndarray] = {}
     hostmem: dict[str, np.ndarray] = {}
     profile = Profile()
 
@@ -552,9 +534,9 @@ def execute_plan_events(
             profile.record(
                 Event(EventKind.H2D, step.data, start, end - start, nbytes)
             )
-            store.write(step.data, arr)
+            resident[step.data] = np.ascontiguousarray(arr, dtype=np.float32)
         elif isinstance(step, CopyToCPU):
-            arr = store.download(step.data)
+            arr = resident[step.data].copy()
             hostmem[step.data] = arr
             profile.record(
                 Event(
@@ -566,7 +548,7 @@ def execute_plan_events(
             op = graph.ops[step.op]
             impl = get_impl(op.kind)
             operands = [
-                gather_slot(graph, s, store.read_device)
+                gather_slot(graph, s, resident.__getitem__)
                 for s in op_slots(op, graph)
             ]
             results = impl.execute(op, operands)
@@ -578,7 +560,7 @@ def execute_plan_events(
                         graph.data[name].size * FLOAT_BYTES,
                     )
                 )
-                store.write(name, array)
+                resident[name] = np.ascontiguousarray(array, dtype=np.float32)
 
             scatter_outputs(graph, op, results, put)
             profile.record(
@@ -594,7 +576,7 @@ def execute_plan_events(
                     graph.data[step.data].size * FLOAT_BYTES,
                 )
             )
-            store.free(step.data)
+            resident.pop(step.data, None)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown step {step!r}")
 
@@ -627,5 +609,6 @@ __all__ = [
     "execute_plan_events",
     "plan_streams",
     "simulate_plan_events",
+    "simulate_plan_overlap",
     "step_stream",
 ]

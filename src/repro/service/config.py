@@ -78,8 +78,9 @@ class ServiceConfig:
     * ``shard_label`` — this service's name in ``live_snapshot()``'s
       per-shard breakdown (the shard router names workers ``proc/N``).
     * ``telemetry_events`` — capacity of the live telemetry event ring
-      (:class:`repro.obs.live.EventLog`); ``0`` disables the event bus
-      entirely (publishes become no-ops).
+      (:class:`repro.obs.live.EventLog`) and of the service tracer's
+      span ring; ``0`` disables the event bus entirely (publishes become
+      no-ops) and keeps no spans.
     * ``window_seconds`` — width of the rolling latency/throughput/SLO
       windows behind ``live_snapshot()`` and ``GET /metrics``.
     * ``slo_objectives`` — the service-level objectives tracked with

@@ -174,6 +174,8 @@ class ExecutionService:
         self.config = config or ServiceConfig()
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=time.perf_counter)
+        # Merged request spans: the most recent ``telemetry_events`` only.
+        self.tracer.spans = deque(maxlen=self.config.telemetry_events)
         self.events = EventLog(capacity=self.config.telemetry_events)
         self._latency_window = SlidingWindow(self.config.window_seconds)
         self._slo = SloTracker(

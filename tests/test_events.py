@@ -3,10 +3,10 @@
 Three pillars, mirroring the invariants ``repro.runtime.events``
 documents:
 
-* **oracle equality** — with a single shared copy engine the event
-  engine's timing reproduces :func:`simulate_plan_overlap` exactly
-  (same engine policies, same dependency model), so the overlap
-  predictor is exact, not merely optimistic;
+* **oracle equality** — :func:`simulate_plan_overlap` is the engine's
+  single-shared-copy-engine configuration, timing for timing (the
+  event-for-event oracle is ``tests/reference_events.py``, driven by
+  ``tests/test_events_oracle.py``);
 * **overlap never loses** — ``total_time <= sync_total_time`` in every
   configuration, and the per-direction engine never loses to the
   shared one;
@@ -69,8 +69,7 @@ class TestOracleEquality:
     def test_shared_engine_matches_overlap_prediction(self, device, in_order):
         """One copy engine + one compute engine is exactly the
         ``simulate_plan_overlap`` hardware model — bit-for-bit, not
-        approximately: both run the same issue policy over the same
-        dependency edges."""
+        approximately: the predictor is this configuration."""
         compiled = _compile_on(DEVICES[device])
         tl = simulate_plan_events(
             compiled.plan,

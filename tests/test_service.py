@@ -627,6 +627,20 @@ class TestObservability:
         assert len(spans) == 2
         assert {sp.attrs["status"] for sp in spans} == {"ok"}
 
+    def test_tracer_keeps_only_the_most_recent_spans(self):
+        ring = 16
+        with ExecutionService(ServiceConfig(workers=1, telemetry_events=ring)) as svc:
+            for _ in range(12):
+                svc.submit(edge_request()).result(timeout=30)
+                assert len(svc.tracer.spans) <= ring
+            newest = svc.tracer.find("service.request")
+            assert newest and newest[-1] is svc.tracer.spans[-1]
+            svc.submit(edge_request()).result(timeout=30)
+            spans = svc.tracer.find("service.request")
+        assert len(svc.tracer.spans) == ring
+        assert spans[-1].start > newest[-1].start
+        assert spans[-1] is svc.tracer.spans[-1]
+
     def test_response_to_dict_is_json_ready(self):
         import json
 
