@@ -5,7 +5,7 @@ scheduling, the exact Pseudo-Boolean formulation, and the end-to-end
 Framework driver.
 """
 
-from .baseline import baseline_plan, baseline_transfer_floats
+from .baseline import baseline_plan, baseline_transfer_floats, online_plan
 from .columnar import ColumnarGraph, lower
 from .framework import (
     CompiledTemplate,
@@ -145,6 +145,7 @@ __all__ = [
     "load_plan",
     "lower",
     "make_feasible",
+    "online_plan",
     "op_out_specs",
     "op_slots",
     "output_size",

@@ -78,13 +78,17 @@ def input_chunk_array(
     name: str,
     template_inputs: Mapping[str, np.ndarray],
 ) -> np.ndarray:
-    """Host array for a (possibly chunked) template-input data structure."""
+    """Host array for a (possibly chunked) template-input data structure;
+    ``ValueError`` if the given root array has another shape than declared."""
     ds = graph.data[name]
-    if ds.parent is not None:
-        root = np.asarray(template_inputs[ds.parent], dtype=np.float32)
-        r0, r1 = ds.row_range
-        return root[r0:r1]
-    return np.asarray(template_inputs[name], dtype=np.float32)
+    root = ds.parent or name
+    array = np.asarray(template_inputs[root], dtype=np.float32)
+    if array.shape != graph.data[root].shape:
+        raise ValueError(
+            f"template input {root!r}: declared shape {graph.data[root].shape}, "
+            f"given {array.shape}"
+        )
+    return array if ds.parent is None else array[slice(*ds.row_range)]
 
 
 def assemble_root(

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import Framework, dfs_schedule, make_feasible
-from repro.gpusim import GpuDevice, SimRuntime
-from repro.runtime import DynamicExecutor, dynamic_execute, reference_execute
+from repro.core import Framework, dfs_schedule, make_feasible, online_plan
+from repro.gpusim import GpuDevice, HostSystem, SimRuntime
+from repro.runtime import (
+    DynamicExecutor,
+    dynamic_execute,
+    reference_execute,
+    simulate_plan,
+)
 from repro.templates import (
     SMALL_CNN,
     cnn_graph,
@@ -106,3 +111,31 @@ class TestStaticVsDynamic:
         res = dynamic_execute(g.copy(), rt, inputs)
         assert res.transfer_floats * 4 == rt.profile.bytes_transferred()
         assert res.elapsed == pytest.approx(rt.clock)
+
+
+class TestOnePlanInterpreter:
+    """The library runs as a plan on the synchronous walker, so it gets
+    every rule that walker enforces."""
+
+    def test_host_paging_is_modelled(self):
+        dev = GpuDevice(name="m64", memory_bytes=64 * 1024)
+        host = HostSystem(name="tiny-host", memory_bytes=40 * 1024)
+        compiled = Framework(dev).compile(find_edges_graph(96, 96, 9, 8))
+        graph, order = compiled.graph, compiled.op_order
+        res = dynamic_execute(
+            graph, SimRuntime(dev, host), find_edges_inputs(96, 96, 9, 8), order
+        )
+        plan = online_plan(graph, dev.usable_memory_floats, order)
+        assert simulate_plan(plan, graph, dev, host).thrashed
+        assert res.thrashed
+
+    def test_a_second_run_uses_the_second_inputs(self):
+        g = find_edges_graph(48, 40, 5, 4)
+        ex = DynamicExecutor(g, SimRuntime(DEV))
+        first = ex.run(find_edges_inputs(48, 40, 5, 4, seed=1))
+        inputs = find_edges_inputs(48, 40, 5, 4, seed=2)
+        second = ex.run(inputs)
+        np.testing.assert_array_equal(
+            second.outputs["Edg"], reference_execute(g, inputs)["Edg"]
+        )
+        assert second.h2d_floats == first.h2d_floats

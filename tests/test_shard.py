@@ -152,7 +152,7 @@ class TestByteIdentity:
 
     def test_edge_template_identical_across_tiers(self):
         graph = find_edges_graph(48, 48, 8, 2)
-        inputs = find_edges_inputs(48, 48, seed=7)
+        inputs = find_edges_inputs(48, 48, 8, 2, seed=7)
         differential_check(
             graph, inputs, DEV, CompileOptions(),
             executors={
