@@ -3,10 +3,14 @@
 The adoption surface for people who do not want to write Python: build
 one of the paper's templates, compile it for a GPU preset, inspect the
 plan, run it on the simulated device, or emit the generated program.
+The commands are argument parsing over :mod:`repro.api` and the
+renderers in :mod:`repro.obs`.
 
     repro info    --template edge --size 4096x4096
     repro compile --template edge --size 10000x10000 --device geforce_8800_gtx
+    repro compile --template edge --size 2048x2048 --num-devices 4
     repro run     --template small-cnn --size 640x480 --verify
+    repro run     --template edge --size 1024x1024 --num-devices 2 --verify
     repro run     --template edge --size 4096x4096 --trace-out trace.json
     repro explain --template edge --size 2048x2048
     repro report  --template edge --size 512x512 --num-devices 2
@@ -15,7 +19,14 @@ plan, run it on the simulated device, or emit the generated program.
     repro submit  --template edge --size 512x512 --repeat 8 --workers 4
     repro serve   jobs.json --workers 8 --fault-rate 0.2
     repro serve   jobs.json --shards 4 --flight-dir /var/tmp/flight --alerts
+    repro top     127.0.0.1:8321
     repro postmortem /var/tmp/flight/proc-0 --format md
+
+``compile``, ``run``, ``explain`` and ``report`` take ``--num-devices N``
+(with ``--transfer-mode`` and ``--shared-bus``): the same command then
+compiles for a group of N GPUs.  ``compile --save``, ``--timeline`` and
+``--incremental`` need one device.  ``run --verify`` requires every
+output to be bit-identical to the host reference.
 
 Exit codes: 0 success; 1 application failure (verify mismatch, benchmark
 regression, failed/expired service request); 2 user error (bad flags,
@@ -29,10 +40,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
+import repro
 from repro.analysis import memory_profile, render_scaling, scaling_report
 from repro.analysis.timeline import render_timeline
 from repro.codegen import generate_cuda, generate_python
@@ -42,7 +54,9 @@ from repro.obs import (
     analyze_run,
     explain_to_dicts,
     render_explain,
+    render_postmortem,
     render_report,
+    render_top,
     write_chrome_trace,
 )
 from repro.obs.bench import (
@@ -61,10 +75,8 @@ from repro.gpusim import (
     homogeneous_group,
 )
 from repro.gpusim.faults import FaultSpec
-from repro.multigpu import compile_multi, execute_multi, simulate_multi
 from repro.runtime import plan_streams, reference_execute, simulate_plan
 from repro.service import (
-    AsyncExecutionService,
     ExecutionService,
     RetryPolicy,
     ServiceConfig,
@@ -108,16 +120,17 @@ def _parse_size(text: str) -> tuple[int, int]:
 TEMPLATES = ("edge", "small-cnn", "large-cnn", "pyramid")
 
 
-def _build_template(
-    template: str,
-    size: tuple[int, int],
-    *,
-    kernel: int = 16,
-    orientations: int = 4,
-    octaves: int = 3,
-    seed: int = 0,
-) -> tuple:
+def _build(spec: Mapping) -> tuple:
+    """``(graph, inputs factory)`` for a template spec: a command's flags
+    (``vars(args)``) or one entry of a ``serve`` jobs file."""
+    size = spec.get("size", (1024, 1024))
+    if isinstance(size, str):
+        size = _parse_size(size)
     h, w = size
+    template = spec.get("template", "edge")
+    kernel = int(spec.get("kernel", 16))
+    orientations = int(spec.get("orientations", 4))
+    seed = int(spec.get("seed", 0))
     if template == "edge":
         graph = find_edges_graph(h, w, kernel, orientations)
         inputs: Callable = lambda: find_edges_inputs(
@@ -130,7 +143,7 @@ def _build_template(
         graph = cnn_graph(LARGE_CNN, h, w)
         inputs = lambda: cnn_inputs(LARGE_CNN, h, w, seed=seed)
     elif template == "pyramid":
-        graph = dog_pyramid_graph(h, w, octaves=octaves)
+        graph = dog_pyramid_graph(h, w, octaves=int(spec.get("octaves", 3)))
         inputs = lambda: dog_pyramid_inputs(h, w, seed=seed)
     else:
         raise CLIError(
@@ -139,46 +152,43 @@ def _build_template(
     return graph, inputs
 
 
-def _build(args) -> tuple:
-    return _build_template(
-        args.template,
-        args.size,
-        kernel=args.kernel,
-        orientations=args.orientations,
-        octaves=args.octaves,
-        seed=args.seed,
-    )
-
-
-def _options(args) -> CompileOptions:
+def _options(spec: Mapping) -> CompileOptions:
+    headroom = spec.get("headroom", "auto")
     return CompileOptions(
-        scheduler=args.scheduler,
-        eviction_policy=args.eviction,
-        split_headroom=(
-            "auto" if args.headroom == "auto" else float(args.headroom)
-        ),
+        scheduler=spec.get("scheduler", "dfs"),
+        eviction_policy=spec.get("eviction", "belady"),
+        split_headroom="auto" if headroom == "auto" else float(headroom),
     )
 
 
-def _framework(args) -> Framework:
-    return Framework(
-        device_by_name(args.device),
+def _multi(args) -> bool:
+    return getattr(args, "num_devices", 1) > 1
+
+
+def _target(args) -> dict:
+    """``repro.compile``'s keywords for the flags: ``device=`` one GPU,
+    or ``group=`` (and its transfer mode) for ``--num-devices N``."""
+    target = dict(
         host=XEON_WORKSTATION,
-        options=_options(args),
+        options=_options(vars(args)),
         plan_cache=not getattr(args, "no_plan_cache", False),
     )
-
-
-def _group(args):
-    return homogeneous_group(
-        device_by_name(args.device),
-        args.num_devices,
-        shared_bus=args.shared_bus,
+    device = device_by_name(args.device)
+    if not _multi(args):
+        return dict(target, device=device)
+    group = homogeneous_group(
+        device, args.num_devices, shared_bus=args.shared_bus
     )
+    return dict(target, group=group, transfer_mode=args.transfer_mode)
+
+
+def _device_label(args) -> str:
+    name = device_by_name(args.device).name
+    return f"{args.num_devices}x {name}" if _multi(args) else name
 
 
 def cmd_info(args) -> int:
-    graph, _ = _build(args)
+    graph, _ = _build(vars(args))
     prof = memory_profile(graph)
     print(f"template       : {graph.name}")
     print(f"operators      : {len(graph.ops)}")
@@ -194,17 +204,21 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _write_trace(args, compiled, profile=None, simulated_events=None) -> None:
+def _write_trace(args, compiled, **timeline) -> None:
+    """``--trace-out``: the compile spans plus the command's device
+    timeline (``profile``, ``profiles`` or ``simulated_events``)."""
     write_chrome_trace(
         args.trace_out,
         spans=compiled.spans,
-        profile=profile,
-        simulated_events=simulated_events,
         metadata={
             "template": compiled.graph.name,
-            "device": compiled.device.name,
+            "device": _device_label(args),
         },
+        **timeline,
     )
+    # with --json, stdout must stay a single parseable document
+    print(f"chrome trace written to {args.trace_out}",
+          file=sys.stderr if args.json else sys.stdout)
 
 
 def _print_compile_stats(compiled) -> None:
@@ -224,92 +238,62 @@ def _print_compile_stats(compiled) -> None:
         if name in by_name:
             print(f"  {name:20s}: {by_name[name] * 1e3:9.2f} ms")
     print(f"  {'total':20s}: {total * 1e3:9.2f} ms")
-    counters = getattr(compiled, "metrics", {}).get("counters", {})
-    if "plan_cache.hit" in counters:
-        print(f"  {'plan cache':20s}: "
-              f"{'hit' if counters['plan_cache.hit'] else 'miss'} "
-              f"(hit={counters['plan_cache.hit']}, "
-              f"miss={counters['plan_cache.miss']})")
-        return
-    # multi-GPU compiles carry no metrics snapshot; read the trace event
+    # one and N devices alike mark the lookup with a trace event
     events = [s for s in compiled.spans if s.name == "plan_cache"]
+    state = "off"
     if events:
-        hit = bool(events[0].attrs.get("hit"))
-        print(f"  {'plan cache':20s}: {'hit' if hit else 'miss'}")
-    else:
-        print(f"  {'plan cache':20s}: off")
+        state = "hit" if events[0].attrs.get("hit") else "miss"
+    print(f"  {'plan cache':20s}: {state}")
 
 
-def cmd_compile_multi(args) -> int:
-    graph, _ = _build(args)
-    compiled = compile_multi(
-        graph,
-        _group(args),
-        host=XEON_WORKSTATION,
-        options=_options(args),
-        transfer_mode=args.transfer_mode,
-        plan_cache=not getattr(args, "no_plan_cache", False),
-    )
-    sim = simulate_multi(compiled)
-    report = scaling_report(
-        graph,
-        device_by_name(args.device),
-        device_counts=sorted({1, args.num_devices}),
-        host=XEON_WORKSTATION,
-        options=_options(args),
-        shared_bus=args.shared_bus,
-        transfer_mode=args.transfer_mode,
-    )
-    if args.json:
-        print(json.dumps({
-            "summary": compiled.summary(),
-            "simulated_seconds": sim.total_time,
-            "device_seconds": sim.device_times,
-            "peer_floats": sim.peer_floats,
-            "speedup_vs_1gpu": report.rows[-1].speedup,
-        }, indent=1, default=str))
-    else:
-        for key, value in compiled.summary().items():
-            print(f"{key:20s}: {value}")
-        print(f"{'simulated time':20s}: {sim.total_time:.3f} s")
-        if getattr(args, "stats", False):
-            print()
-            _print_compile_stats(compiled)
-        print()
-        print(render_scaling(report))
-    notice = sys.stderr if args.json else sys.stdout
-    if args.trace_out:
-        write_chrome_trace(
-            args.trace_out,
-            spans=compiled.spans,
-            metadata={"template": graph.name, "devices": args.num_devices},
-        )
-        print(f"chrome trace written to {args.trace_out}", file=notice)
-    return 0
+#: ``compile`` flags that need one device, and why
+_SINGLE_DEVICE_FLAGS = {
+    "save": "a saved plan holds one device's plan",
+    "timeline": "the timeline tracks one device's residency",
+    "incremental": "fragment-cached compilation plans one device",
+}
 
 
 def cmd_compile(args) -> int:
-    if args.num_devices > 1:
-        return cmd_compile_multi(args)
-    graph, _ = _build(args)
-    fw = _framework(args)
+    multi = _multi(args)
+    for flag, reason in _SINGLE_DEVICE_FLAGS.items():
+        if multi and getattr(args, flag):
+            raise CLIError(
+                f"--{flag} needs one device ({reason}); "
+                f"drop it or --num-devices {args.num_devices}"
+            )
+    graph, _ = _build(vars(args))
     incremental = None
-    if getattr(args, "incremental", False):
-        incremental = fw.compile_incremental(graph)
+    if args.incremental:
+        incremental = Framework(**_target(args)).compile_incremental(graph)
         compiled = incremental.compiled
     else:
-        compiled = fw.compile(graph)
-    sim = simulate_plan(
-        compiled.plan, compiled.graph, fw.device, fw.host,
-        record_events=bool(args.trace_out),
-    )
+        compiled = repro.compile(graph, **_target(args))
+    sim = repro.simulate(compiled)
+    scaling = None
+    if multi:
+        scaling = scaling_report(
+            graph,
+            device_by_name(args.device),
+            device_counts=(1, args.num_devices),
+            host=XEON_WORKSTATION,
+            options=_options(vars(args)),
+            shared_bus=args.shared_bus,
+            transfer_mode=args.transfer_mode,
+        )
     if args.json:
         doc = {
             "summary": compiled.summary(),
-            "metrics": compiled.metrics,
             "simulated_seconds": sim.total_time,
-            "breakdown": sim.breakdown(),
         }
+        if multi:
+            doc.update(
+                device_seconds=sim.device_times,
+                peer_floats=sim.peer_floats,
+                speedup_vs_1gpu=scaling.rows[-1].speedup,
+            )
+        else:
+            doc.update(metrics=compiled.metrics, breakdown=sim.breakdown())
         if incremental is not None:
             doc["fragments"] = {
                 "total": incremental.total_fragments,
@@ -324,98 +308,62 @@ def cmd_compile(args) -> int:
             print(f"{'fragments':20s}: {incremental.reused_fragments}"
                   f"/{incremental.total_fragments} reused "
                   f"({100 * incremental.reuse_ratio:.0f}%)")
-        print(f"{'simulated time':20s}: {sim.total_time:.3f} s "
-              f"({100 * sim.breakdown()['transfer']:.0f}% transfer)")
-        try:
-            base = fw.compile_baseline(graph)
-            bsim = fw.simulate(base)
-            print(f"{'baseline time':20s}: {bsim.total_time:.3f} s "
-                  f"({bsim.total_time / sim.total_time:.1f}x slower)")
-        except PlanError:
-            print(f"{'baseline time':20s}: N/A (operator exceeds device memory)")
-        if getattr(args, "stats", False):
+        if multi:
+            print(f"{'simulated time':20s}: {sim.total_time:.3f} s")
+        else:
+            print(f"{'simulated time':20s}: {sim.total_time:.3f} s "
+                  f"({100 * sim.breakdown()['transfer']:.0f}% transfer)")
+            try:
+                bsim = repro.simulate(
+                    Framework(compiled.device, host=compiled.host)
+                    .compile_baseline(graph)
+                )
+                print(f"{'baseline time':20s}: {bsim.total_time:.3f} s "
+                      f"({bsim.total_time / sim.total_time:.1f}x slower)")
+            except PlanError:
+                print(f"{'baseline time':20s}: N/A "
+                      f"(operator exceeds device memory)")
+        if args.stats:
             print()
             _print_compile_stats(compiled)
+        if multi:
+            print()
+            print(render_scaling(scaling))
     if args.timeline:
         print()
         print(render_timeline(compiled.plan, compiled.graph))
-    # with --json, stdout must stay a single parseable document
-    notice = sys.stderr if args.json else sys.stdout
     if args.trace_out:
-        _write_trace(args, compiled, simulated_events=sim.events)
-        print(f"chrome trace written to {args.trace_out}", file=notice)
+        # the per-step simulated track is a one-device walk
+        events = None if multi else simulate_plan(
+            compiled.plan, compiled.graph, compiled.device, compiled.host,
+            record_events=True,
+        ).events
+        _write_trace(args, compiled, simulated_events=events)
     if args.save:
         save_plan(compiled, args.save)
-        print(f"plan written to {args.save}", file=notice)
-    return 0
-
-
-def cmd_run_multi(args) -> int:
-    graph, make_inputs = _build(args)
-    compiled = compile_multi(
-        graph,
-        _group(args),
-        host=XEON_WORKSTATION,
-        options=_options(args),
-        transfer_mode=args.transfer_mode,
-    )
-    inputs = make_inputs()
-    result = execute_multi(compiled, inputs)
-    if args.json:
-        print(json.dumps({
-            "summary": compiled.summary(),
-            "elapsed_seconds": result.elapsed,
-            "device_seconds": result.device_clocks,
-            "transfer_floats": result.transfer_floats,
-            "peer_floats": result.peer_floats,
-            "thrashed": result.thrashed,
-            "outputs": {
-                name: {"shape": list(arr.shape), "mean": float(np.mean(arr))}
-                for name, arr in sorted(result.outputs.items())
-            },
-        }, indent=1, default=str))
-    else:
-        print(f"executed {len(compiled.plan.launches())} offload units on "
-              f"{result.num_devices} devices in "
-              f"{result.elapsed * 1e3:.2f} simulated ms")
-        print(f"transferred {result.transfer_floats:,} floats host<->device, "
-              f"{result.peer_floats:,} floats device<->device")
-        for dev, clock in enumerate(result.device_clocks):
-            print(f"  gpu{dev}: finished at {clock * 1e3:.2f} ms")
-        for name, arr in sorted(result.outputs.items()):
-            print(f"  output {name}: shape {arr.shape}, "
-                  f"mean {float(np.mean(arr)):.6f}")
-    if args.trace_out:
-        write_chrome_trace(
-            args.trace_out,
-            spans=compiled.spans,
-            profiles=[
-                (f"gpu{i}", prof) for i, prof in enumerate(result.profiles)
-            ],
-            metadata={"template": graph.name, "devices": args.num_devices},
-        )
-        print(f"chrome trace written to {args.trace_out}",
+        print(f"plan written to {args.save}",
               file=sys.stderr if args.json else sys.stdout)
-    if args.verify:
-        reference = reference_execute(graph, inputs)
-        for name in reference:
-            if not np.array_equal(result.outputs[name], reference[name]):
-                print(f"VERIFY FAILED for {name}")
-                return 1
-        print(f"verified {len(reference)} outputs against host reference: OK")
     return 0
+
+
+def _verify(outputs, reference) -> int:
+    """``run --verify``: every output bit-identical to the host reference."""
+    for name in reference:
+        if not np.array_equal(outputs[name], reference[name]):
+            print(f"VERIFY FAILED for {name}")
+            return EXIT_FAILURE
+    print(f"verified {len(reference)} outputs against host reference: OK")
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    if args.num_devices > 1:
-        return cmd_run_multi(args)
-    graph, make_inputs = _build(args)
-    fw = _framework(args)
-    compiled = fw.compile(graph)
+    multi = _multi(args)
+    graph, make_inputs = _build(vars(args))
+    compiled = repro.compile(graph, **_target(args))
     inputs = make_inputs()
-    result = fw.execute(compiled, inputs)
+    result = repro.execute(compiled, inputs)
     if args.json:
-        print(json.dumps({
+        doc = {
             "summary": compiled.summary(),
             "elapsed_seconds": result.elapsed,
             "transfer_floats": result.transfer_floats,
@@ -427,83 +375,67 @@ def cmd_run(args) -> int:
                        "mean": float(np.mean(arr))}
                 for name, arr in sorted(result.outputs.items())
             },
-            "metrics": {"compile": compiled.metrics,
-                        "execution": result.metrics},
-        }, indent=1, default=str))
+        }
+        if multi:
+            doc.update(device_seconds=result.device_clocks,
+                       peer_floats=result.peer_floats)
+        else:
+            doc["metrics"] = {"compile": compiled.metrics,
+                              "execution": result.metrics}
+        print(json.dumps(doc, indent=1, default=str))
     else:
-        print(f"executed {len(compiled.plan.launches())} offload units in "
-              f"{result.elapsed * 1e3:.2f} simulated ms")
-        print(f"transferred {result.transfer_floats:,} floats "
-              f"(h2d {result.h2d_floats:,}, d2h {result.d2h_floats:,})")
+        where = f" on {result.num_devices} devices" if multi else ""
+        print(f"executed {len(compiled.plan.launches())} offload units"
+              f"{where} in {result.elapsed * 1e3:.2f} simulated ms")
+        if multi:
+            print(f"transferred {result.transfer_floats:,} floats "
+                  f"host<->device, {result.peer_floats:,} floats "
+                  f"device<->device")
+            for dev, clock in enumerate(result.device_clocks):
+                print(f"  gpu{dev}: finished at {clock * 1e3:.2f} ms")
+        else:
+            print(f"transferred {result.transfer_floats:,} floats "
+                  f"(h2d {result.h2d_floats:,}, d2h {result.d2h_floats:,})")
         for name, arr in sorted(result.outputs.items()):
             print(f"  output {name}: shape {arr.shape}, "
                   f"mean {float(np.mean(arr)):.6f}")
     if args.trace_out:
-        _write_trace(args, compiled, profile=result.profile)
-        print(f"chrome trace written to {args.trace_out}",
-              file=sys.stderr if args.json else sys.stdout)
+        if multi:
+            _write_trace(args, compiled, profiles=[
+                (f"gpu{i}", prof) for i, prof in enumerate(result.profiles)
+            ])
+        else:
+            _write_trace(args, compiled, profile=result.profile)
     if args.verify:
-        reference = reference_execute(graph, inputs)
-        for name in reference:
-            if not np.allclose(
-                result.outputs[name], reference[name], atol=1e-4
-            ):
-                print(f"VERIFY FAILED for {name}")
-                return 1
-        print(f"verified {len(reference)} outputs against host reference: OK")
+        return _verify(result.outputs, reference_execute(graph, inputs))
     return 0
 
 
 def cmd_explain(args) -> int:
-    graph, _ = _build(args)
-    if args.num_devices > 1:
-        compiled = compile_multi(
-            graph,
-            _group(args),
-            host=XEON_WORKSTATION,
-            options=_options(args),
-            transfer_mode=args.transfer_mode,
-        )
-        device_label = f"{args.num_devices}x {compiled.group[0].name}"
-    else:
-        compiled = _framework(args).compile(graph)
-        device_label = compiled.device.name
+    graph, _ = _build(vars(args))
+    compiled = repro.compile(graph, **_target(args))
     streams = plan_streams(compiled.plan)
     if args.json:
         print(json.dumps({
             "template": compiled.graph.name,
-            "device": device_label,
+            "device": _device_label(args),
             "plan_label": compiled.plan.label,
             "steps": explain_to_dicts(compiled.plan, streams),
         }, indent=1))
         return 0
-    print(f"plan for {compiled.graph.name!r} on {device_label} "
+    print(f"plan for {compiled.graph.name!r} on {_device_label(args)} "
           f"({compiled.plan.label}):")
     print(render_explain(compiled.plan, streams))
     return 0
 
 
 def cmd_report(args) -> int:
-    graph, make_inputs = _build(args)
-    if args.num_devices > 1:
-        compiled = compile_multi(
-            graph,
-            _group(args),
-            host=XEON_WORKSTATION,
-            options=_options(args),
-            transfer_mode=args.transfer_mode,
-        )
-        result = execute_multi(compiled, make_inputs())
-        profiles = result.profiles
-        device_label = f"{args.num_devices}x {compiled.group[0].name}"
-    else:
-        fw = _framework(args)
-        compiled = fw.compile(graph)
-        result = fw.execute(compiled, make_inputs())
-        profiles = [result.profile]
-        device_label = compiled.device.name
+    graph, make_inputs = _build(vars(args))
+    compiled = repro.compile(graph, **_target(args))
+    result = repro.execute(compiled, make_inputs())
+    device_label = _device_label(args)
     analysis = analyze_run(
-        profiles,
+        result.profiles if _multi(args) else [result.profile],
         plan=compiled.plan,
         graph=compiled.graph,
         label=f"{graph.name} on {device_label}",
@@ -562,7 +494,7 @@ def _emit(text: str, output: str) -> None:
 def cmd_dot(args) -> int:
     from repro.analysis import graph_to_dot
 
-    graph, _ = _build(args)
+    graph, _ = _build(vars(args))
     _emit(graph_to_dot(graph), args.output)
     return 0
 
@@ -570,26 +502,18 @@ def cmd_dot(args) -> int:
 def cmd_opb(args) -> int:
     from repro.core.pbopt import export_opb
 
-    graph, _ = _build(args)
+    graph, _ = _build(vars(args))
     device = device_by_name(args.device)
     _emit(export_opb(graph, device.usable_memory_floats), args.output)
     return 0
 
 
 def cmd_codegen(args) -> int:
-    graph, _ = _build(args)
-    fw = _framework(args)
-    compiled = fw.compile(graph)
-    if args.lang == "python":
-        src = generate_python(compiled.plan, compiled.graph, fw.device)
-    else:
-        src = generate_cuda(compiled.plan, compiled.graph, fw.device)
-    if args.output == "-":
-        print(src)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(src)
-        print(f"{len(src.splitlines())} lines written to {args.output}")
+    graph, _ = _build(vars(args))
+    compiled = repro.compile(graph, **_target(args))
+    generate = generate_python if args.lang == "python" else generate_cuda
+    _emit(generate(compiled.plan, compiled.graph, compiled.device),
+          args.output)
     return 0
 
 
@@ -602,7 +526,7 @@ def _service_config(args) -> ServiceConfig:
             seed=args.fault_seed,
         )
     alert_rules = ()
-    if getattr(args, "alerts", False):
+    if args.alerts:
         from repro.obs.live import default_alert_rules
 
         alert_rules = default_alert_rules()
@@ -612,9 +536,9 @@ def _service_config(args) -> ServiceConfig:
             max_queue_depth=args.queue_depth,
             retry=RetryPolicy(max_attempts=args.max_attempts),
             fault_spec=fault_spec,
-            batch_window=getattr(args, "batch_window", 0.0) / 1e3,
-            shared_cache_dir=getattr(args, "shared_cache", None),
-            flight_dir=getattr(args, "flight_dir", None),
+            batch_window=args.batch_window / 1e3,
+            shared_cache_dir=args.shared_cache,
+            flight_dir=args.flight_dir,
             alert_rules=alert_rules,
         )
     except ValueError as exc:
@@ -628,66 +552,33 @@ _JOB_KEYS = frozenset({
 })
 
 
-def _request_from_spec(spec: dict, args, index: int) -> ServiceRequest:
-    if not isinstance(spec, dict):
-        raise CLIError(f"job #{index}: expected an object, got {spec!r}")
-    unknown = set(spec) - _JOB_KEYS
-    if unknown:
-        raise CLIError(
-            f"job #{index}: unknown keys {sorted(unknown)} "
-            f"(allowed: {sorted(_JOB_KEYS)})"
-        )
-    try:
-        size = spec.get("size", "1024x1024")
-        if isinstance(size, str):
-            size = _parse_size(size)
-        graph, make_inputs = _build_template(
-            spec.get("template", "edge"),
-            tuple(size),
-            kernel=int(spec.get("kernel", 16)),
-            orientations=int(spec.get("orientations", 4)),
-            octaves=int(spec.get("octaves", 3)),
-            seed=int(spec.get("seed", 0)),
-        )
-        mode = spec.get("mode", "compile")
-        options = CompileOptions(
-            scheduler=spec.get("scheduler", "dfs"),
-            eviction_policy=spec.get("eviction", "belady"),
-            split_headroom=(
-                "auto"
-                if spec.get("headroom", "auto") == "auto"
-                else float(spec["headroom"])
-            ),
-        )
-        return ServiceRequest(
-            template=graph,
-            device=device_by_name(spec.get("device", args.device)),
-            host=XEON_WORKSTATION,
-            options=options,
-            mode=mode,
-            inputs=make_inputs() if mode == "execute" else None,
-            planner=spec.get("planner", "heuristic"),
-            deadline=spec.get("deadline"),
-            label=str(spec.get("label", f"job{index}")),
-        )
-    except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
-        raise CLIError(f"job #{index}: {exc}") from None
-
-
-def _make_service(args):
-    """The serving tier the flags select: in-process by default, the
-    sharded multi-process fleet with ``--shards N``."""
-    config = _service_config(args)
-    shards = getattr(args, "shards", 0) or 0
-    if shards > 0:
-        return ShardedExecutionService(config, shards=shards)
-    return ExecutionService(config)
+def _request(spec: Mapping, label: str) -> ServiceRequest:
+    """One service request from a spec: ``submit``'s flags
+    (``vars(args)``) or a ``serve`` job, whose keys are the same names."""
+    graph, make_inputs = _build(spec)
+    mode = spec.get("mode", "compile")
+    return ServiceRequest(
+        template=graph,
+        device=device_by_name(spec["device"]),
+        host=XEON_WORKSTATION,
+        options=_options(spec),
+        mode=mode,
+        inputs=make_inputs() if mode == "execute" else None,
+        planner=spec.get("planner", "heuristic"),
+        deadline=spec.get("deadline"),
+        label=str(spec.get("label", label)),
+    )
 
 
 def _run_service(args, requests: list[ServiceRequest]) -> int:
-    """Drive one batch through the selected serving tier; exit code."""
-    with _make_service(args) as svc:
-        if getattr(args, "status_port", None) is not None:
+    """Drive one batch through the serving tier the flags select
+    (in-process, or the multi-process fleet with ``--shards N``)."""
+    config = _service_config(args)
+    with (
+        ShardedExecutionService(config, shards=args.shards)
+        if args.shards > 0 else ExecutionService(config)
+    ) as svc:
+        if args.status_port is not None:
             server = svc.serve_status(
                 host=args.status_host, port=args.status_port
             )
@@ -743,69 +634,8 @@ def _run_service(args, requests: list[ServiceRequest]) -> int:
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _run_async_demo(args, request: ServiceRequest) -> int:
-    """``repro submit --async-demo``: the asyncio front end, end to end.
-
-    Fans ``--repeat`` copies of one request through
-    :class:`AsyncExecutionService` and collects them with a single
-    ``asyncio.gather`` — the same admission, single-flight dedupe and
-    batching as the blocking path, visible per ticket in the output.
-    """
-    import asyncio
-
-    async def demo():
-        async with AsyncExecutionService(
-            _service_config(args), shards=getattr(args, "shards", 0) or 0
-        ) as svc:
-            tickets = await svc.submit_all([request] * args.repeat)
-            responses = await asyncio.wait_for(
-                asyncio.gather(*tickets), timeout=args.wait
-            )
-            return tickets, list(responses), svc.core.metrics_snapshot()
-
-    tickets, responses, snapshot = asyncio.run(demo())
-    counters = snapshot.get("counters", {})
-    if args.json:
-        print(json.dumps({
-            "async_demo": True,
-            "responses": [r.to_dict() for r in responses],
-            "metrics": snapshot,
-        }, indent=1))
-    else:
-        print(f"gathered {len(responses)} awaitable tickets via "
-              f"asyncio.gather:")
-        for ticket, resp in zip(tickets, responses):
-            if resp.deduped_from is not None:
-                share = f"deduped from request {resp.deduped_from}"
-            elif resp.batched:
-                share = ("batched with " +
-                         ", ".join(str(i) for i in resp.batched_with))
-            else:
-                share = resp.planner_used or (resp.error or "")[:48]
-            print(f"  ticket {ticket.id:>3} {resp.status.value:9s} "
-                  f"wait={resp.wait_seconds * 1e3:7.2f}ms "
-                  f"svc={resp.service_seconds * 1e3:7.2f}ms  {share}")
-        print(f"compiles: {counters.get('service.compiles', 0)}, "
-              f"dedupe hits: {counters.get('service.dedupe_hits', 0)}, "
-              f"batches: {counters.get('service.batches', 0)}")
-    return EXIT_OK if all(r.ok for r in responses) else EXIT_FAILURE
-
-
 def cmd_submit(args) -> int:
-    graph, make_inputs = _build(args)
-    request = ServiceRequest(
-        template=graph,
-        device=device_by_name(args.device),
-        host=XEON_WORKSTATION,
-        options=_options(args),
-        mode=args.mode,
-        inputs=make_inputs() if args.mode == "execute" else None,
-        planner=args.planner,
-        deadline=args.deadline,
-        label=args.template,
-    )
-    if args.async_demo:
-        return _run_async_demo(args, request)
+    request = _request(vars(args), args.template)
     return _run_service(args, [request] * args.repeat)
 
 
@@ -824,8 +654,19 @@ def cmd_serve(args) -> int:
         raise CLIError("jobs file must be a non-empty JSON array of objects")
     requests: list[ServiceRequest] = []
     for index, spec in enumerate(specs):
-        req = _request_from_spec(spec, args, index)
-        count = int(spec.get("count", 1)) if isinstance(spec, dict) else 1
+        if not isinstance(spec, dict):
+            raise CLIError(f"job #{index}: expected an object, got {spec!r}")
+        unknown = set(spec) - _JOB_KEYS
+        if unknown:
+            raise CLIError(
+                f"job #{index}: unknown keys {sorted(unknown)} "
+                f"(allowed: {sorted(_JOB_KEYS)})"
+            )
+        try:
+            req = _request({"device": args.device, **spec}, f"job{index}")
+            count = int(spec.get("count", 1))
+        except (ValueError, KeyError, argparse.ArgumentTypeError) as exc:
+            raise CLIError(f"job #{index}: {exc}") from None
         requests.extend([req] * max(count, 1))
     return _run_service(args, requests)
 
@@ -858,152 +699,19 @@ def cmd_top(args) -> int:
         return EXIT_FAILURE
     if args.json:
         print(json.dumps(snap, indent=1, sort_keys=True))
-        return EXIT_OK
-    window = snap.get("window", {})
-    cache = snap.get("plan_cache", {})
-    events = snap.get("events", {})
-    lookups = (
-        cache.get("hits", 0) + cache.get("disk_hits", 0)
-        + cache.get("misses", 0)
-    )
-    hit_rate = (
-        (cache.get("hits", 0) + cache.get("disk_hits", 0)) / lookups
-        if lookups else 0.0
-    )
-    counters = snap.get("counters", {})
-    print(f"repro top — {base}  "
-          f"({'closed' if snap.get('closed') else 'serving'})")
-    fleet = ""
-    if "shard_count" in snap:
-        fleet = (f"   shards: {snap.get('live_shards', 0)}"
-                 f"/{snap.get('shard_count', 0)} live")
-    print(f"  queue depth: {snap.get('queue_depth', 0)}   "
-          f"in flight: {snap.get('in_flight', 0)}   "
-          f"workers: {snap.get('workers', 0)}   "
-          f"submitted: {counters.get('service.submitted', 0):.0f}   "
-          f"completed: {counters.get('service.completed', 0):.0f}"
-          f"{fleet}")
-    if counters.get("service.batches"):
-        print(f"  batching: {counters.get('service.batches', 0):.0f} "
-              f"batches, {counters.get('service.batch_joins', 0):.0f} "
-              f"joined requests")
-    print(f"  window ({window.get('window_seconds', 0):.0f}s): "
-          f"{window.get('count', 0)} done, "
-          f"{window.get('rate', 0.0):.2f} req/s, latency "
-          f"p50 {window.get('p50', 0.0) * 1e3:.2f}ms "
-          f"p95 {window.get('p95', 0.0) * 1e3:.2f}ms "
-          f"p99 {window.get('p99', 0.0) * 1e3:.2f}ms")
-    print(f"  plan cache: {cache.get('hits', 0)} mem + "
-          f"{cache.get('disk_hits', 0)} disk hits, "
-          f"{cache.get('misses', 0)} misses "
-          f"({hit_rate:.0%} hit-rate), {cache.get('entries', 0)} entries")
-    for obj in snap.get("slo", {}).get("objectives", []):
-        flag = "  ** BREACHED **" if obj.get("breached") else ""
-        print(f"  slo {obj.get('name')}: "
-              f"compliance {obj.get('compliance', 0.0):.4f} "
-              f"(target {obj.get('target', 0.0)}), "
-              f"budget remaining "
-              f"{obj.get('budget_remaining_fraction', 0.0):.0%}{flag}")
-    alerts = snap.get("alerts", {})
-    if alerts.get("rules"):
-        active = alerts.get("active", [])
-        if active:
-            for alert in active:
-                detail = alert.get("description") or alert.get("rule_kind", "")
-                print(f"  ALERT {alert.get('rule')}: {detail}")
-        else:
-            print(f"  alerts: {alerts.get('rules', 0)} rules, none firing "
-                  f"(fired {alerts.get('fired_total', 0)}, "
-                  f"resolved {alerts.get('resolved_total', 0)})")
-    for shard in snap.get("shards", []):
-        if shard.get("alive") is False:
-            print(f"  shard {shard.get('shard')}: DEAD — "
-                  f"{shard.get('exit_detail', 'exit status unknown')}"
-                  + (f", {shard['in_flight_at_death']} in flight at death"
-                     if shard.get("in_flight_at_death") else ""))
-            continue
-        shard_window = shard.get("window", {})
-        print(f"  shard {shard.get('shard')}: "
-              f"queue={shard.get('queue_depth', 0)} "
-              f"in_flight={shard.get('in_flight', 0)} "
-              f"workers={shard.get('workers', 0)} "
-              f"cache_entries={shard.get('plan_cache', {}).get('entries', 0)} "
-              f"done={shard_window.get('count', 0)} "
-              f"p99={shard_window.get('p99', 0.0) * 1e3:.2f}ms")
-    print(f"  events: {events.get('emitted', 0)} emitted, "
-          f"{events.get('dropped', 0)} dropped "
-          f"(ring {events.get('capacity', 0)})")
-    flight = snap.get("flight")
-    if flight:
-        print(f"  flight recorder: {flight.get('appended', 0)} journaled, "
-              f"{flight.get('rotated', 0)} rotations, "
-              f"{flight.get('evicted', 0)} evicted -> {flight.get('dir')}")
+    else:
+        print(render_top(snap, base))
     return EXIT_OK
-
-
-def _postmortem_dirs(root: str) -> list[str]:
-    """Journal directories under ``root``: itself if it holds segments,
-    else any immediate sub-directory that does (a fleet ``--flight-dir``
-    root with one journal per shard)."""
-    from repro.obs import flight
-
-    if flight.list_segments(root):
-        return [root]
-    if not os.path.isdir(root):
-        return []
-    found = []
-    for name in sorted(os.listdir(root)):
-        path = os.path.join(root, name)
-        if os.path.isdir(path) and (
-            flight.list_segments(path)
-            or os.path.exists(os.path.join(path, flight.POSTMORTEM_BASENAME))
-        ):
-            found.append(path)
-    return found
-
-
-def _print_postmortem_text(pm: dict) -> None:
-    shard = pm.get("shard") or pm.get("journal_dir") or "shard"
-    clean = "clean shutdown" if pm.get("clean_shutdown") else "crash"
-    print(f"post-mortem — {shard} ({clean}, "
-          f"{pm.get('exit_detail', 'exit status unknown')})")
-    window = pm.get("window") or {}
-    print(f"  journal: {pm.get('records', 0)} records"
-          + (f" in {len(pm.get('segments', []))} segments"
-             if pm.get("segments") else ""))
-    print(f"  final window ({window.get('window_seconds', 0):.0f}s): "
-          f"{window.get('count', 0)} done "
-          f"({window.get('ok', 0)} ok, {window.get('failed', 0)} failed), "
-          f"p50 {window.get('p50', 0.0) * 1e3:.2f}ms "
-          f"p99 {window.get('p99', 0.0) * 1e3:.2f}ms")
-    in_flight = pm.get("in_flight", [])
-    if in_flight:
-        ids = ", ".join(str(e.get("request_id")) for e in in_flight)
-        print(f"  in flight at death: {ids}")
-    for alert in pm.get("alerts_active", []):
-        print(f"  ALERT at death: {alert.get('rule')}")
-    timeline = pm.get("timeline", [])
-    if timeline:
-        print(f"  final timeline ({len(timeline)} events):")
-        epoch = timeline[0].get("ts", 0.0)
-        for e in timeline:
-            rid = e.get("request_id")
-            rid_s = f" #{rid}" if rid is not None else ""
-            fields = e.get("fields") or {}
-            detail = " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
-            print(f"    +{max(e.get('ts', 0.0) - epoch, 0.0):7.3f}s "
-                  f"{e.get('kind', '?'):24s}{rid_s:>6} {detail}")
 
 
 def cmd_postmortem(args) -> int:
     from repro.obs.flight import (
         POSTMORTEM_BASENAME,
-        build_postmortem,
-        read_journal,
+        harvest_postmortem,
+        journal_dirs,
     )
-    from repro.obs.report import render_postmortem
 
-    dirs = _postmortem_dirs(args.journal)
+    dirs = journal_dirs(args.journal)
     if not dirs:
         raise CLIError(
             f"no flight-recorder journal found at {args.journal} "
@@ -1012,10 +720,6 @@ def cmd_postmortem(args) -> int:
         )
     reports = []
     for directory in dirs:
-        recovered = read_journal(directory)
-        for warning in recovered.warnings:
-            print(f"repro postmortem: warning: {directory}: {warning}",
-                  file=sys.stderr)
         # The supervisor's harvested artifact (if any) knows how the
         # process actually exited; the journal alone cannot.
         shard = os.path.basename(os.path.normpath(directory))
@@ -1029,28 +733,25 @@ def cmd_postmortem(args) -> int:
                 shard = harvested.get("shard") or shard
             except (OSError, json.JSONDecodeError):
                 pass
-        pm = build_postmortem(
-            recovered.records,
+        pm = harvest_postmortem(
+            directory,
             shard=shard,
             exit_code=exit_code,
             window_seconds=args.window,
             timeline_limit=args.limit,
-            warnings=recovered.warnings,
+            write_artifact=False,
         )
-        pm["journal_dir"] = directory
-        pm["segments"] = [os.path.basename(p) for p in recovered.segments]
+        for warning in pm["warnings"]:
+            print(f"repro postmortem: warning: {directory}: {warning}",
+                  file=sys.stderr)
         reports.append(pm)
     if args.json:
         payload = reports[0] if len(reports) == 1 else reports
-        _emit(json.dumps(payload, indent=1, sort_keys=True, default=str),
-              args.output)
-    elif args.format in ("md", "html"):
+        text = json.dumps(payload, indent=1, sort_keys=True, default=str)
+    else:
         text = "\n".join(render_postmortem(pm, fmt=args.format)
                          for pm in reports)
-        _emit(text, args.output)
-    else:
-        for pm in reports:
-            _print_postmortem_text(pm)
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -1062,11 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--template",
-            choices=["edge", "small-cnn", "large-cnn", "pyramid"],
-            default="edge",
-        )
+        p.add_argument("--template", choices=TEMPLATES, default="edge")
         p.add_argument(
             "--size", type=_parse_size, default=(1024, 1024),
             help="input size as WIDTHxHEIGHT (default 1024x1024)",
@@ -1087,8 +784,11 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["belady", "cost", "ltu", "lru", "fifo"])
         p.add_argument("--headroom", default="auto",
                        help="split headroom factor or 'auto'")
+
+    def devices(p: argparse.ArgumentParser) -> None:
+        common(p)
         p.add_argument("--num-devices", type=int, default=1,
-                       help="simulated GPUs; >1 uses the multi-GPU planner")
+                       help="simulated GPUs; >1 compiles for a device group")
         p.add_argument("--transfer-mode", choices=["peer", "staged"],
                        default="peer",
                        help="inter-device transfers: direct peer copies "
@@ -1108,12 +808,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a Chrome trace-event / Perfetto JSON file")
 
     p = sub.add_parser("compile", help="compile and inspect the plan")
-    common(p)
+    devices(p)
     obs_flags(p)
     p.add_argument("--timeline", action="store_true",
-                   help="print the Figure-6-style plan timeline")
+                   help="print the Figure-6-style plan timeline "
+                        "(one device)")
     p.add_argument("--save", metavar="PLAN.json",
-                   help="serialize the compiled plan")
+                   help="serialize the compiled plan (one device)")
     p.add_argument("--stats", action="store_true",
                    help="print per-phase compile timings and plan-cache "
                         "hit/miss counters")
@@ -1122,11 +823,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--incremental", action="store_true",
                    help="fragment-cached compilation: recompile only "
                         "template fragments whose fingerprint changed, "
-                        "stitch the rest from the plan cache")
+                        "stitch the rest from the plan cache (one device)")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("run", help="execute on the simulated device")
-    common(p)
+    devices(p)
     obs_flags(p)
     p.add_argument("--verify", action="store_true",
                    help="check results against the host reference")
@@ -1136,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="per-step provenance: why each transfer/eviction is in the plan",
     )
-    common(p)
+    devices(p)
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON output")
     p.set_defaults(func=cmd_explain)
@@ -1145,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="run and analyze: residency, idle gaps, transfer attribution",
     )
-    common(p)
+    devices(p)
     p.add_argument("--format", choices=["md", "html", "json"], default="md",
                    help="report format (default markdown)")
     p.add_argument("-o", "--output", default="-",
@@ -1248,10 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeat", type=int, default=1,
                    help="submit this many concurrent copies "
                         "(demonstrates single-flight dedupe)")
-    p.add_argument("--async-demo", action="store_true", dest="async_demo",
-                   help="drive the request through AsyncExecutionService "
-                        "and gather the awaitable tickets with "
-                        "asyncio.gather (same core, asyncio face)")
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser(
@@ -1291,8 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text",
                    help="report format (default human-readable text)")
     p.add_argument("-o", "--output", default="-",
-                   help="output file for --json/--format md|html "
-                        "('-' for stdout)")
+                   help="output file ('-' for stdout)")
     p.add_argument("--window", type=float, default=60.0,
                    help="timeline horizon in seconds before the last "
                         "journaled event")

@@ -81,7 +81,12 @@ from .provenance import (
     provenance_summary,
     render_explain,
 )
-from .report import render_postmortem, render_report, report_to_dict
+from .report import (
+    render_postmortem,
+    render_report,
+    render_top,
+    report_to_dict,
+)
 from .trace import Span, Tracer
 
 __all__ = [
@@ -126,6 +131,7 @@ __all__ = [
     "render_explain",
     "render_postmortem",
     "render_report",
+    "render_top",
     "report_to_dict",
     "residency_timelines",
     "simulated_to_events",

@@ -117,6 +117,25 @@ def journal_dir(flight_dir: str, shard_label: str) -> str:
     return os.path.join(flight_dir, safe)
 
 
+def journal_dirs(root: str) -> list[str]:
+    """Journal directories under ``root``: itself if it holds segments,
+    else any immediate sub-directory that does (a fleet ``flight_dir``
+    root with one journal per shard)."""
+    if list_segments(root):
+        return [root]
+    if not os.path.isdir(root):
+        return []
+    found = []
+    for name in sorted(os.listdir(root)):
+        path = os.path.join(root, name)
+        if os.path.isdir(path) and (
+            list_segments(path)
+            or os.path.exists(os.path.join(path, POSTMORTEM_BASENAME))
+        ):
+            found.append(path)
+    return found
+
+
 def encode_record(payload: dict[str, Any]) -> bytes:
     """Frame one event dict into a CRC-protected journal record."""
     body = json.dumps(payload, sort_keys=True, default=str).encode("utf-8")
@@ -551,6 +570,7 @@ __all__ = [
     "harvest_postmortem",
     "iter_journal_events",
     "journal_dir",
+    "journal_dirs",
     "list_segments",
     "read_journal",
     "segment_name",

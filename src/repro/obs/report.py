@@ -7,6 +7,10 @@ transfer-attribution table — as a single Markdown document (the
 same content.  Byte totals in the attribution table are printed
 unrounded so the report is auditable against
 ``Profile.bytes_transferred()`` exactly.
+
+The serving tier's two operator views render here too: a live ``/slo``
+snapshot (``repro top``) and a dead shard's post-mortem
+(``repro postmortem``).
 """
 
 from __future__ import annotations
@@ -57,7 +61,10 @@ def render_report(analysis: RunAnalysis, fmt: str = "md") -> str:
     if fmt == "md":
         return _render_markdown(analysis)
     if fmt == "html":
-        return _render_html(analysis)
+        return _html(
+            f"Run analysis — {analysis.label or 'unnamed run'}",
+            _render_markdown(analysis),
+        )
     raise ValueError(f"unknown report format {fmt!r} (use 'md' or 'html')")
 
 
@@ -251,16 +258,12 @@ pre {{ background: #f6f6f4; padding: 1rem; overflow-x: auto;
 """
 
 
-def _render_html(analysis: RunAnalysis) -> str:
-    """Self-contained HTML wrapper around the Markdown rendering."""
-    md = _render_markdown(analysis)
+def _html(title: str, md: str) -> str:
+    """Self-contained HTML wrapper around a Markdown rendering."""
     escaped = (
         md.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     )
-    return _HTML_SHELL.format(
-        title=f"Run analysis — {analysis.label or 'unnamed run'}",
-        body=escaped,
-    )
+    return _HTML_SHELL.format(title=title, body=escaped)
 
 
 def report_to_dict(analysis: RunAnalysis) -> dict[str, Any]:
@@ -269,26 +272,153 @@ def report_to_dict(analysis: RunAnalysis) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Shard post-mortems (repro postmortem --format md)
+# Live status (repro top)
+# ---------------------------------------------------------------------------
+def render_top(snap: dict[str, Any], url: str) -> str:
+    """One screen of a status endpoint's ``/slo`` snapshot fetched from
+    ``url``: load, latency window, plan cache, SLOs, alerts, shards."""
+    window = snap.get("window", {})
+    cache = snap.get("plan_cache", {})
+    events = snap.get("events", {})
+    lookups = (
+        cache.get("hits", 0) + cache.get("disk_hits", 0)
+        + cache.get("misses", 0)
+    )
+    hit_rate = (
+        (cache.get("hits", 0) + cache.get("disk_hits", 0)) / lookups
+        if lookups else 0.0
+    )
+    counters = snap.get("counters", {})
+    lines = [f"repro top — {url}  "
+             f"({'closed' if snap.get('closed') else 'serving'})"]
+    fleet = ""
+    if "shard_count" in snap:
+        fleet = (f"   shards: {snap.get('live_shards', 0)}"
+                 f"/{snap.get('shard_count', 0)} live")
+    lines.append(f"  queue depth: {snap.get('queue_depth', 0)}   "
+                 f"in flight: {snap.get('in_flight', 0)}   "
+                 f"workers: {snap.get('workers', 0)}   "
+                 f"submitted: {counters.get('service.submitted', 0):.0f}   "
+                 f"completed: {counters.get('service.completed', 0):.0f}"
+                 f"{fleet}")
+    if counters.get("service.batches"):
+        lines.append(f"  batching: {counters.get('service.batches', 0):.0f} "
+                     f"batches, {counters.get('service.batch_joins', 0):.0f} "
+                     f"joined requests")
+    lines.append(f"  window ({window.get('window_seconds', 0):.0f}s): "
+                 f"{window.get('count', 0)} done, "
+                 f"{window.get('rate', 0.0):.2f} req/s, latency "
+                 f"p50 {window.get('p50', 0.0) * 1e3:.2f}ms "
+                 f"p95 {window.get('p95', 0.0) * 1e3:.2f}ms "
+                 f"p99 {window.get('p99', 0.0) * 1e3:.2f}ms")
+    lines.append(f"  plan cache: {cache.get('hits', 0)} mem + "
+                 f"{cache.get('disk_hits', 0)} disk hits, "
+                 f"{cache.get('misses', 0)} misses "
+                 f"({hit_rate:.0%} hit-rate), {cache.get('entries', 0)} entries")
+    for obj in snap.get("slo", {}).get("objectives", []):
+        flag = "  ** BREACHED **" if obj.get("breached") else ""
+        lines.append(f"  slo {obj.get('name')}: "
+                     f"compliance {obj.get('compliance', 0.0):.4f} "
+                     f"(target {obj.get('target', 0.0)}), "
+                     f"budget remaining "
+                     f"{obj.get('budget_remaining_fraction', 0.0):.0%}{flag}")
+    alerts = snap.get("alerts", {})
+    if alerts.get("rules"):
+        active = alerts.get("active", [])
+        for alert in active:
+            detail = alert.get("description") or alert.get("rule_kind", "")
+            lines.append(f"  ALERT {alert.get('rule')}: {detail}")
+        if not active:
+            lines.append(f"  alerts: {alerts.get('rules', 0)} rules, none "
+                         f"firing (fired {alerts.get('fired_total', 0)}, "
+                         f"resolved {alerts.get('resolved_total', 0)})")
+    for shard in snap.get("shards", []):
+        if shard.get("alive") is False:
+            lines.append(
+                f"  shard {shard.get('shard')}: DEAD — "
+                f"{shard.get('exit_detail', 'exit status unknown')}"
+                + (f", {shard['in_flight_at_death']} in flight at death"
+                   if shard.get("in_flight_at_death") else "")
+            )
+            continue
+        shard_window = shard.get("window", {})
+        lines.append(
+            f"  shard {shard.get('shard')}: "
+            f"queue={shard.get('queue_depth', 0)} "
+            f"in_flight={shard.get('in_flight', 0)} "
+            f"workers={shard.get('workers', 0)} "
+            f"cache_entries={shard.get('plan_cache', {}).get('entries', 0)} "
+            f"done={shard_window.get('count', 0)} "
+            f"p99={shard_window.get('p99', 0.0) * 1e3:.2f}ms"
+        )
+    lines.append(f"  events: {events.get('emitted', 0)} emitted, "
+                 f"{events.get('dropped', 0)} dropped "
+                 f"(ring {events.get('capacity', 0)})")
+    flight = snap.get("flight")
+    if flight:
+        lines.append(f"  flight recorder: {flight.get('appended', 0)} "
+                     f"journaled, {flight.get('rotated', 0)} rotations, "
+                     f"{flight.get('evicted', 0)} evicted -> "
+                     f"{flight.get('dir')}")
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Shard post-mortems (repro postmortem)
 # ---------------------------------------------------------------------------
 def render_postmortem(pm: dict[str, Any], fmt: str = "md") -> str:
     """Render one :func:`repro.obs.flight.build_postmortem` dict.
 
-    ``md`` is the report surface; ``html`` wraps the same content in the
-    dependency-free shell used by run reports.
+    ``text`` is the terminal summary; ``md`` is the report surface;
+    ``html`` wraps the same content in the dependency-free shell used by
+    run reports.
     """
+    if fmt == "text":
+        return _render_postmortem_text(pm)
     if fmt == "md":
         return _render_postmortem_markdown(pm)
     if fmt == "html":
-        md = _render_postmortem_markdown(pm)
-        escaped = (
-            md.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        )
-        return _HTML_SHELL.format(
-            title=f"Post-mortem — {pm.get('shard') or 'shard'}",
-            body=escaped,
-        )
-    raise ValueError(f"unknown report format {fmt!r} (use 'md' or 'html')")
+        return _html(f"Post-mortem — {pm.get('shard') or 'shard'}",
+                     _render_postmortem_markdown(pm))
+    raise ValueError(
+        f"unknown report format {fmt!r} (use 'text', 'md' or 'html')"
+    )
+
+
+def _render_postmortem_text(pm: dict[str, Any]) -> str:
+    shard = pm.get("shard") or pm.get("journal_dir") or "shard"
+    clean = "clean shutdown" if pm.get("clean_shutdown") else "crash"
+    window = pm.get("window") or {}
+    lines = [
+        f"post-mortem — {shard} ({clean}, "
+        f"{pm.get('exit_detail', 'exit status unknown')})",
+        f"  journal: {pm.get('records', 0)} records"
+        + (f" in {len(pm.get('segments', []))} segments"
+           if pm.get("segments") else ""),
+        f"  final window ({window.get('window_seconds', 0):.0f}s): "
+        f"{window.get('count', 0)} done "
+        f"({window.get('ok', 0)} ok, {window.get('failed', 0)} failed), "
+        f"p50 {window.get('p50', 0.0) * 1e3:.2f}ms "
+        f"p99 {window.get('p99', 0.0) * 1e3:.2f}ms",
+    ]
+    in_flight = pm.get("in_flight", [])
+    if in_flight:
+        ids = ", ".join(str(e.get("request_id")) for e in in_flight)
+        lines.append(f"  in flight at death: {ids}")
+    for alert in pm.get("alerts_active", []):
+        lines.append(f"  ALERT at death: {alert.get('rule')}")
+    timeline = pm.get("timeline", [])
+    if timeline:
+        lines.append(f"  final timeline ({len(timeline)} events):")
+        epoch = timeline[0].get("ts", 0.0)
+        for e in timeline:
+            rid = e.get("request_id")
+            rid_s = f" #{rid}" if rid is not None else ""
+            fields = e.get("fields") or {}
+            detail = " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
+            lines.append(f"    +{max(e.get('ts', 0.0) - epoch, 0.0):7.3f}s "
+                         f"{e.get('kind', '?'):24s}{rid_s:>6} {detail}")
+    return "\n".join(lines)
 
 
 def _render_postmortem_markdown(pm: dict[str, Any]) -> str:
@@ -381,5 +511,6 @@ __all__ = [
     "CURVE_POINTS",
     "render_postmortem",
     "render_report",
+    "render_top",
     "report_to_dict",
 ]

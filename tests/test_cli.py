@@ -523,3 +523,222 @@ class TestTopCommand:
         err = capsys.readouterr().err
         assert "status endpoint: http://127.0.0.1:" in err
         assert "/metrics" in err
+
+
+class TestOneTargetPath:
+    """``compile``/``run`` are one body for one to N devices."""
+
+    @pytest.mark.parametrize("flag", ["--save", "--timeline", "--incremental"])
+    def test_multi_compile_rejects_single_device_flags(
+        self, capsys, tmp_path, flag
+    ):
+        path = tmp_path / "plan.json"
+        extra = [flag, os.fspath(path)] if flag == "--save" else [flag]
+        rc = main(["compile", "--size", "64x64", "--num-devices", "2",
+                   *extra])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error:")
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("devices", ["1", "2"])
+    def test_compile_stats(self, capsys, devices):
+        argv = ["compile", "--size", "64x64", "--num-devices", devices,
+                "--stats"]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        first, second = capsys.readouterr().out.split("compile stats:")[1:]
+        assert "transfer_scheduling" in first
+        assert "plan cache          : miss" in first
+        assert "plan cache          : hit" in second
+
+    @pytest.mark.parametrize("command", ["codegen", "submit"])
+    def test_device_group_flags_only_where_they_apply(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--size", "64x64", "--num-devices", "2"])
+        assert exc.value.code == 2
+        assert "--num-devices" in capsys.readouterr().err
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 6: conv2d accumulation order depends on "
+               "band shape",
+    )
+    def test_cnn_verify_is_exact_on_two_devices(self, capsys):
+        rc = main(["run", "--template", "small-cnn", "--size", "256x256",
+                   "--num-devices", "2", "--verify"])
+        assert rc == 0, capsys.readouterr().out
+
+
+#: ``/slo`` snapshots for ``repro top``: a fleet with a dead shard, firing
+#: alerts and a flight recorder, and a closed in-process service
+FLEET_SNAPSHOT = {
+    "closed": False,
+    "queue_depth": 3,
+    "in_flight": 2,
+    "workers": 4,
+    "shard_count": 2,
+    "live_shards": 1,
+    "counters": {
+        "service.submitted": 12,
+        "service.completed": 9,
+        "service.batches": 2,
+        "service.batch_joins": 5,
+    },
+    "window": {"window_seconds": 60.0, "count": 9, "rate": 0.15,
+               "p50": 0.0012, "p95": 0.0105, "p99": 0.02345},
+    "plan_cache": {"hits": 5, "disk_hits": 1, "misses": 3, "entries": 4},
+    "slo": {"objectives": [
+        {"name": "availability", "compliance": 0.99871, "target": 0.999,
+         "budget_remaining_fraction": 0.0, "breached": True},
+        {"name": "latency", "compliance": 1.0, "target": 0.99,
+         "budget_remaining_fraction": 0.873},
+    ]},
+    "alerts": {"rules": 2, "active": [
+        {"rule": "p99_latency", "description": "p99 23.45ms > 10ms"},
+        {"rule": "slo_burn", "rule_kind": "burn_rate"},
+    ], "fired_total": 2, "resolved_total": 0},
+    "shards": [
+        {"shard": "proc/0", "alive": True, "queue_depth": 3,
+         "in_flight": 2, "workers": 4, "plan_cache": {"entries": 4},
+         "window": {"count": 9, "p99": 0.02345}},
+        {"shard": "proc/1", "alive": False,
+         "exit_detail": "killed by SIGKILL (-9)", "in_flight_at_death": 2},
+        {"shard": "proc/2", "alive": False},
+    ],
+    "events": {"emitted": 120, "dropped": 3, "capacity": 4096},
+    "flight": {"appended": 118, "rotated": 1, "evicted": 0,
+               "dir": "flight/proc-0"},
+}
+LOCAL_SNAPSHOT = {
+    "closed": True,
+    "counters": {},
+    "alerts": {"rules": 3, "active": [], "fired_total": 4,
+               "resolved_total": 4},
+    "events": {"emitted": 0, "dropped": 0, "capacity": 1024},
+}
+FLEET_TOP = (
+    "repro top — http://127.0.0.1:8321  (serving)\n"
+    "  queue depth: 3   in flight: 2   workers: 4   submitted: 12   "
+    "completed: 9   shards: 1/2 live\n"
+    "  batching: 2 batches, 5 joined requests\n"
+    "  window (60s): 9 done, 0.15 req/s, latency p50 1.20ms p95 10.50ms "
+    "p99 23.45ms\n"
+    "  plan cache: 5 mem + 1 disk hits, 3 misses (67% hit-rate), "
+    "4 entries\n"
+    "  slo availability: compliance 0.9987 (target 0.999), budget "
+    "remaining 0%  ** BREACHED **\n"
+    "  slo latency: compliance 1.0000 (target 0.99), budget remaining 87%\n"
+    "  ALERT p99_latency: p99 23.45ms > 10ms\n"
+    "  ALERT slo_burn: burn_rate\n"
+    "  shard proc/0: queue=3 in_flight=2 workers=4 cache_entries=4 done=9 "
+    "p99=23.45ms\n"
+    "  shard proc/1: DEAD — killed by SIGKILL (-9), 2 in flight at death\n"
+    "  shard proc/2: DEAD — exit status unknown\n"
+    "  events: 120 emitted, 3 dropped (ring 4096)\n"
+    "  flight recorder: 118 journaled, 1 rotations, 0 evicted -> "
+    "flight/proc-0\n"
+)
+LOCAL_TOP = (
+    "repro top — http://127.0.0.1:8321  (closed)\n"
+    "  queue depth: 0   in flight: 0   workers: 0   submitted: 0   "
+    "completed: 0\n"
+    "  window (0s): 0 done, 0.00 req/s, latency p50 0.00ms p95 0.00ms "
+    "p99 0.00ms\n"
+    "  plan cache: 0 mem + 0 disk hits, 0 misses (0% hit-rate), 0 entries\n"
+    "  alerts: 3 rules, none firing (fired 4, resolved 4)\n"
+    "  events: 0 emitted, 0 dropped (ring 1024)\n"
+)
+
+CRASH_POSTMORTEM = {
+    "shard": "proc/1",
+    "journal_dir": "flight/proc-1",
+    "clean_shutdown": False,
+    "exit_detail": "killed by SIGKILL (-9)",
+    "records": 7,
+    "segments": ["segment-000000.flight", "segment-000001.flight"],
+    "window": {"window_seconds": 60.0, "count": 4, "ok": 3, "failed": 1,
+               "p50": 0.0021, "p99": 0.0345},
+    "in_flight": [{"request_id": 5, "last_kind": "compile.start"},
+                  {"request_id": 6, "last_kind": "service.admit"}],
+    "alerts_active": [{"rule": "p99_latency"}],
+    "timeline": [
+        {"ts": 100.0, "seq": 1, "kind": "service.admit", "request_id": 5,
+         "fields": {"label": "r5", "mode": "compile"}},
+        {"ts": 100.25, "seq": 2, "kind": "compile.start", "request_id": 5,
+         "fields": {}},
+        {"ts": 101.5, "seq": 3, "kind": "worker.heartbeat"},
+    ],
+}
+CRASH_TEXT = (
+    "post-mortem — proc/1 (crash, killed by SIGKILL (-9))\n"
+    "  journal: 7 records in 2 segments\n"
+    "  final window (60s): 4 done (3 ok, 1 failed), p50 2.10ms p99 34.50ms\n"
+    "  in flight at death: 5, 6\n"
+    "  ALERT at death: p99_latency\n"
+    "  final timeline (3 events):\n"
+    "    +  0.000s service.admit               #5 label=r5 mode=compile\n"
+    "    +  0.250s compile.start               #5 \n"
+    "    +  1.500s worker.heartbeat               \n"
+)
+CLEAN_POSTMORTEM = {
+    "journal_dir": "flight/proc-0",
+    "clean_shutdown": True,
+    "exit_detail": "exited 0",
+}
+CLEAN_TEXT = (
+    "post-mortem — flight/proc-0 (clean shutdown, exited 0)\n"
+    "  journal: 0 records\n"
+    "  final window (0s): 0 done (0 ok, 0 failed), p50 0.00ms p99 0.00ms\n"
+)
+EMPTY_TEXT = (
+    "post-mortem — shard (crash, exit status unknown)\n"
+    "  journal: 0 records\n"
+    "  final window (0s): 0 done (0 ok, 0 failed), p50 0.00ms p99 0.00ms\n"
+)
+
+
+class TestRenderedText:
+    """``top`` and ``postmortem`` text, byte for byte as before the
+    renderers moved into ``repro.obs.report``."""
+
+    @pytest.mark.parametrize("snap, expected", [
+        (FLEET_SNAPSHOT, FLEET_TOP),
+        (LOCAL_SNAPSHOT, LOCAL_TOP),
+    ], ids=["fleet", "local"])
+    def test_top(self, capsys, monkeypatch, snap, expected):
+        import repro.cli as cli
+
+        monkeypatch.setattr(cli, "_fetch_status", lambda *_: snap)
+        assert main(["top", "127.0.0.1:8321"]) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("pm, expected", [
+        (CRASH_POSTMORTEM, CRASH_TEXT),
+        (CLEAN_POSTMORTEM, CLEAN_TEXT),
+        ({}, EMPTY_TEXT),
+    ], ids=["crash", "clean", "empty"])
+    def test_postmortem_text(self, pm, expected):
+        from repro.obs import render_postmortem
+
+        assert render_postmortem(pm, fmt="text") + "\n" == expected
+
+    def test_postmortem_command_prints_the_text_rendering(
+        self, capsys, tmp_path
+    ):
+        from repro.obs import EventLog, FlightRecorder, render_postmortem
+
+        journal = os.fspath(tmp_path / "proc-0")
+        log = EventLog(capacity=16, clock=lambda: 100.0)
+        with FlightRecorder(journal) as rec:
+            rec.attach(log)
+            log.emit("service.admit", request_id=1, label="r0")
+            log.emit("service.start", request_id=1)
+        assert main(["postmortem", journal, "--json"]) == 0
+        pm = json.loads(capsys.readouterr().out)
+        assert main(["postmortem", journal]) == 0
+        assert capsys.readouterr().out == (
+            render_postmortem(pm, fmt="text") + "\n"
+        )

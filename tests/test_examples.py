@@ -35,6 +35,7 @@ class TestExamplesCompile:
             "retargeting.py",
             "dog_pyramid.py",
             "video_stream.py",
+            "async_service.py",
         ],
     )
     def test_compiles(self, name):
@@ -57,6 +58,12 @@ class TestExamplesRun:
         out = run_example("video_stream.py")
         assert "1.00x the I/O bound" in out
         assert "match the reference" in out
+
+    def test_async_service(self):
+        out = run_example("async_service.py", "--repeat", "3",
+                          "--size", "128")
+        assert "gathered 3 awaitable tickets via asyncio.gather:" in out
+        assert "compiles: 1, dedupe hits: 2" in out
 
     def test_dog_pyramid(self):
         out = run_example("dog_pyramid.py")
