@@ -48,7 +48,7 @@ import repro
 from repro.analysis import memory_profile, render_scaling, scaling_report
 from repro.analysis.timeline import render_timeline
 from repro.codegen import generate_cuda, generate_python
-from repro.core import CompileOptions, Framework, PlanError
+from repro.core import EVICTION_POLICIES, SCHEDULERS, CompileOptions, Framework, PlanError
 from repro.core.serialize import save_plan
 from repro.obs import (
     analyze_run,
@@ -225,7 +225,7 @@ def _print_compile_stats(compiled) -> None:
     """Phase wall-time table + plan-cache counters (``--stats``)."""
     phases = [
         "splitting", "lowering", "operator_scheduling",
-        "transfer_scheduling", "validate", "partition",
+        "transfer_scheduling", "pb_or_heuristic", "validate", "partition",
         "fragment_compile", "stitch",
     ]
     by_name: dict[str, float] = {}
@@ -779,9 +779,9 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"GPU preset: {', '.join(sorted(PRESETS))}",
         )
         p.add_argument("--scheduler", default="dfs",
-                       choices=["dfs", "dfs_naive", "bfs", "topo"])
+                       choices=[*SCHEDULERS, "pb"])
         p.add_argument("--eviction", default="belady",
-                       choices=["belady", "cost", "ltu", "lru", "fifo"])
+                       choices=EVICTION_POLICIES)
         p.add_argument("--headroom", default="auto",
                        help="split headroom factor or 'auto'")
 

@@ -40,6 +40,7 @@ from .plancache import (
     reset_default_cache,
 )
 from .pbopt import (
+    PB_CONFLICT_BUDGET,
     PBInfeasibleError,
     PBScheduleResult,
     PBScheduler,
@@ -88,7 +89,7 @@ from .splitting import (
     make_feasible,
     select_chunks,
 )
-from .transfers import schedule_transfers
+from .transfers import EVICTION_POLICIES, schedule_transfers
 
 dfs_schedule_columnar = dfs_schedule  # bench/layers.py resolves this name
 schedule_transfers_columnar = schedule_transfers  # and this one
@@ -101,6 +102,7 @@ __all__ = [
     "CopyToCPU",
     "CopyToGPU",
     "DataStructure",
+    "EVICTION_POLICIES",
     "ExecutionPlan",
     "Framework",
     "Free",
@@ -111,6 +113,7 @@ __all__ = [
     "Operator",
     "OperatorGraph",
     "OutSpec",
+    "PB_CONFLICT_BUDGET",
     "PBInfeasibleError",
     "PBScheduleResult",
     "PBScheduler",

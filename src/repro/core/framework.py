@@ -43,9 +43,10 @@ from .plancache import (
     graph_fingerprint,
     plan_key,
 )
-from .scheduling import dfs_naive_schedule, dfs_schedule, get_scheduler
+from .pbopt import PB_CONFLICT_BUDGET, pb_plan_or_heuristic
+from .scheduling import SCHEDULERS, dfs_naive_schedule, dfs_schedule, get_scheduler
 from .splitting import SplitReport, make_feasible
-from .transfers import schedule_transfers
+from .transfers import EVICTION_POLICIES, schedule_transfers
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -56,7 +57,9 @@ class CompileOptions:
     point where positional calls stay readable.
     """
 
-    scheduler: str = "dfs"  # dfs | dfs_naive | greedy | bfs | topo
+    #: pb: the bounded Figure-5 solver plans order and transfers at once
+    #: (small templates; it falls back to dfs + belady, ignoring eviction)
+    scheduler: str = "dfs"  # dfs | dfs_naive | greedy | bfs | topo | pb
     eviction_policy: str = "belady"  # belady | cost | ltu | lru | fifo
     eager_free: bool = True
     split: bool = True
@@ -68,6 +71,14 @@ class CompileOptions:
     #: volume (streaming pipelines prefer finer splits, reuse-heavy
     #: graphs like CNNs prefer minimal ones).
     split_headroom: float | str = "auto"
+
+    def __post_init__(self) -> None:
+        if self.scheduler != "pb" and self.scheduler not in SCHEDULERS:
+            raise ValueError(f"unknown operator scheduler {self.scheduler!r}; "
+                             f"known: {sorted([*SCHEDULERS, 'pb'])}")
+        if self.eviction_policy not in EVICTION_POLICIES:
+            raise ValueError(f"unknown eviction policy {self.eviction_policy!r}; "
+                             f"known: {list(EVICTION_POLICIES)}")
 
     def headroom_candidates(self) -> tuple[float, ...]:
         if self.split_headroom == "auto":
@@ -91,6 +102,9 @@ class CompiledTemplate:
     spans: list[Span] = field(default_factory=list)
     #: metrics snapshot of the compilation (plan gauges, reason counters)
     metrics: dict[str, object] = field(default_factory=dict)
+    #: which planner made the plan: "heuristic", "pb" (proven optimal)
+    #: or "pb-incumbent" (the solver's budget ran out)
+    source: str = "heuristic"
 
     def transfer_floats(self) -> int:
         return self.plan.transfer_floats(self.graph)
@@ -264,6 +278,7 @@ class Framework:
                     split_report=best.split_report,
                     peak_device_floats=best.peak_device_floats,
                     metrics=best.metrics,
+                    extra={"source": best.source},
                 ),
             )
         publish(
@@ -306,6 +321,7 @@ class Framework:
             host=self.host,
             options=opts if opts is not None else self.options,
             peak_device_floats=entry.peak_device_floats,
+            source=entry.extra.get("source", "heuristic"),
         )
         compiled.spans = sorted(tracer.spans, key=lambda s: s.start)
         compiled.metrics = self._cache_hit_metrics(
@@ -412,35 +428,44 @@ class Framework:
                     "candidate_dedupe", headroom=headroom, graph=fp[:16]
                 )
                 return prior
-        with tracer.span("lowering", headroom=headroom) as sp:
-            col = lower(graph)
-            sp.set(ops=col.n_ops, data=col.n_data)
-        with tracer.span(
-            "operator_scheduling", headroom=headroom, scheduler=opts.scheduler
-        ) as sp:
-            scheduler = get_scheduler(opts.scheduler)
-            if scheduler in (dfs_schedule, dfs_naive_schedule):
-                op_order = scheduler(graph, col)
-            else:
-                op_order = scheduler(graph)  # greedy/bfs/topo read the graph
-            sp.set(ops=len(op_order))
-        with tracer.span(
-            "transfer_scheduling", headroom=headroom, policy=opts.eviction_policy
-        ) as sp:
-            plan = schedule_transfers(
-                graph,
-                op_order,
-                capacity,
-                policy=opts.eviction_policy,
-                eager_free=opts.eager_free,
-                col=col,
+        if opts.scheduler == "pb":
+            # One pass plans order and transfers (its own spans).
+            result = pb_plan_or_heuristic(
+                graph, capacity, conflict_budget=PB_CONFLICT_BUDGET, tracer=tracer
             )
+            op_order, plan, source = result.op_order, result.plan, result.source
             reasons = provenance_summary(plan)
-            sp.set(
-                steps=len(plan.steps),
-                transfer_floats=plan.transfer_floats(graph),
-                evictions=reasons.get("evicted", 0),
-            )
+        else:
+            source = "heuristic"
+            with tracer.span("lowering", headroom=headroom) as sp:
+                col = lower(graph)
+                sp.set(ops=col.n_ops, data=col.n_data)
+            with tracer.span(
+                "operator_scheduling", headroom=headroom, scheduler=opts.scheduler
+            ) as sp:
+                scheduler = get_scheduler(opts.scheduler)
+                if scheduler in (dfs_schedule, dfs_naive_schedule):
+                    op_order = scheduler(graph, col)
+                else:
+                    op_order = scheduler(graph)  # greedy/bfs/topo read the graph
+                sp.set(ops=len(op_order))
+            with tracer.span(
+                "transfer_scheduling", headroom=headroom, policy=opts.eviction_policy
+            ) as sp:
+                plan = schedule_transfers(
+                    graph,
+                    op_order,
+                    capacity,
+                    policy=opts.eviction_policy,
+                    eager_free=opts.eager_free,
+                    col=col,
+                )
+                reasons = provenance_summary(plan)
+                sp.set(
+                    steps=len(plan.steps),
+                    transfer_floats=plan.transfer_floats(graph),
+                    evictions=reasons.get("evicted", 0),
+                )
         with tracer.span("validate", headroom=headroom) as sp:
             peak = validate_plan(plan, graph, capacity)
             sp.set(peak_device_floats=peak)
@@ -453,6 +478,7 @@ class Framework:
             host=self.host,
             options=opts,
             peak_device_floats=peak,
+            source=source,
         )
         if dedupe is not None and fp is not None:
             dedupe[fp] = compiled, reasons

@@ -250,6 +250,7 @@ def compile_incremental(
                 op_order=list(compiled.op_order),
                 split_report=compiled.split_report,
                 peak_device_floats=compiled.peak_device_floats,
+                extra={"source": compiled.source},
             )
             if cache is not None:
                 cache.put(key, entry)
@@ -339,6 +340,8 @@ def _stitch(
     # max of the fragment peaks, and re-walking 100k steps here would
     # make the warm path O(template) instead of O(edit).
     peak = max((e.peak_device_floats for e in entries), default=0)
+    # PB-planned fragments stitch into a feasible, not a proven, optimum.
+    sources = {e.extra.get("source", "heuristic") for e in entries}
     return CompiledTemplate(
         graph=g,
         plan=plan,
@@ -352,4 +355,5 @@ def _stitch(
         host=fw.host,
         options=opts,
         peak_device_floats=peak,
+        source="heuristic" if sources <= {"heuristic"} else "pb-incumbent",
     )

@@ -39,6 +39,12 @@ from .scheduling import dfs_schedule
 from .transfers import schedule_transfers
 
 
+#: solver conflict budget of a ``scheduler="pb"`` compile: bounds its
+#: worst-case latency (a budget that runs out keeps the incumbent or
+#: falls back to the heuristic plan)
+PB_CONFLICT_BUDGET = 20_000
+
+
 class PBInfeasibleError(RuntimeError):
     """The formulation admits no schedule (within the given bound)."""
 

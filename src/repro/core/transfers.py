@@ -66,6 +66,9 @@ from .columnar import ColumnarGraph, lower
 from .graph import OperatorGraph
 from .plan import CopyToCPU, CopyToGPU, ExecutionPlan, Free, Launch, PeerCopy, PlanError, Step
 
+#: the ``policy`` values :func:`schedule_transfers` accepts
+EVICTION_POLICIES = ("belady", "cost", "ltu", "lru", "fifo")
+
 _INF = float("inf")
 
 
@@ -143,7 +146,7 @@ def schedule_transfers(
     ``op_device[i]`` names the device of operator id ``i``; the plan is
     device-tagged unless every operator runs on device 0.
     """
-    if policy not in ("belady", "cost", "ltu", "lru", "fifo"):
+    if policy not in EVICTION_POLICIES:
         raise ValueError(f"unknown eviction policy {policy!r}")
     if transfer_mode not in ("peer", "staged"):
         raise ValueError(f"unknown transfer mode {transfer_mode!r}")

@@ -97,6 +97,11 @@ def compile_multi(
     re-running the pipeline.  Pass ``plan_cache=False`` to opt out.
     """
     opts = options or CompileOptions()
+    if opts.scheduler == "pb":
+        raise ValueError(
+            "scheduler='pb' plans one device; compile a device group with "
+            "a heuristic scheduler"
+        )
     if plan_cache is True:
         cache: PlanCache | None = default_cache()
     elif plan_cache is False or plan_cache is None:

@@ -54,20 +54,19 @@ class ServiceConfig:
     * ``default_deadline`` — seconds granted to requests that do not
       carry their own deadline (``None`` = no deadline).
     * ``retry`` — backoff schedule for injected/transient faults.
-    * ``degrade_on_deadline`` — expired or pressured ``pb``/``auto``
-      requests fall back to the heuristic planner instead of failing.
-    * ``pb_conflict_budget`` — solver conflict budget for ``planner="pb"``
-      requests (bounds worst-case compile latency; ``None`` = exact).
-    * ``pb_max_ops`` — ``planner="auto"`` uses the PB-optimal path only
-      for templates at or below this many operators.
+    * ``degrade_on_deadline`` — expired or pressured PB requests fall
+      back to the heuristic planner instead of failing.
+    * ``pb_max_ops`` — a ``planner="auto"`` request compiles with
+      ``scheduler="pb"`` only if its template has at most this many
+      operators (:meth:`~repro.service.ServiceRequest.compile_options`).
     * ``plan_cache_entries`` — size of the service's in-memory plan
       cache (the completed-request tier behind single-flight dedupe).
     * ``fault_spec`` — deterministic fault injection applied to every
       ``execute`` request's simulated runtime (demos, chaos tests).
     * ``batch_window`` — request-batching coalescing window in seconds:
       a worker dequeuing a request waits up to this long, gathering
-      *compatible* queued requests (same template, device, options,
-      planner, mode — i.e. the same batch key) and serves the whole
+      *compatible* queued requests (same template, device, resolved
+      options, mode — i.e. the same batch key) and serves the whole
       batch from one compiled plan.  ``0`` (default) disables batching.
     * ``batch_max`` — upper bound on requests coalesced into one batch.
     * ``shared_cache_dir`` — directory of the **cross-process** plan
@@ -107,7 +106,6 @@ class ServiceConfig:
     default_deadline: float | None = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     degrade_on_deadline: bool = True
-    pb_conflict_budget: int | None = 20_000
     pb_max_ops: int = 12
     plan_cache_entries: int = 64
     fault_spec: FaultSpec | None = None

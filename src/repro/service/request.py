@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from repro.core.framework import CompileOptions
@@ -86,14 +86,16 @@ class ServiceRequest:
         if self.deadline is not None and self.deadline < 0:
             raise ValueError("deadline must be >= 0 seconds")
 
-    def effective_planner(self, pb_max_ops: int) -> str:
-        """The pipeline that serves this request: ``"auto"`` is PB for a
-        template of at most ``pb_max_ops`` operators, else heuristic.
-        The one rule behind the router's shard choice and the service's
-        batch, single-flight and cache keys."""
-        if self.planner == "auto":
-            return "pb" if len(self.template.ops) <= pb_max_ops else "heuristic"
-        return self.planner
+    def compile_options(self, pb_max_ops: int) -> CompileOptions:
+        """The options this request compiles with: its own, with
+        ``scheduler="pb"`` when the planner is ``pb`` (or ``auto`` on a
+        template of at most ``pb_max_ops`` operators).  The one rule
+        behind the router's shard choice and every key of the service."""
+        opts = self.options or CompileOptions()
+        pb = self.planner == "pb" or (
+            self.planner == "auto" and len(self.template.ops) <= pb_max_ops
+        )
+        return replace(opts, scheduler="pb") if pb else opts
 
 
 @dataclass(kw_only=True)
@@ -107,8 +109,9 @@ class ServiceResponse:
     #: failure/expiry/cancellation
     value: Any = None
     error: str | None = None
-    #: pipeline that actually produced the plan ("heuristic", "pb",
-    #: "pb-incumbent", "heuristic-degraded", "cache", ...)
+    #: planner that made the plan (``CompiledTemplate.source``:
+    #: "heuristic", "pb", "pb-incumbent"), plus "-degraded" when the
+    #: deadline forced a heuristic compile
     planner_used: str = ""
     attempts: int = 0
     retries: int = 0
@@ -164,7 +167,9 @@ class Ticket:
     _status: RequestStatus = RequestStatus.PENDING
     _cancel_hook: Any = field(default=None, repr=False)
     _done_callbacks: list = field(default_factory=list, repr=False)
-    #: the request's compile key (``plan_key``), set at admission
+    #: the request's compile options and their ``plan_key``, set at
+    #: admission
+    _options: CompileOptions | None = field(default=None, repr=False)
     _key: str = field(default="", repr=False)
 
     @property

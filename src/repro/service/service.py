@@ -16,11 +16,12 @@ Architecture (one process, N worker threads)::
                   │    backoff on TransientFault
                   └─ ServiceResponse -> Ticket
 
-Admission computes the request's compile key once — the ``plan_key``
-the ``Framework`` cache uses — and every other key (single-flight,
-batch, PB memo) derives from it.  A ``compile`` whose plan is already
-in the memory tier is a dict lookup, so it is not queued: it runs the
-same ``_run`` path on the submitting thread.
+Admission resolves the request's compile options once
+(``ServiceRequest.compile_options``: the planner is the ``scheduler``
+option) and keys them — the ``plan_key`` the ``Framework`` cache uses;
+the single-flight and batch keys derive from it.  A ``compile`` whose
+plan is already in the memory tier is a dict lookup, so it is not
+queued: it runs the same ``_run`` path on the submitting thread.
 
 Single-flight: the *first* worker to dequeue a given plan-cache key
 becomes the leader and compiles; workers dequeuing the same key while
@@ -48,7 +49,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
+from dataclasses import replace
 from typing import Any, Callable
 
 from repro.core.framework import (
@@ -56,9 +58,7 @@ from repro.core.framework import (
     CompileOptions,
     Framework,
 )
-from repro.core.pbopt import pb_plan_or_heuristic
 from repro.core.plancache import PlanCache, SharedPlanCache, plan_key
-from repro.core.splitting import SplitReport
 from repro.gpusim import SimRuntime
 from repro.gpusim.faults import FaultInjector, TransientFault
 from repro.obs import MetricsRegistry, Tracer
@@ -111,15 +111,12 @@ class _LockedPlanCache(PlanCache):
 class _Flight:
     """One in-flight compile; followers wait on the leader's event."""
 
-    __slots__ = (
-        "event", "value", "error", "planner_used", "followers", "leader_id",
-    )
+    __slots__ = ("event", "value", "error", "followers", "leader_id")
 
     def __init__(self, leader_id: int) -> None:
         self.event = threading.Event()
         self.value: CompiledTemplate | None = None
         self.error: BaseException | None = None
-        self.planner_used = ""
         self.followers = 0
         #: request id of the leader — followers' timelines reference it
         self.leader_id = leader_id
@@ -129,22 +126,20 @@ class _Batch:
     """One coalesced batch: requests sharing a compiled plan execution.
 
     The worker that dequeued the leader pulls every *compatible* queued
-    request (same batch key: template, device, options, planner, mode,
-    host) within the coalescing window and processes them as one unit:
+    request (same batch key: template, device, options, mode, host)
+    within the coalescing window and processes them as one unit:
     the leader compiles (or hits the cache) once, followers reuse the
     compiled plan directly — and, for ``compile``/``simulate`` requests,
     the result value itself — with ``batched_with``/``deduped_from``
     provenance on every response.
     """
 
-    __slots__ = ("ids", "leader_id", "compiled", "planner_used",
-                 "shared_value", "error")
+    __slots__ = ("ids", "leader_id", "compiled", "shared_value", "error")
 
     def __init__(self, ids: tuple[int, ...], leader_id: int) -> None:
         self.ids = ids
         self.leader_id = leader_id
         self.compiled: CompiledTemplate | None = None
-        self.planner_used = ""
         #: the leader's result value, reusable verbatim by followers
         #: (compile and simulate modes only — execute inputs differ)
         self.shared_value: Any = None
@@ -202,9 +197,6 @@ class ExecutionService:
         self._cv = threading.Condition(self._lock)
         self._queue: deque[Ticket] = deque()
         self._flights: dict[str, _Flight] = {}
-        self._pb_memo: OrderedDict[str, tuple[CompiledTemplate, str]] = (
-            OrderedDict()
-        )
         self._closed = False
         self._next_id = 0
         self._in_flight = 0
@@ -290,10 +282,8 @@ class ExecutionService:
         deadline = request.deadline
         if deadline is None:
             deadline = self.config.default_deadline
-        key = plan_key(
-            request.template, request.device,
-            request.options or CompileOptions(),
-        )
+        options = request.compile_options(self.config.pb_max_ops)
+        key = plan_key(request.template, request.device, options)
         with self._cv:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -319,12 +309,12 @@ class ExecutionService:
                 deadline_at=None if deadline is None else now + deadline,
             )
             ticket._cancel_hook = self._cancel
-            ticket._key = key
+            ticket._options, ticket._key = options, key
             self.metrics.counter("service.submitted").inc()
             inline = (
                 request.mode == "compile"
                 and self.config.batch_window <= 0
-                and self._resident(request, key)
+                and self.plan_cache.holds(key)
             )
             if inline:
                 self._in_flight += 1
@@ -354,13 +344,6 @@ class ExecutionService:
             finally:
                 self._leave()
         return ticket
-
-    def _resident(self, request: ServiceRequest, key: str) -> bool:
-        """Whether ``key``'s plan is in this service's memory tier (the
-        PB memo for ``pb``, else the plan cache).  Caller holds the lock."""
-        if request.effective_planner(self.config.pb_max_ops) == "pb":
-            return key in self._pb_memo
-        return self.plan_cache.holds(key)
 
     def submit_all(self, requests: list[ServiceRequest]) -> list[Ticket]:
         """Submit a batch; admission is all-or-error per request."""
@@ -622,12 +605,8 @@ class ExecutionService:
 
     def _ticket_batch_key(self, ticket: Ticket) -> tuple:
         """The coalescing key: requests sharing it can share one batched
-        plan execution — the compile key plus planner, mode and host."""
-        req = ticket.request
-        return (
-            ticket._key, req.effective_planner(self.config.pb_max_ops),
-            req.mode, req.host,
-        )
+        plan execution — the compile key plus mode and host."""
+        return ticket._key, ticket.request.mode, ticket.request.host
 
     def _gather_batch(self, leader: Ticket) -> list[Ticket]:
         """Coalesce queued requests compatible with ``leader``.
@@ -672,13 +651,13 @@ class ExecutionService:
             status=RequestStatus.FAILED,
             wait_seconds=wait,
         )
-        planner = req.effective_planner(self.config.pb_max_ops)
+        scheduler = ticket._options.scheduler
         degraded = False
         publish(
             "service.start",
             label=req.label,
             mode=req.mode,
-            planner=planner,
+            scheduler=scheduler,
             wait_seconds=wait,
         )
         if batch is not None:
@@ -701,18 +680,15 @@ class ExecutionService:
             id=ticket.id,
             label=req.label,
             mode=req.mode,
-            planner=planner,
+            scheduler=scheduler,
             template=req.template.name,
             device=req.device.name,
         ) as root:
             # Deadline gate: an already-expired request is degraded to
             # the heuristic planner (if allowed) or rejected — loudly.
             if ticket.deadline_at is not None and start > ticket.deadline_at:
-                if self.config.degrade_on_deadline and planner != "heuristic":
-                    degraded = True
-                    tracer.event("service.degrade", reason="deadline_expired")
-                    publish("service.degrade", reason="deadline_expired")
-                else:
+                degraded = self._degrade(ticket, tracer, "deadline_expired")
+                if not degraded:
                     response.status = RequestStatus.EXPIRED
                     response.error = (
                         f"deadline expired {start - ticket.deadline_at:.3f}s "
@@ -721,9 +697,7 @@ class ExecutionService:
                     root.set(status=response.status.value)
                     self._record_done(ticket, response, tracer=tracer)
                     return
-            self._attempt_loop(
-                ticket, response, planner, degraded, tracer, batch=batch
-            )
+            self._attempt_loop(ticket, response, degraded, tracer, batch=batch)
             root.set(
                 status=response.status.value,
                 attempts=response.attempts,
@@ -738,7 +712,6 @@ class ExecutionService:
         self,
         ticket: Ticket,
         response: ServiceResponse,
-        planner: str,
         degraded: bool,
         tracer: Tracer,
         batch: _Batch | None = None,
@@ -753,12 +726,14 @@ class ExecutionService:
         while True:
             response.attempts += 1
             try:
-                value, planner_used, deduped, deduped_from = self._perform(
-                    ticket, planner, degraded, injector, tracer, batch=batch
+                compiled, value, deduped, deduped_from = self._perform(
+                    ticket, degraded, injector, tracer, batch=batch
                 )
                 response.status = RequestStatus.OK
                 response.value = value
-                response.planner_used = planner_used
+                response.planner_used = compiled.source + (
+                    "-degraded" if degraded else ""
+                )
                 response.degraded = degraded
                 response.deduped = response.deduped or deduped
                 if deduped_from is not None:
@@ -779,17 +754,9 @@ class ExecutionService:
                 ):
                     # Deadline pressure mid-retry: drop to the cheap
                     # heuristic plan if we still can, else expire loudly.
-                    if (
-                        self.config.degrade_on_deadline
-                        and planner != "heuristic"
-                        and not degraded
+                    if degraded or not self._degrade(
+                        ticket, tracer, "deadline_pressure"
                     ):
-                        degraded = True
-                        tracer.event(
-                            "service.degrade", reason="deadline_pressure"
-                        )
-                        publish("service.degrade", reason="deadline_pressure")
-                    else:
                         response.status = RequestStatus.EXPIRED
                         response.error = (
                             f"deadline would expire during the "
@@ -797,6 +764,7 @@ class ExecutionService:
                             f"attempt {response.attempts}: {fault}"
                         )
                         return
+                    degraded = True
                 response.retries += 1
                 self.metrics.counter("service.retries").inc()
                 self.metrics.histogram("service.backoff_seconds").observe(
@@ -816,41 +784,51 @@ class ExecutionService:
                 )
                 self._sleep(backoff)
 
+    def _degrade(self, ticket: Ticket, tracer: Tracer, reason: str) -> bool:
+        """Whether a late request drops to its heuristic scheduler rather
+        than expire (announced if so): only a PB compile has one."""
+        if not self.config.degrade_on_deadline or ticket._options.scheduler != "pb":
+            return False
+        tracer.event("service.degrade", reason=reason)
+        publish("service.degrade", reason=reason)
+        return True
+
     # -- the work itself -------------------------------------------------
     def _perform(
         self,
         ticket: Ticket,
-        planner: str,
         degraded: bool,
         injector: FaultInjector | None,
         tracer: Tracer,
         batch: _Batch | None = None,
-    ) -> tuple[Any, str, bool, int | None]:
-        """Run one attempt; returns (value, planner_used, deduped,
+    ) -> tuple[CompiledTemplate, Any, bool, int | None]:
+        """Run one attempt; returns (compiled, value, deduped,
         deduped_from)."""
         req = ticket.request
         is_batch_follower = (
             batch is not None and ticket.id != batch.leader_id
         )
-        compiled, planner_used, deduped, deduped_from = self._compile_stage(
-            ticket, "heuristic" if degraded else planner, tracer, batch=batch
-        )
+        opts, key = ticket._options, ticket._key
         if degraded:
+            # The request's own heuristic scheduler (dfs where it named pb).
+            own = (req.options or CompileOptions()).scheduler
+            opts = replace(opts, scheduler="dfs" if own == "pb" else own)
+            key = plan_key(req.template, req.device, opts)
             self.metrics.counter("service.degraded").inc()
-            planner_used = f"{planner_used}-degraded"
+        compiled, deduped, deduped_from = self._compile_stage(
+            ticket, opts, key, tracer, batch=batch
+        )
         if req.mode == "compile":
             if batch is not None and ticket.id == batch.leader_id:
                 batch.shared_value = compiled
-            return compiled, planner_used, deduped, deduped_from
+            return compiled, compiled, deduped, deduped_from
         if req.mode == "simulate":
             # One batched plan execution: the leader simulates, followers
             # reuse the value verbatim (the batch key pins template,
             # device, options, and host, so the timing is identical).
             if is_batch_follower and batch.shared_value is not None:
                 tracer.event("service.batch_shared_value")
-                return (
-                    batch.shared_value, planner_used, deduped, deduped_from
-                )
+                return compiled, batch.shared_value, deduped, deduped_from
             with tracer.span("service.simulate") as sp:
                 sim = simulate_plan(
                     compiled.plan, compiled.graph, req.device, req.host
@@ -858,7 +836,7 @@ class ExecutionService:
             publish("service.simulate_done", seconds=sp.duration)
             if batch is not None and ticket.id == batch.leader_id:
                 batch.shared_value = sim
-            return sim, planner_used, deduped, deduped_from
+            return compiled, sim, deduped, deduped_from
         # mode == "execute": a fresh runtime per attempt, so a failed
         # attempt leaves no residue; the injector survives across
         # attempts (transient faults, new decisions each retry).
@@ -877,19 +855,20 @@ class ExecutionService:
         finally:
             with self._lock:
                 self.metrics.merge(runtime.metrics)
-        return result, planner_used, deduped, deduped_from
+        return compiled, result, deduped, deduped_from
 
     def _compile_stage(
         self,
         ticket: Ticket,
-        planner: str,
+        opts: CompileOptions,
+        key: str,
         tracer: Tracer,
         batch: _Batch | None = None,
-    ) -> tuple[CompiledTemplate, str, bool, int | None]:
-        """Single-flight compile keyed on planner and the ticket's
-        content-addressed compile key.
+    ) -> tuple[CompiledTemplate, bool, int | None]:
+        """Single-flight compile of ``opts``, keyed on their
+        content-addressed compile key ``key``.
 
-        Returns (compiled, planner_used, deduped, deduped_from) —
+        Returns (compiled, deduped, deduped_from) —
         ``deduped_from`` is the leader's request id when this request
         joined an in-flight compile, so its telemetry timeline points at
         the request whose compile actually produced the plan.
@@ -898,7 +877,7 @@ class ExecutionService:
         compiled (or failed) on this very worker thread, so the result
         is taken straight off the batch — no locks, no flights.
         """
-        req, request_id, key = ticket.request, ticket.id, ticket._key
+        req, request_id = ticket.request, ticket.id
         if batch is not None and request_id != batch.leader_id:
             if batch.error is not None:
                 raise batch.error
@@ -913,19 +892,15 @@ class ExecutionService:
                     leader_request_id=batch.leader_id,
                     via="batch",
                 )
-                return (
-                    batch.compiled, batch.planner_used, True, batch.leader_id
-                )
+                return batch.compiled, True, batch.leader_id
             # Leader finished without a compile result (should not
             # happen) — fall through and compile independently.
-        opts = req.options or CompileOptions()
-        flight_key = f"{planner}:{key}"
         with self._lock:
-            flight = self._flights.get(flight_key)
+            flight = self._flights.get(key)
             leader = flight is None
             if leader:
                 flight = _Flight(leader_id=request_id)
-                self._flights[flight_key] = flight
+                self._flights[key] = flight
             else:
                 flight.followers += 1
         assert flight is not None
@@ -949,15 +924,17 @@ class ExecutionService:
             assert flight.value is not None
             if batch is not None and request_id == batch.leader_id:
                 batch.compiled = flight.value
-                batch.planner_used = flight.planner_used
-            return flight.value, flight.planner_used, True, flight.leader_id
+            return flight.value, True, flight.leader_id
         try:
             with tracer.span(
-                "service.compile", planner=planner, key=key[:16]
+                "service.compile", scheduler=opts.scheduler, key=key[:16]
             ) as sp:
-                compiled, planner_used, cached = self._compile_uncontended(
-                    req, planner, opts, key
-                )
+                compiled = Framework(
+                    req.device, host=req.host, options=opts, plan_cache=self.plan_cache
+                ).compile(req.template)
+            cached = bool(
+                compiled.metrics.get("counters", {}).get("plan_cache.hit", 0)
+            )
             if cached:
                 self.metrics.counter("service.dedupe_hits").inc()
                 self.metrics.counter("service.plan_cache_hits").inc()
@@ -966,16 +943,14 @@ class ExecutionService:
                 self.metrics.counter("service.compiles").inc()
             publish(
                 "service.compile_done",
-                planner=planner_used,
+                planner=compiled.source,
                 cached=cached,
                 seconds=sp.duration,
             )
             flight.value = compiled
-            flight.planner_used = planner_used
             if batch is not None and request_id == batch.leader_id:
                 batch.compiled = compiled
-                batch.planner_used = planner_used
-            return compiled, planner_used, cached, None
+            return compiled, cached, None
         except BaseException as exc:
             flight.error = exc
             if batch is not None and request_id == batch.leader_id:
@@ -983,56 +958,8 @@ class ExecutionService:
             raise
         finally:
             with self._lock:
-                self._flights.pop(flight_key, None)
+                self._flights.pop(key, None)
             flight.event.set()
-
-    def _compile_uncontended(
-        self,
-        req: ServiceRequest,
-        planner: str,
-        opts: CompileOptions,
-        key: str,
-    ) -> tuple[CompiledTemplate, str, bool]:
-        """The leader's actual compile.  Returns (compiled, used, cached).
-        ``key`` is the compile key, which also keys the PB memo."""
-        if planner == "pb":
-            with self._lock:
-                memo = self._pb_memo.get(key)
-                if memo is not None:
-                    self._pb_memo.move_to_end(key)
-                    return memo[0], memo[1], True
-            graph = req.template.copy()
-            capacity = req.device.usable_memory_floats
-            result = pb_plan_or_heuristic(
-                graph,
-                capacity,
-                conflict_budget=self.config.pb_conflict_budget,
-            )
-            compiled = CompiledTemplate(
-                graph=graph,
-                plan=result.plan,
-                op_order=list(result.op_order),
-                split_report=SplitReport(),
-                device=req.device,
-                host=req.host,
-                options=opts,
-            )
-            with self._lock:
-                self._pb_memo[key] = (compiled, result.source)
-                while len(self._pb_memo) > self.config.plan_cache_entries:
-                    self._pb_memo.popitem(last=False)
-            return compiled, result.source, False
-        fw = Framework(
-            req.device,
-            host=req.host,
-            options=opts,
-            plan_cache=self.plan_cache,
-        )
-        compiled = fw.compile(req.template)
-        hit = bool(
-            compiled.metrics.get("counters", {}).get("plan_cache.hit", 0)
-        )
-        return compiled, "heuristic", hit
 
     # -- bookkeeping -----------------------------------------------------
     def _record_done(

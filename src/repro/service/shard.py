@@ -48,7 +48,6 @@ import tempfile
 import threading
 from typing import Any
 
-from repro.core.framework import CompileOptions
 from repro.core.plancache import plan_key
 from repro.obs.flight import describe_exit, harvest_postmortem, journal_dir
 from repro.obs.live import (
@@ -234,17 +233,18 @@ class ShardedExecutionService:
         """The content-addressed key this request is routed by.
 
         Deliberately the *batch/dedupe* identity (template + device +
-        options + effective planner + mode + host) so every request that
-        could share one compiled plan lands on the same shard, where the
+        resolved options + mode + host) so every request that could
+        share one compiled plan lands on the same shard, where the
         in-process single-flight and batching tiers collapse them.
         """
+        options = request.compile_options(self.config.pb_max_ops)
         return plan_key(
             request.template,
             request.device,
-            request.options or CompileOptions(),
+            options,
             kind="service-batch",
             extra={
-                "planner": request.effective_planner(self.config.pb_max_ops),
+                "planner": "pb" if options.scheduler == "pb" else "heuristic",
                 "mode": request.mode,
                 "host": request.host,
             },

@@ -442,6 +442,18 @@ class TestServiceCommands:
         assert all(r["status"] == "ok" for r in payload["responses"])
         assert payload["metrics"]["counters"]["service.retries"] > 0
 
+    @pytest.mark.parametrize(
+        "job", [{"scheduler": "bogus"}, {"eviction": "nope"}]
+    )
+    def test_serve_rejects_bad_option_values(self, capsys, tmp_path, job):
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(json.dumps([{"size": "32x32", **job}]))
+        assert main(["serve", str(jobs)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error: job #0:")
+        assert repr(next(iter(job.values()))) in captured.err
+        assert captured.out == ""
+
     def test_serve_rejects_unknown_job_keys(self, capsys, tmp_path):
         jobs = tmp_path / "jobs.json"
         jobs.write_text(json.dumps([{"templte": "edge"}]))
@@ -542,6 +554,21 @@ class TestOneTargetPath:
         assert flag in captured.err
         assert captured.out == ""
         assert not path.exists()
+
+    def test_multi_compile_rejects_pb(self, capsys):
+        rc = main(["compile", "--size", "64x64", "--num-devices", "2",
+                   "--scheduler", "pb"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("repro: error:")
+        assert "plans one device" in captured.err
+        assert captured.out == ""
+
+    def test_pb_compile_stats(self, capsys):
+        argv = ["compile", "--size", "64x64", "--scheduler", "pb", "--stats"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "pb_or_heuristic" in out and "validate" in out
 
     @pytest.mark.parametrize("devices", ["1", "2"])
     def test_compile_stats(self, capsys, devices):

@@ -218,11 +218,17 @@ class TestCompileIncremental:
         fw.compile_incremental(g)
         assert cache.get(plan_key(g, DEV, OPTS)) is None
 
-    def test_failed_fragment_compile_abandons_leadership(self, tmp_path):
+    def test_failed_fragment_compile_abandons_leadership(
+        self, tmp_path, monkeypatch
+    ):
         cache = SharedPlanCache(str(tmp_path), lock_timeout=5.0)
         fw = Framework(DEV, options=OPTS, plan_cache=cache)
         g = video_edge_graph(2, 48, 48, 5, 4)
-        bad = CompileOptions(scheduler="nope", split_headroom=1.0)
-        with pytest.raises(Exception):
-            compile_incremental(fw, g, options=bad)
+
+        def failing_compile(*args, **kwargs):
+            raise RuntimeError("fragment compile failed")
+
+        monkeypatch.setattr(Framework, "_compile_miss", failing_compile)
+        with pytest.raises(RuntimeError, match="fragment compile failed"):
+            compile_incremental(fw, g)
         assert not cache._held  # leadership released, no stuck followers

@@ -1,13 +1,15 @@
 """Concurrent execution service (repro.service)."""
 
+import json
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.framework import Framework
+from repro.core.framework import CompileOptions, Framework
 from repro.core.plancache import PlanCache
+from repro.core.serialize import plan_to_dict
 from repro.gpusim import TESLA_C870, XEON_WORKSTATION, FaultSpec, GpuDevice
 from repro.obs.flight import journal_dir, read_journal
 from repro.runtime import reference_execute
@@ -328,6 +330,16 @@ class TestDeadlines:
         assert resp.planner_used == "heuristic-degraded"
         assert counters["service.degraded"] == 1
 
+    def test_degraded_pb_options_compile_with_dfs(self):
+        with ExecutionService(ServiceConfig(workers=1)) as svc:
+            resp = svc.submit(
+                edge_request(
+                    options=CompileOptions(scheduler="pb"), deadline=0.0
+                )
+            ).result(timeout=30)
+        assert resp.ok and resp.planner_used == "heuristic-degraded"
+        assert resp.value.options.scheduler == "dfs"
+
     def test_degradation_disabled_expires_instead(self):
         cfg = ServiceConfig(workers=1, degrade_on_deadline=False)
         with ExecutionService(cfg) as svc:
@@ -600,6 +612,43 @@ class TestModesAndPlanners:
             ).result(timeout=30)
         assert resp.ok
         assert resp.value.plan.launches()
+
+
+@pytest.mark.timeout(60)
+class TestPBCompilePass:
+    """A PB request is a ``scheduler="pb"`` compile: one plan store."""
+
+    def test_served_pb_compile_is_a_full_compile(self):
+        with ExecutionService(ServiceConfig(workers=1)) as svc:
+            resp = svc.submit(edge_request(planner="pb")).result(timeout=60)
+        compiled = resp.value
+        assert resp.ok and compiled.source == resp.planner_used == "pb"
+        assert compiled.options.scheduler == "pb"
+        assert compiled.peak_device_floats > 0
+        assert compiled.metrics["counters"]["plan_cache.miss"] == 1
+        assert "pb_or_heuristic" in [s.name for s in compiled.spans]
+
+    def test_pb_plan_made_on_one_shard_is_a_hit_on_another(self, tmp_path):
+        config = ServiceConfig(workers=1, shared_cache_dir=str(tmp_path))
+        with ExecutionService(config) as first_svc:
+            first = first_svc.submit(
+                edge_request(planner="pb")
+            ).result(timeout=60)
+        with ExecutionService(config) as second_svc:
+            second = second_svc.submit(
+                edge_request(planner="pb")
+            ).result(timeout=60)
+            counters = second_svc.metrics_snapshot()["counters"]
+        assert first.ok and second.ok and second.deduped
+        assert counters["service.plan_cache_hits"] == 1
+        assert counters.get("service.compiles", 0) == 0
+        assert second.planner_used == first.planner_used == "pb"
+        digest = [
+            json.dumps(plan_to_dict(r.value.plan), sort_keys=True)
+            for r in (first, second)
+        ]
+        assert digest[0] == digest[1]
+        assert second.value.op_order == first.value.op_order
 
 
 @pytest.mark.timeout(60)
