@@ -17,6 +17,7 @@ portability" claim).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -92,7 +93,9 @@ class CompiledTemplate:
 
     graph: OperatorGraph  # the (possibly split) working graph, frozen
     plan: ExecutionPlan
-    op_order: list[str]
+    #: immutable and shared with the plan-cache entry and every hit;
+    #: a caller that reorders takes ``list(compiled.op_order)``
+    op_order: tuple[str, ...]
     split_report: SplitReport
     device: GpuDevice
     host: HostSystem | None
@@ -109,6 +112,9 @@ class CompiledTemplate:
     def transfer_floats(self) -> int:
         return self.plan.transfer_floats(self.graph)
 
+    def launch_count(self) -> int:
+        return self.plan.launch_count(self.graph)
+
     def summary(self) -> dict[str, object]:
         s: dict[str, object] = dict(self.plan.summary(self.graph))
         s.update(
@@ -118,6 +124,22 @@ class CompiledTemplate:
             peak_device_floats=self.peak_device_floats,
         )
         return s
+
+
+def cache_hit_spans(name: str, key: str, **attrs: Any) -> list[Span]:
+    """A plan-cache hit's root span ``name`` (with ``attrs``) and its
+    ``plan_cache`` event: the spans, names and order a :class:`Tracer`
+    records for a hit, without the tracer."""
+    epoch = time.perf_counter()
+    event = Span(
+        name="plan_cache",
+        start=time.perf_counter() - epoch,
+        parent=name,
+        attrs={"hit": True, "key": key[:16]},
+    )
+    root = Span(name=name, start=0.0, attrs=attrs)
+    root.duration = time.perf_counter() - epoch
+    return [root, event]
 
 
 class Framework:
@@ -253,16 +275,15 @@ class Framework:
                     if not splits:
                         unsplit = compiled, reasons
                 if best is None or (
-                    compiled.transfer_floats(),
-                    len(compiled.plan.launches()),
-                ) < (best.transfer_floats(), len(best.plan.launches())):
+                    compiled.transfer_floats(), compiled.launch_count()
+                ) < (best.transfer_floats(), best.launch_count()):
                     best, best_reasons = compiled, reasons
                     best_headroom = headroom
             assert best is not None
             root.set(
                 selected_headroom=best_headroom,
                 transfer_floats=best.transfer_floats(),
-                launches=len(best.plan.launches()),
+                launches=best.launch_count(),
             )
         best.spans = sorted(tracer.spans, key=lambda s: s.start)
         best.metrics = self._compile_metrics(
@@ -274,7 +295,7 @@ class Framework:
                 CachedPlan(
                     graph=best.graph,
                     plan=best.plan,
-                    op_order=list(best.op_order),
+                    op_order=best.op_order,
                     split_report=best.split_report,
                     peak_device_floats=best.peak_device_floats,
                     metrics=best.metrics,
@@ -287,7 +308,7 @@ class Framework:
             cached=False,
             seconds=tracer.total_time(),
             candidates=len(candidates),
-            launches=len(best.plan.launches()),
+            launches=best.launch_count(),
         )
         return best
 
@@ -296,26 +317,25 @@ class Framework:
     ) -> CompiledTemplate:
         """Rehydrate a cache hit as a fresh :class:`CompiledTemplate`.
 
-        The graph/plan/split-report objects are shared with the cache
-        entry (the graph is frozen, the executors only read the rest); the
-        op-order list is copied
-        because callers may reorder it.  The compile-metrics snapshot is
-        reused from fill time with the cache counters and wall time
-        overlaid, so a warm compile never re-walks the plan.
+        The graph, plan, op-order tuple and split report are shared with
+        the cache entry (the graph is frozen and the tuple immutable; the
+        executors only read the rest), so a hit costs the same for 70 or
+        7,000 operators.  The compile-metrics snapshot is reused from
+        fill time with the cache counters and wall time overlaid, so a
+        warm compile never re-walks the plan.
         """
-        tracer = Tracer()
-        with tracer.span(
+        spans = cache_hit_spans(
             "compile",
+            key,
             template=entry.graph.name,
             device=self.device.name,
             plan_cache="hit",
-        ) as root:
-            tracer.event("plan_cache", hit=True, key=key[:16])
-            root.set(launches=len(entry.op_order))
+            launches=len(entry.op_order),
+        )
         compiled = CompiledTemplate(
             graph=entry.graph,
             plan=entry.plan,
-            op_order=list(entry.op_order),
+            op_order=entry.op_order,
             split_report=entry.split_report,
             device=self.device,
             host=self.host,
@@ -323,16 +343,16 @@ class Framework:
             peak_device_floats=entry.peak_device_floats,
             source=entry.extra.get("source", "heuristic"),
         )
-        compiled.spans = sorted(tracer.spans, key=lambda s: s.start)
+        compiled.spans = spans
         compiled.metrics = self._cache_hit_metrics(
-            entry.metrics, tracer, self.plan_cache
+            entry.metrics, spans[0].duration, self.plan_cache
         )
         return compiled
 
     @staticmethod
     def _cache_hit_metrics(
         entry_metrics: dict[str, Any],
-        tracer: Tracer,
+        wall: float,
         cache: PlanCache | None,
     ) -> dict[str, Any]:
         # The snapshot is MetricsRegistry.snapshot()'s fixed shape —
@@ -349,7 +369,6 @@ class Framework:
         counters["plan_cache.hit"] = 1
         counters["plan_cache.miss"] = 0
         gauges = snap.setdefault("gauges", {})
-        wall = tracer.total_time()
         gauges["compile.wall_seconds"] = {"value": wall, "peak": wall}
         if cache is not None:
             n = len(cache)
@@ -433,7 +452,9 @@ class Framework:
             result = pb_plan_or_heuristic(
                 graph, capacity, conflict_budget=PB_CONFLICT_BUDGET, tracer=tracer
             )
-            op_order, plan, source = result.op_order, result.plan, result.source
+            op_order, plan, source = (
+                tuple(result.op_order), result.plan, result.source
+            )
             reasons = provenance_summary(plan)
         else:
             source = "heuristic"
@@ -445,9 +466,9 @@ class Framework:
             ) as sp:
                 scheduler = get_scheduler(opts.scheduler)
                 if scheduler in (dfs_schedule, dfs_naive_schedule):
-                    op_order = scheduler(graph, col)
-                else:
-                    op_order = scheduler(graph)  # greedy/bfs/topo read the graph
+                    op_order = tuple(scheduler(graph, col))
+                else:  # greedy/bfs/topo read the graph
+                    op_order = tuple(scheduler(graph))
                 sp.set(ops=len(op_order))
             with tracer.span(
                 "transfer_scheduling", headroom=headroom, policy=opts.eviction_policy
@@ -511,7 +532,7 @@ class Framework:
             "compile_baseline", template=template.name, device=self.device.name
         ):
             plan = baseline_plan(graph, capacity)
-            op_order = plan.launches()
+            op_order = tuple(plan.launches())
             peak = validate_plan(plan, graph, capacity)
         compiled = CompiledTemplate(
             graph=graph,

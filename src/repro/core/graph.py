@@ -224,7 +224,8 @@ class OperatorGraph:
     its content is memoised on it: the adjacency and chunk indexes, the
     structural fingerprint every plan-cache, single-flight, batch and
     shard-routing key is composed from
-    (:func:`repro.core.plancache.graph_fingerprint`), and the
+    (:func:`repro.core.plancache.graph_fingerprint`), the plan keys
+    composed from it (:func:`repro.core.plancache.plan_key`), and the
     per-operator launch costs every plan interpreter reads
     (:func:`repro.ops.launch_cost`).  A mutator drops them all before it
     edits; on a frozen graph each is written once.  Writing around the
@@ -245,6 +246,8 @@ class OperatorGraph:
         self._succs: dict[str, list[str]] | None = None
         self._sorted_chunks: dict[str, tuple[list[str], list[int], list[int]]] = {}
         self._fingerprint: str | None = None
+        # (kind, device, options) -> plan key; filled by plancache.plan_key
+        self._plan_keys: dict[tuple, str] | None = None
         # op name -> (flops, bytes_accessed); filled by repro.ops.launch_cost
         self._launch_costs: dict[str, tuple[float, float]] | None = None
 
@@ -270,6 +273,7 @@ class OperatorGraph:
         if self._sorted_chunks:
             self._sorted_chunks = {}
         self._fingerprint = None
+        self._plan_keys = None
         self._launch_costs = None
 
     def __getstate__(self) -> tuple:

@@ -247,7 +247,7 @@ def compile_incremental(
             entry = CachedPlan(
                 graph=compiled.graph,
                 plan=compiled.plan,
-                op_order=list(compiled.op_order),
+                op_order=compiled.op_order,
                 split_report=compiled.split_report,
                 peak_device_floats=compiled.peak_device_floats,
                 extra={"source": compiled.source},
@@ -345,7 +345,7 @@ def _stitch(
     return CompiledTemplate(
         graph=g,
         plan=plan,
-        op_order=op_order,
+        op_order=tuple(op_order),
         split_report=SplitReport(
             rounds=rounds,
             split_ops=split_ops,

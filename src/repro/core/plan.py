@@ -162,6 +162,9 @@ class ExecutionPlan:
         """Floats moved directly between devices (never through the host)."""
         return self._accounting(graph)[2]
 
+    def launch_count(self, graph: OperatorGraph) -> int:
+        return self._accounting(graph)[3]
+
     def transfer_floats(self, graph: OperatorGraph) -> int:
         """Total host<->device floats moved: the paper's Table 1 metric.
 

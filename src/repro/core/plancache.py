@@ -5,10 +5,11 @@ deterministic, so the result can be reused outright: the cache key is a
 stable structural hash of (graph, device parameters, CompileOptions) and
 the value is everything :meth:`repro.core.Framework.compile` would have
 recomputed — split graph, plan, operator order, split report.  The
-graph's part of the key is a fingerprint memoised on the graph and the
-device/options parts are memoised per value, so repeat compiles (the
-common case for a deployed template served against steady traffic)
-hash a few hundred bytes and do a dictionary lookup.
+graph's part of the key is a fingerprint memoised on the graph, the
+device/options parts are memoised per value, and the key itself is
+memoised on the graph per (device, options), so a repeat compile (the
+common case for a deployed template served against steady traffic) is
+two dictionary lookups and shares the entry's immutable op order.
 
 Two tiers:
 
@@ -127,9 +128,23 @@ def plan_key(
     ``CACHE_VERSION`` · ``kind`` · :func:`graph_fingerprint` · canonical
     device · canonical options · canonical ``extra``; every part is
     canonical JSON (sorted keys) or a hash of it, so the key is stable
-    across processes and platforms, and only ``extra`` is re-encoded on
-    a repeat call.
+    across processes and platforms.
+
+    Without ``extra``, the key is memoised on the graph per
+    ``(kind, device, options)`` value, so a repeat call is one dict
+    lookup; every graph mutator drops the memo with the fingerprint, and
+    neither ``copy()`` nor ``pickle`` carries it.  Unhashable parts (a
+    mutable dataclass) are keyed afresh on every call.
     """
+    memo_key: tuple | None = None
+    if extra is None:
+        memo_key = (kind, device, options)
+        try:
+            key = (graph._plan_keys or {}).get(memo_key)
+        except TypeError:
+            memo_key = key = None
+        if key is not None:
+            return key
     # Newline-joined: canonical JSON and hex digests never contain one.
     blob = "\n".join((
         str(CACHE_VERSION),
@@ -139,7 +154,13 @@ def plan_key(
         _canonical_json(options),
         _canonical_json(extra),
     ))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    if memo_key is not None:
+        memo = graph._plan_keys
+        if memo is None:
+            memo = graph._plan_keys = {}
+        memo[memo_key] = key
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +172,8 @@ class CachedPlan:
 
     graph: OperatorGraph
     plan: ExecutionPlan
-    op_order: list[str]
+    #: the compile's one op-order tuple, handed out by every hit
+    op_order: tuple[str, ...]
     split_report: SplitReport
     peak_device_floats: int = 0
     #: compile-metrics snapshot at fill time (reused on hits so a warm
@@ -187,7 +209,7 @@ class CachedPlan:
         return cls(
             graph=graph_from_dict(raw["graph"]),
             plan=plan_from_dict(raw["plan"]),
-            op_order=list(raw["op_order"]),
+            op_order=tuple(raw["op_order"]),
             split_report=SplitReport(
                 rounds=int(sr.get("rounds", 0)),
                 split_ops=dict(sr.get("split_ops", {})),

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import gc
 import math
+import threading
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, count
@@ -689,6 +690,33 @@ def estimate_split(graph: OperatorGraph, op_name: str, nparts: int) -> int:
     return _Plan(graph).estimate(op_name, nparts)
 
 
+# The collector hold shared by overlapping splits (service workers
+# compiling misses side by side): the first holder disables the collector
+# if it was enabled, the last one out restores it, so one split leaving
+# cannot switch it back on under another, and a caller who disabled it
+# finds it disabled.
+_hold_lock = threading.Lock()
+_holders = 0
+_restore = False
+
+
+def hold_collector() -> None:
+    global _holders, _restore
+    with _hold_lock:
+        if _holders == 0:
+            _restore = gc.isenabled()
+            gc.disable()
+        _holders += 1
+
+
+def release_collector() -> None:
+    global _holders
+    with _hold_lock:
+        _holders -= 1
+        if _holders == 0 and _restore:
+            gc.enable()
+
+
 def make_feasible(
     graph: OperatorGraph,
     capacity_floats: int,
@@ -715,8 +743,7 @@ def make_feasible(
     # Every part, chunk and slot a split allocates stays alive and none is
     # cyclic, yet each full collection would rescan the growing heap (about
     # a tenth of a 10k-operator split's time): hold the collector meanwhile.
-    collecting = gc.isenabled()
-    gc.disable()
+    hold_collector()
     try:
         for round_no in range(max_rounds):
             over = {o for o in plan.ops if plan.footprint(o) > capacity_floats}
@@ -738,7 +765,6 @@ def make_feasible(
         plan.build()
     finally:
         del plan  # its records die here, not in the collector's next pass
-        if collecting:
-            gc.enable()
+        release_collector()
     graph.validate()
     return report

@@ -29,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.columnar import lower
-from repro.core.framework import CompileOptions
+from repro.core.framework import CompileOptions, cache_hit_spans
 from repro.core.graph import OperatorGraph
 from repro.core.plan import ExecutionPlan, validate_plan
 from repro.core.plancache import CachedPlan, PlanCache, default_cache, plan_key
@@ -55,7 +55,8 @@ class MultiCompiledTemplate:
 
     graph: OperatorGraph
     plan: ExecutionPlan
-    op_order: list[str]
+    #: immutable, shared with the plan-cache entry and every hit
+    op_order: tuple[str, ...]
     partition: Partition
     split_report: SplitReport
     group: DeviceGroup
@@ -157,9 +158,9 @@ def compile_multi(
         with tracer.span("operator_scheduling", scheduler=opts.scheduler) as sp:
             scheduler = get_scheduler(opts.scheduler)
             if scheduler in (dfs_schedule, dfs_naive_schedule):
-                op_order = scheduler(graph, col)
-            else:
-                op_order = scheduler(graph)  # greedy/bfs/topo read the graph
+                op_order = tuple(scheduler(graph, col))
+            else:  # greedy/bfs/topo read the graph
+                op_order = tuple(scheduler(graph))
             sp.set(ops=len(op_order))
         with tracer.span("partition", devices=n) as sp:
             part = partition_graph(graph, op_order, group, host)
@@ -206,7 +207,7 @@ def compile_multi(
             CachedPlan(
                 graph=graph,
                 plan=plan,
-                op_order=list(op_order),
+                op_order=op_order,
                 split_report=report,
                 peak_device_floats=peak,
                 extra={
@@ -229,16 +230,8 @@ def _multi_from_cache(
     opts: CompileOptions,
     transfer_mode: str,
 ) -> MultiCompiledTemplate:
-    """Rehydrate a multi-device cache hit (partition rides in ``extra``)."""
-    tracer = Tracer()
-    with tracer.span(
-        "compile_multi",
-        template=entry.graph.name,
-        devices=len(group),
-        transfer_mode=transfer_mode,
-        plan_cache="hit",
-    ):
-        tracer.event("plan_cache", hit=True, key=key[:16])
+    """Rehydrate a multi-device cache hit (partition rides in ``extra``;
+    the graph, plan and op-order tuple are the entry's own)."""
     pe = entry.extra.get("partition", {})
     part = Partition(
         assignment={o: int(d) for o, d in pe.get("assignment", {}).items()},
@@ -248,7 +241,7 @@ def _multi_from_cache(
     return MultiCompiledTemplate(
         graph=entry.graph,
         plan=entry.plan,
-        op_order=list(entry.op_order),
+        op_order=entry.op_order,
         partition=part,
         split_report=entry.split_report,
         group=group,
@@ -256,7 +249,14 @@ def _multi_from_cache(
         options=opts,
         transfer_mode=transfer_mode,
         peak_device_floats=entry.peak_device_floats,
-        spans=sorted(tracer.spans, key=lambda s: s.start),
+        spans=cache_hit_spans(
+            "compile_multi",
+            key,
+            template=entry.graph.name,
+            devices=len(group),
+            transfer_mode=transfer_mode,
+            plan_cache="hit",
+        ),
     )
 
 

@@ -15,22 +15,25 @@ is the gate that does not drift.  The pins here are exact:
 * A compile tallies each candidate plan's provenance notes once.
 * The event engine issues each event once and decrements each
   dependency edge once: its time grows linearly with plan steps.
+* A cold compile never lists a plan's launches; a warm compile
+  allocates the same few bytes whatever the size of the plan it hits.
 """
 
 import math
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from repro.analysis import best_possible
 from repro.codegen import generate_python
-from repro.core import Framework, PlanCache, make_feasible
+from repro.core import CompileOptions, Framework, PlanCache, make_feasible
 from repro.core import framework as framework_module
 from repro.core import graph as graph_module
 from repro.core import splitting as splitting_module
 from repro.core.graph import DataStructure, GraphError, Operator, OperatorGraph
-from repro.core.plan import Launch
+from repro.core.plan import ExecutionPlan, Launch
 from repro.obs import provenance_summary
 from repro.gpusim import XEON_WORKSTATION, GpuDevice, SimRuntime, homogeneous_group
 from repro.multigpu import simulate_multi_plan
@@ -229,3 +232,50 @@ def test_the_event_engine_is_linear_in_plan_steps():
         (x - mean_x) ** 2 for x, _ in points
     )
     assert slope <= 1.3, f"simulate_plan_events grows as steps^{slope:.2f}"
+
+
+def test_a_cold_compile_never_lists_launches(monkeypatch):
+    """Candidate comparison, the root span and ``compile.done`` read the
+    launch count the plan's accounting pass already tallied."""
+    calls = []
+    real = ExecutionPlan.launches
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ExecutionPlan, "launches", counting)
+    template = find_edges_graph(96, 80, 5, 4)
+    compiled = Framework(DEVICE, host=HOST, plan_cache=PlanCache()).compile(template)
+    assert compiled.metrics["counters"]["compile.candidates"] > 1
+    assert calls == []
+    (root,) = [s for s in compiled.spans if s.name == "compile"]
+    assert root.attrs["launches"] == len(real(compiled.plan))
+
+
+def warm_compile_peak_bytes(template, device) -> tuple[int, int]:
+    """(operators, peak traced bytes) of one warm compile of ``template``."""
+    fw = Framework(device, options=CompileOptions(split_headroom=1.0),
+                   plan_cache=PlanCache())
+    ops = len(fw.compile(template).graph.ops)
+    fw.compile(template)  # memoises the key on the template
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        warm = fw.compile(template)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert warm.metrics["counters"]["plan_cache.hit"] == 1
+    return ops, peak
+
+
+def test_a_warm_compile_allocates_the_same_for_any_plan_size():
+    """A hit shares the entry's op-order tuple and key: what it allocates
+    does not grow with the plan (a per-hit copy of the op order of 5,000
+    operators alone is 40 KB)."""
+    big_ops, big = warm_compile_peak_bytes(find_edges_graph(3072, 1024, 5, 4), DEVICE)
+    small_ops, small = warm_compile_peak_bytes(find_edges_graph(48, 40, 5, 4), DEVICE)
+    assert big_ops >= 5000 and small_ops < 100
+    assert big - small < 2048, (big, small)

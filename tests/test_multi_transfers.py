@@ -179,7 +179,7 @@ def test_group_compile_lowers_once():
     compiled = compile_multi(graph, group, plan_cache=False)
     assert [sp.name for sp in compiled.spans].count("lowering") == 1
     order = dfs_schedule(compiled.graph)
-    assert compiled.op_order == order
+    assert compiled.op_order == tuple(order)
     part = partition_graph(compiled.graph, order, group)
     ref = reference.schedule_multi_transfers(compiled.graph, order, group, part)
     assert compiled.plan.steps == ref.steps

@@ -81,7 +81,7 @@ def test_pass_equals_the_direct_entry_point(graph, device):
         conflict_budget=PB_CONFLICT_BUDGET,
     )
     assert plan_bytes(compiled.plan) == plan_bytes(direct.plan)
-    assert compiled.op_order == direct.op_order
+    assert compiled.op_order == tuple(direct.op_order)
     assert compiled.source == direct.source
     assert compiled.peak_device_floats > 0
     names = [s.name for s in compiled.spans]

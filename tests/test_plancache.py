@@ -9,10 +9,13 @@ shares.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
+import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,10 +28,13 @@ from repro.core import (
     graph_to_dict,
     plan_key,
     plan_to_dict,
+    save_plan,
 )
-from repro.core.plancache import CACHE_VERSION, SharedPlanCache
-from repro.gpusim import GpuDevice, homogeneous_group
+from repro.core.plancache import CACHE_VERSION, SharedPlanCache, graph_fingerprint
+from repro.gpusim import XEON_WORKSTATION, GpuDevice, homogeneous_group
 from repro.multigpu import compile_multi
+from repro.service import ServiceConfig, ServiceRequest
+from repro.service.shard import ShardedExecutionService
 from repro.templates import edge_forest_graph, find_edges_graph
 
 KB = 1024
@@ -374,3 +380,199 @@ class TestEntriesAreFrozen:
             cache.put("other", thawed)
         assert list(cache._mem) == [key] and cache._mem[key] is entry
 
+
+
+# ---------------------------------------------------------------------------
+# The op order is one immutable value; plan keys are memoised on the graph
+# ---------------------------------------------------------------------------
+def assert_op_order_tuple(*holders):
+    for holder in holders:
+        assert type(holder.op_order) is tuple, type(holder).__name__
+
+
+class TestOpOrderIsShared:
+    def test_a_memory_hit_hands_out_the_entry_tuple(self):
+        cache = PlanCache()
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=cache)
+        g = split_graph()
+        cold = fw.compile(g)
+        warm = fw.compile(g)
+        (entry,) = cache._mem.values()
+        assert_op_order_tuple(cold, warm, entry)
+        assert warm.op_order is entry.op_order is cold.op_order
+
+    def test_a_hit_records_what_a_tracer_would(self):
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=PlanCache())
+        g = split_graph()
+        fw.compile(g)
+        warm = fw.compile(g)
+        root, event = warm.spans
+        assert (root.name, root.parent) == ("compile", None)
+        assert list(root.attrs.items()) == [
+            ("template", g.name), ("device", DEVICE.name),
+            ("plan_cache", "hit"), ("launches", len(warm.op_order)),
+        ]
+        assert (event.name, event.parent, event.duration) == (
+            "plan_cache", "compile", 0.0
+        )
+        assert event.attrs == {"hit": True, "key": plan_key(g, DEVICE, OPTIONS)[:16]}
+        assert root.start <= event.start <= root.end
+        wall = warm.metrics["gauges"]["compile.wall_seconds"]
+        assert wall == {"value": root.end, "peak": root.end}
+
+    def test_multi_device_miss_and_hit(self):
+        cache = PlanCache()
+        g = find_edges_graph(256, 256, 5, 4)
+        grp = homogeneous_group(DEVICE, 2)
+        cold = compile_multi(g, grp, options=OPTIONS, plan_cache=cache)
+        warm = compile_multi(g, grp, options=OPTIONS, plan_cache=cache)
+        (entry,) = cache._mem.values()
+        assert_op_order_tuple(cold, warm, entry)
+        assert warm.op_order is entry.op_order is cold.op_order
+        assert [s.name for s in warm.spans] == ["compile_multi", "plan_cache"]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["disk", "shared"])
+    def test_a_disk_round_trip_builds_a_tuple(self, tmp_path, shared):
+        g = small_graph()
+        d = str(tmp_path / "plans")
+        make = (lambda: SharedPlanCache(d)) if shared else (
+            lambda: PlanCache(disk_dir=d)
+        )
+        cold = Framework(DEVICE, options=OPTIONS, plan_cache=make()).compile(g)
+        cache = make()
+        warm = Framework(DEVICE, options=OPTIONS, plan_cache=cache).compile(g)
+        assert cache.stats()["disk_hits"] == 1
+        (entry,) = cache._mem.values()
+        assert_op_order_tuple(cold, warm, entry)
+        assert warm.op_order is entry.op_order and warm.op_order == cold.op_order
+
+    def test_from_dict_builds_a_tuple_and_to_dict_a_list(self):
+        cache = PlanCache()
+        Framework(DEVICE, options=OPTIONS, plan_cache=cache).compile(small_graph())
+        (entry,) = cache._mem.values()
+        raw = entry.to_dict()
+        assert type(raw["op_order"]) is list
+        restored = CachedPlan.from_dict(json.loads(json.dumps(raw)))
+        assert_op_order_tuple(restored)
+        assert restored.op_order == entry.op_order
+
+    def test_incremental_fragments_and_stitch(self):
+        cache = PlanCache()
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=cache)
+        forest = edge_forest_graph(3, 64, 64, 5, 4)
+        cold = fw.compile_incremental(forest)
+        warm = fw.compile_incremental(forest)
+        assert warm.reused_fragments == 3
+        assert_op_order_tuple(cold.compiled, warm.compiled, *cache._mem.values())
+        assert warm.compiled.op_order == cold.compiled.op_order
+
+    def test_baseline_and_pb_compiles(self):
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=PlanCache())
+        assert_op_order_tuple(fw.compile_baseline(find_edges_graph(64, 64, 5, 4)))
+        tiny = find_edges_graph(8, 8, 3, 1)
+        pb = fw.compile(tiny, options=CompileOptions(scheduler="pb"))
+        assert_op_order_tuple(pb)
+
+    def test_saved_plan_is_byte_identical(self, tmp_path):
+        """``save_plan`` of a cold and a warm compile, pinned to the
+        digest of the same file written while the op order was a list."""
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=PlanCache())
+        for _ in range(2):
+            path = tmp_path / "plan.json"
+            save_plan(fw.compile(split_graph()), str(path))
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "a47ad800e12c0eefe15a09b367ccb5de715c36bd60aa6266eaf27fa4a166bf2d"
+            )
+
+
+#: the bench's serve classes: (label, side) of find_edges_graph(side, side, 8, 2)
+SERVE_CLASSES = (("hot", 40), ("warm", 48), ("cool", 56), ("rare", 64))
+SERVE_DEVICE = GpuDevice(name="bench-serve", memory_bytes=8 * 1024 * KB)
+
+
+class TestKeyMemo:
+    """Digests recorded before ``plan_key`` memoised its result: the memo
+    must return exactly what the full composition returns."""
+
+    def test_pinned_plan_keys(self):
+        g = small_graph()
+        assert plan_key(g, DEVICE, CompileOptions()) == (
+            "11ce397e2235259767b7bd7049599a88c5c8d9c7226f9ddfe33fb8eb71985611"
+        )
+        nondefault = CompileOptions(
+            split_headroom=1.0, eviction_policy="lru", scheduler="bfs",
+            eager_free=False,
+        )
+        for _ in range(2):  # computed, then memoised
+            assert plan_key(g, DEVICE, nondefault) == (
+                "f71e01e0d16b1c27389d59b22dc6dad20effb710b7a8648008a785bce5c966e9"
+            )
+
+    def test_pinned_route_keys(self):
+        router = SimpleNamespace(config=ServiceConfig())
+        expected = {
+            "hot": "85fce6bd6857ea33dc61d014ecec076a21461aa2ec0923d0c84fdf299d786122",
+            "warm": "b9e4ffa4dcb61fcb2d07b738c77f2791f4121f4b12a806805251bfae5525d09d",
+            "cool": "67e641c3a6a9ea0bd933038c8ee30027ac9d8455683aa6b7ab9fdeca526ea77f",
+            "rare": "9182a648a8349c0c90fffad1e8c683fa1391d51bcfb2528343d5ee1478d8ef1a",
+        }
+        for label, side in SERVE_CLASSES:
+            request = ServiceRequest(
+                template=find_edges_graph(side, side, 8, 2),
+                device=SERVE_DEVICE, host=XEON_WORKSTATION, mode="compile",
+                label=label,
+            )
+            key = ShardedExecutionService.route_key(router, request)
+            assert key == expected[label], label
+
+    def test_editing_an_unfrozen_template_changes_its_key_and_misses(self):
+        cache = PlanCache()
+        fw = Framework(DEVICE, options=OPTIONS, plan_cache=cache)
+        g = small_graph().copy()
+        fw.compile(g)
+        before = plan_key(g, DEVICE, OPTIONS)
+        assert g._plan_keys
+        inner = next(d for d, ds in g.data.items() if not ds.is_input
+                     and not ds.is_output)
+        g.mark_output(inner)
+        assert g._plan_keys is None
+        assert plan_key(g, DEVICE, OPTIONS) != before
+        fw.compile(g)
+        assert cache.stats()["misses"] == 2 and cache.stats()["hits"] == 0
+
+    def test_equal_valued_distinct_objects_hit(self):
+        cache = PlanCache()
+        g = small_graph()
+        Framework(DEVICE, options=OPTIONS, plan_cache=cache).compile(g)
+        twin_device = dataclasses.replace(DEVICE)
+        twin_options = dataclasses.replace(OPTIONS)
+        assert twin_device is not DEVICE and twin_options is not OPTIONS
+        Framework(twin_device, options=twin_options, plan_cache=cache).compile(g)
+        assert cache.stats()["hits"] == 1 and len(g._plan_keys) == 1
+
+    def test_the_memo_is_not_copied_or_pickled(self):
+        g = small_graph()
+        plan_key(g, DEVICE, OPTIONS)
+        assert g._plan_keys
+        assert g.copy()._plan_keys is None
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._plan_keys is None
+        assert clone._fingerprint == g._fingerprint
+        bare = small_graph()
+        assert graph_fingerprint(bare) == g._fingerprint and not bare._plan_keys
+        assert pickle.dumps(g) == pickle.dumps(bare)  # fleet frames unchanged
+
+    def test_extra_and_unhashable_parts_are_not_memoised(self):
+        g = small_graph()
+        plan_key(g, DEVICE, OPTIONS, extra={"mode": "compile"})
+        assert not g._plan_keys
+
+        @dataclasses.dataclass
+        class Mutable:
+            memory_bytes: int
+
+        dev = Mutable(256 * KB)
+        first = plan_key(g, dev, OPTIONS)
+        dev.memory_bytes *= 2
+        assert plan_key(g, dev, OPTIONS) != first
+        assert not g._plan_keys

@@ -1,5 +1,9 @@
 """Tests for operator splitting (Section 3.2)."""
 
+import gc
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from repro.core import (
     make_feasible,
     select_chunks,
 )
+from repro.core import splitting as splitting_module
 from repro.core.graph import op_slots
 from repro.core.serialize import graph_to_dict
 from repro.runtime import reference_execute
@@ -365,3 +370,93 @@ class TestTreeCombine:
         combine = next(o for o in g.ops if o.endswith(".combine"))
         with pytest.raises(InfeasibleTemplateError):
             split_combine(g, combine, fan_in=1)
+
+
+class TestCollectorHold:
+    """``make_feasible`` holds the cyclic collector off while it splits;
+    the hold is shared by overlapping splits and restores what it found."""
+
+    def test_overlapping_splits_keep_the_collector_off(self, monkeypatch):
+        """B enters while A holds the collector; A leaves while B is still
+        building: the collector must stay off until B leaves too."""
+        assert gc.isenabled()
+        real_build = splitting_module._Plan.build
+        a_building, b_building, a_left = (threading.Event() for _ in range(3))
+        seen: dict[str, object] = {}
+
+        def build(self):
+            if threading.current_thread().name == "A":
+                a_building.set()
+                b_building.wait(10)
+            else:
+                b_building.set()
+                a_left.wait(10)
+                seen["collecting in B after A left"] = gc.isenabled()
+            return real_build(self)
+
+        def split(name: str, after: threading.Event | None) -> None:
+            try:
+                if after is not None:
+                    after.wait(10)
+                make_feasible(conv_graph(), 2000)
+            except Exception as exc:  # reported by the assertion below
+                seen[name] = exc
+            finally:
+                if name == "A":
+                    a_left.set()
+
+        monkeypatch.setattr(splitting_module._Plan, "build", build)
+        threads = [
+            threading.Thread(target=split, args=("A", None), name="A"),
+            threading.Thread(target=split, args=("B", a_building), name="B"),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {"collecting in B after A left": False}
+        assert gc.isenabled()
+
+    def test_many_threads_never_see_the_collector_on_while_holding(self):
+        assert gc.isenabled()
+        seen_on = []
+
+        def churn():
+            for _ in range(2000):
+                splitting_module.hold_collector()
+                try:
+                    if gc.isenabled():
+                        seen_on.append(True)
+                finally:
+                    splitting_module.release_collector()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen_on == [] and splitting_module._holders == 0
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            make_feasible(conv_graph(), 2000)
+            with pytest.raises(InfeasibleTemplateError):
+                make_feasible(conv_graph(), 10)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_a_failed_split_restores_the_collector(self):
+        assert gc.isenabled()
+        with pytest.raises(InfeasibleTemplateError):
+            make_feasible(conv_graph(), 10)
+        assert gc.isenabled()
