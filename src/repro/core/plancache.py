@@ -259,12 +259,20 @@ class PlanCache:
         publish("plancache.miss", key=key[:12])
         return None
 
-    def holds(self, key: str) -> bool:
-        """Whether ``key`` is in the memory tier — a pure probe: no
-        hit/miss count, no event, no LRU touch, no disk read, no
-        leadership election.  One dict membership test, so it needs no
-        lock in any subclass."""
-        return key in self._mem
+    def load(self, key: str) -> bool:
+        """Whether ``key`` is resident, reading it from the disk tier
+        into the memory tier if need be — a probe: no hit/miss count,
+        no event, no LRU touch, no leadership election, so it never
+        makes its caller compile.  A resident key is one dict membership
+        test, which needs no lock in any subclass.  A corrupt disk entry
+        is counted and dropped, as by :meth:`get`."""
+        if key in self._mem:
+            return True
+        entry = self._disk_get(key)
+        if entry is None:
+            return False
+        self._mem_put(key, entry)
+        return True
 
     def put(self, key: str, entry: CachedPlan) -> None:
         self._mem_put(key, entry)
@@ -434,6 +442,10 @@ class SharedPlanCache(PlanCache):
             pass
 
     # -- hits ------------------------------------------------------------
+    def _mem_put(self, key: str, entry: CachedPlan) -> None:
+        with self._tlock:
+            super()._mem_put(key, entry)
+
     def _mem_hit(self, key: str) -> CachedPlan | None:
         with self._tlock:
             entry = self._mem.get(key)
@@ -510,10 +522,7 @@ class SharedPlanCache(PlanCache):
                 return entry
 
     def put(self, key: str, entry: CachedPlan) -> None:  # type: ignore[override]
-        with self._tlock:
-            self._mem_put(key, entry)
-        self._disk_put(key, entry)
-        publish("plancache.store", key=key[:12], entries=len(self))
+        super().put(key, entry)
         self.abandon(key)  # release leadership, if we held it
 
     def abandon(self, key: str) -> None:

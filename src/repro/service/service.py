@@ -20,8 +20,11 @@ Admission resolves the request's compile options once
 (``ServiceRequest.compile_options``: the planner is the ``scheduler``
 option) and keys them — the ``plan_key`` the ``Framework`` cache uses;
 the single-flight and batch keys derive from it.  A ``compile`` whose
-plan is already in the memory tier is a dict lookup, so it is not
-queued: it runs the same ``_run`` path on the submitting thread.
+plan is resident (``PlanCache.load``: in the memory tier, or read into
+it from a disk tier) is a lookup, so it is not queued: it runs the same
+``_run`` path on the submitting thread.  The fleet router's service
+(``inline_only``, no workers) takes only that branch and declines every
+other request to the shards.
 
 Single-flight: the *first* worker to dequeue a given plan-cache key
 becomes the leader and compiles; workers dequeuing the same key while
@@ -156,6 +159,10 @@ class ExecutionService:
             responses = [t.result(timeout=60) for t in tickets]
 
     ``clock`` and ``sleep`` are injectable for deterministic tests.
+    ``inline_only=True`` builds the fleet router's service
+    (:mod:`repro.service.shard`): it starts no worker thread, serves a
+    compile whose plan is resident — in memory or on the shared disk
+    tier — inline, and declines everything else (see :meth:`_admit`).
     """
 
     def __init__(
@@ -165,8 +172,10 @@ class ExecutionService:
         plan_cache: PlanCache | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
+        inline_only: bool = False,
     ) -> None:
         self.config = config or ServiceConfig()
+        self._inline_only = inline_only
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=time.perf_counter)
         # Merged request spans: the most recent ``telemetry_events`` only.
@@ -217,7 +226,7 @@ class ExecutionService:
             threading.Thread(
                 target=self._worker_loop, name=f"repro-svc-{i}", daemon=True
             )
-            for i in range(self.config.workers)
+            for i in range(0 if inline_only else self.config.workers)
         ]
         for t in self._workers:
             t.start()
@@ -273,17 +282,27 @@ class ExecutionService:
 
     def _admit(
         self, request: ServiceRequest, request_id: int | None = None
-    ) -> Ticket:
-        """``submit()`` proper.  A shard worker passes the fleet-global
-        ``request_id`` its router assigned, so that provenance, events
-        and the journal of every shard speak one id space; otherwise the
-        service numbers requests itself."""
+    ) -> Ticket | None:
+        """``submit()`` proper.  A shard worker or the fleet router
+        passes the fleet-global ``request_id`` the router assigned, so
+        that provenance, events and the journal of every process speak
+        one id space; otherwise the service numbers requests itself.
+
+        An ``inline_only`` service returns ``None`` for a request it
+        would queue — before any counter, event or id is spent on it."""
         now = self._clock()
         deadline = request.deadline
         if deadline is None:
             deadline = self.config.default_deadline
         options = request.compile_options(self.config.pb_max_ops)
         key = plan_key(request.template, request.device, options)
+        inline = (
+            request.mode == "compile"
+            and self.config.batch_window <= 0
+            and self.plan_cache.load(key)
+        )
+        if self._inline_only and not inline:
+            return None
         with self._cv:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -311,11 +330,6 @@ class ExecutionService:
             ticket._cancel_hook = self._cancel
             ticket._options, ticket._key = options, key
             self.metrics.counter("service.submitted").inc()
-            inline = (
-                request.mode == "compile"
-                and self.config.batch_window <= 0
-                and self.plan_cache.holds(key)
-            )
             if inline:
                 self._in_flight += 1
                 self.metrics.gauge("service.in_flight").set(self._in_flight)

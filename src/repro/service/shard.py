@@ -2,16 +2,23 @@
 
 :class:`ShardedExecutionService` runs N worker *processes* (each a full
 :class:`~repro.service.ExecutionService` — see
-:mod:`repro.service.worker`) and routes every submission by its
-content-addressed plan key over a consistent-hash ring
-(:mod:`repro.service.hashring`).  Identical templates therefore always
-land on the same shard, which is where single-flight dedupe and request
-batching live — the router never needs a cross-process flight table.
-The fleet additionally shares one cross-process plan-cache directory
+:mod:`repro.service.worker`) behind one router.  The fleet shares one
+cross-process plan-cache directory
 (:class:`repro.core.plancache.SharedPlanCache`), so a plan compiled on
 any shard is a disk hit for every other process pointed at the
 directory, with stampede protection when several shards cold-start the
 same key at once.
+
+A ``compile`` whose plan is resident — in the router's memory tier or
+on that shared disk — is answered by the router itself, on the
+submitting thread: the router owns an ``inline_only``
+:class:`~repro.service.ExecutionService` on the same directory, which
+runs the in-process hit path and declines everything else.  It never
+compiles and never queues.  Every other submission is routed by its
+content-addressed plan key over a consistent-hash ring
+(:mod:`repro.service.hashring`).  Identical templates therefore always
+land on the same shard, which is where single-flight dedupe and request
+batching live — the router never needs a cross-process flight table.
 
 The router mirrors the single-process service's surface — ``submit()``
 returns a :class:`~repro.service.Ticket`, plus ``live_snapshot()`` /
@@ -20,13 +27,15 @@ callers and the CLI swap tiers without code changes.  Telemetry is
 aggregated correctly, not averaged: fleet latency percentiles are
 recomputed over the union of every shard's raw window samples
 (:func:`repro.obs.live.merge_window_samples`) and SLO error budgets sum
-good/bad counts (:func:`repro.obs.live.merge_slo_snapshots`).
+good/bad counts (:func:`repro.obs.live.merge_slo_snapshots`); the
+router's own service is merged in, and reported as ``router`` beside
+the per-process ``shards``.
 
-Request ids are fleet-global: the router assigns them and each shard
-serves a request *under* that id, so responses, their provenance fields
-(``deduped_from``, ``batched_with``), telemetry events and the flight
-journal all speak the caller's ids and the router keeps nothing about a
-request once its ticket resolves.
+Request ids are fleet-global: the router assigns them and its own
+service or a shard serves a request *under* that id, so responses,
+their provenance fields (``deduped_from``, ``batched_with``), telemetry
+events and the flight journal all speak the caller's ids and the router
+keeps nothing about a request once its ticket resolves.
 
 A request is one frame each way with no wait in between: admission is
 decided at the router, which counts every shard's admitted-but-
@@ -70,6 +79,7 @@ from repro.service.request import (
     ServiceResponse,
     Ticket,
 )
+from repro.service.service import ExecutionService
 
 #: seconds the router waits for a worker to ack one control frame
 _RPC_TIMEOUT = 60.0
@@ -148,6 +158,11 @@ class ShardedExecutionService:
         #: rpc id -> _Waiter for control RPCs
         self._waiters: dict[int, _Waiter] = {}
         self._status_server: StatusServer | None = None
+        #: answers every resident compile on the submitting thread; never
+        #: compiles, never queues
+        self._router = ExecutionService(
+            dataclasses.replace(base, shard_label="router"), inline_only=True
+        )
         self._shards: dict[str, _Shard] = {}
         #: shard name -> post-mortem harvested from its journal at death
         self._postmortems: dict[str, dict[str, Any]] = {}
@@ -200,6 +215,7 @@ class ShardedExecutionService:
             if self._closed:
                 return
             self._closed = True
+        self._router.close()
         for shard in self._shards.values():
             if not shard.alive:
                 continue
@@ -256,10 +272,14 @@ class ShardedExecutionService:
 
     # -- submission ------------------------------------------------------
     def submit(self, request: ServiceRequest | None = None, /) -> Ticket:
-        """Route and admit one request; returns a fleet-global ticket.
+        """Answer or route one request; returns a fleet-global ticket.
 
-        Admission is decided here, without a round trip: the router
-        counts each shard's admitted-but-unanswered requests (queued
+        A compile whose plan is resident — in the router's memory tier
+        or in the fleet's shared disk tier — is served by the router's
+        own in-process service on this thread: the ticket comes back
+        resolved and nothing crosses a pipe.  Every other request is
+        routed, and admission is decided here, without a round trip: the
+        router counts each shard's admitted-but-unanswered requests (queued
         *and* running — stricter than the in-process tier's "queued")
         and raises :class:`QueueFullError` when the owning shard is at
         ``max_queue_depth``; :class:`ServiceClosedError` and
@@ -273,8 +293,11 @@ class ShardedExecutionService:
         from .submitter import require_request
 
         request = require_request("ShardedExecutionService.submit", request)
-        shard = self._shards[self.route(request)]
         gid = next(self._next_id)
+        ticket = self._router._admit(request, gid)
+        if ticket is not None:
+            return ticket
+        shard = self._shards[self.route(request)]
         ticket = Ticket(
             id=gid,
             request=request,
@@ -516,15 +539,20 @@ class ShardedExecutionService:
     def live_snapshot(self) -> dict[str, Any]:
         """Fleet-wide operational snapshot, same shape as the
         single-process service's, with one ``shards`` entry per worker
-        process.
+        process and a ``router`` entry for the hits the router served.
 
         Counters sum; latency percentiles are recomputed over the union
-        of every shard's raw window samples; SLO budgets merge good/bad
+        of every process's raw window samples; SLO budgets merge good/bad
         counts — never averages of per-shard percentiles or compliance.
         """
+        router = self._router.live_snapshot()
         replies = self._each_shard({"kind": "snapshot"},
                                    expect="snapshot_result")
-        snapshots = [r["snapshot"] for _, r in replies]
+        per_shard = [r["snapshot"] for _, r in replies]
+        snapshots = [router, *per_shard]
+        samples = [self._router._latency_window.samples()] + [
+            r.get("latency_samples", []) for _, r in replies
+        ]
         counters: dict[str, float] = {}
         for snap in snapshots:
             for name, value in snap.get("counters", {}).items():
@@ -542,7 +570,7 @@ class ShardedExecutionService:
         for snap in snapshots:
             for key in events:
                 events[key] += snap.get("events", {}).get(key, 0)
-        shards = [s for snap in snapshots for s in snap.get("shards", [])]
+        shards = [s for snap in per_shard for s in snap.get("shards", [])]
         # Dead shards still get a row: how they ended is exactly what an
         # operator reading this snapshot needs to see.
         with self._lock:
@@ -577,8 +605,7 @@ class ShardedExecutionService:
             ),
             "counters": dict(sorted(counters.items())),
             "window": merge_window_samples(
-                [r.get("latency_samples", []) for _, r in replies],
-                self.config.window_seconds,
+                samples, self.config.window_seconds
             ),
             "slo": merge_slo_snapshots(
                 [snap.get("slo", {}) for snap in snapshots]
@@ -589,6 +616,7 @@ class ShardedExecutionService:
             "plan_cache": plan_cache,
             "events": events,
             "shards": shards,
+            "router": router["shards"][0],
         }
 
     def metrics_snapshot(self) -> dict[str, Any]:
@@ -603,17 +631,22 @@ class ShardedExecutionService:
         return int(self.live_snapshot()["queue_depth"])
 
     def request_timeline(self, request_id: int) -> list[TelemetryEvent]:
-        """One request's trace, fetched from the shard that served it.
+        """One request's trace, from the router or the shard that served it.
 
-        Shards record events under the fleet-global id and the router
-        keeps no request -> shard table, so every live shard is asked;
-        only the owner has any.
+        Every process records events under the fleet-global id and the
+        router keeps no request -> shard table, so the router's own
+        service and every live shard are asked; only the one that served
+        the request has any.
         """
+        return self._events(request_id=request_id)
+
+    def _events(self, **query: Any) -> list[TelemetryEvent]:
         replies = self._each_shard(
-            {"kind": "events", "request_id": request_id},
-            expect="events_result",
+            {"kind": "events", **query}, expect="events_result"
         )
-        return [e for _, reply in replies for e in reply.get("events", [])]
+        return self._router.events.events(**query) + [
+            e for _, reply in replies for e in reply.get("events", [])
+        ]
 
     def prom_text(self) -> str:
         """Fleet-level Prometheus exposition built from the merged
@@ -682,15 +715,7 @@ class ShardedExecutionService:
         def requests_ndjson(request_id: int | None, limit: int | None) -> str:
             import json
 
-            events = []
-            if request_id is not None:
-                events = self.request_timeline(request_id)
-            else:
-                for shard, reply in self._each_shard(
-                    {"kind": "events", "limit": limit},
-                    expect="events_result",
-                ):
-                    events.extend(reply.get("events", []))
+            events = self._events(request_id=request_id, limit=limit)
             lines = [
                 json.dumps(e.to_dict(), sort_keys=True) for e in events
             ]

@@ -6,15 +6,18 @@ worker threads, plan cache (cross-process tier when the config names a
 ``shared_cache_dir``), telemetry plane — and speaks the
 :mod:`repro.service.ipc` frame protocol over its end of a duplex pipe:
 
-* ``submit`` frames are admitted into the inner service *under the
-  fleet-global id the router assigned*, so everything the shard says
-  about a request — provenance, events, the flight journal — is in the
-  caller's ids.  Admission is not acknowledged: the router has already
-  counted the request against ``max_queue_depth``.  Completion is pushed
-  back via :meth:`Ticket.add_done_callback` as one ``response`` frame —
-  from a worker thread, or straight from this loop when the plan is
-  already cached; a submit the inner service refuses is answered with
-  an ``error`` frame under the same id.
+* ``submit`` frames — the requests the router did not answer itself:
+  misses, ``simulate``, ``execute`` and anything batched — are admitted
+  into the inner service *under the fleet-global id the router
+  assigned*, so everything the shard says about a request —
+  provenance, events, the flight journal — is in the caller's ids.
+  Admission is not acknowledged: the router has already counted the
+  request against ``max_queue_depth``.  Completion is pushed back via
+  :meth:`Ticket.add_done_callback` as one ``response`` frame — from a
+  worker thread, or straight from this loop when the plan landed in
+  this shard's memory after the router looked; a submit the inner
+  service refuses is answered with an ``error`` frame under the same
+  id.
 * ``snapshot`` / ``events`` / ``prom`` frames serve the router's
   aggregated telemetry: the snapshot reply additionally ships the raw
   latency-window samples, because fleet percentiles must be computed

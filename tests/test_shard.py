@@ -6,12 +6,15 @@ exactly 4 compiles fleet-wide), results are byte-identical to the
 single-process tier (the differential harness gains a shard
 dimension), telemetry aggregates across every shard's event stream,
 and batching records per-request provenance (``batched_with`` /
-``deduped_from``) with fleet-global ids.
+``deduped_from``) with fleet-global ids.  A compile whose plan is cached
+is answered by the router itself, identically to a shard's answer.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
+import sys
 import threading
 import time
 
@@ -25,7 +28,10 @@ from .differential import (
     random_operator_graph,
 )
 from repro.cli import main
-from repro.core.framework import CompileOptions
+from repro.core.filelock import FileLock
+from repro.core.framework import CompileOptions, Framework
+from repro.core.plancache import plan_key
+from repro.core.serialize import plan_to_dict
 from repro.gpusim import XEON_WORKSTATION, GpuDevice
 from repro.obs.flight import (
     POSTMORTEM_BASENAME,
@@ -108,8 +114,8 @@ class TestRoutingAndDedupe:
             )
             assert r.deduped_from != r.request_id
 
-    def test_repeated_request_is_served_from_the_shard_cache(self):
-        # the repeat is answered by the shard's pipe reader at admission
+    def test_repeated_request_is_answered_by_the_router(self):
+        # the repeat is a cached compile: the router serves it in submit()
         with fleet(shards=2) as svc:
             first = svc.submit(edge_request()).result(timeout=120)
             second = svc.submit(edge_request()).result(timeout=120)
@@ -144,6 +150,237 @@ class TestRoutingAndDedupe:
 
         with pytest.raises(ServiceClosedError):
             svc.submit(edge_request())
+
+
+def forwarded(svc):
+    """The ids of the submit frames ``svc`` sends from now on."""
+    sent, send = [], svc._send
+
+    def spy(shard, message):
+        if message["kind"] == "submit":
+            sent.append(message["id"])
+        send(shard, message)
+
+    svc._send = spy
+    return sent
+
+
+def entry_path(svc, request):
+    """Where the fleet's shared disk tier keeps ``request``'s plan."""
+    options = request.compile_options(svc.config.pb_max_ops)
+    key = plan_key(request.template, request.device, options)
+    return os.path.join(svc.config.shared_cache_dir, f"{key}.json")
+
+
+def plan_digest(plan):
+    blob = json.dumps(plan_to_dict(plan), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def served(response):
+    """What must not depend on which process answered a hit."""
+    return (
+        plan_digest(response.value.plan),
+        response.planner_used,
+        response.value.source,
+        response.deduped,
+        response.deduped_from,
+    )
+
+
+class TestRouterServesHits:
+    """A compile whose plan is cached is answered by the router on the
+    submitting thread; only work crosses the pipe."""
+
+    @pytest.mark.parametrize("planner", ["heuristic", "pb"])
+    def test_router_hit_is_the_shard_hit(self, planner):
+        request = edge_request(planner=planner)
+        with fleet(shards=1) as svc:
+            sent = forwarded(svc)
+            miss = svc.submit(request).result(timeout=120)
+            router_hit = svc.submit(request).result(timeout=120)
+            assert len(sent) == 1
+            # Make the router forget the plan, so the shard answers.
+            os.remove(entry_path(svc, request))
+            svc._router.plan_cache.clear()
+            shard_hit = svc.submit(request).result(timeout=120)
+            assert len(sent) == 2
+        assert miss.ok and router_hit.ok and shard_hit.ok
+        assert served(router_hit) == served(shard_hit)
+        assert router_hit.deduped and router_hit.deduped_from is None
+        direct = Framework(
+            DEV, host=XEON_WORKSTATION, plan_cache=False,
+            options=request.compile_options(ServiceConfig().pb_max_ops),
+        ).compile(request.template)
+        assert served(router_hit)[:3] == (
+            plan_digest(direct.plan), direct.source, direct.source
+        )
+
+    def test_router_hit_counts_once_in_the_fleet(self):
+        with fleet(shards=2) as svc:
+            assert svc.submit(edge_request()).result(timeout=120).ok
+            sent = forwarded(svc)
+            ticket = svc.submit(edge_request())
+            assert ticket.done()  # resolved on this thread
+            assert ticket.result(timeout=1).ok
+            snap = svc.live_snapshot()
+            kinds = [e.kind for e in svc.request_timeline(ticket.id)]
+        assert sent == []
+        counters = snap["counters"]
+        assert counters["service.submitted"] == 2
+        assert counters["service.dedupe_hits"] == 1
+        assert counters["service.plan_cache_hits"] == 1
+        assert counters["service.compiles"] == 1
+        assert snap["router"]["shard"] == "router"
+        assert snap["router"]["window"]["count"] == 1
+        assert snap["window"]["count"] == 2
+        assert "router" not in [s["shard"] for s in snap["shards"]]
+        assert "service.admit" in kinds and "service.done" in kinds
+
+    def test_non_resident_key_is_forwarded_once(self):
+        with fleet(shards=2) as svc:
+            sent = forwarded(svc)
+            ticket = svc.submit(edge_request())
+            assert ticket.result(timeout=120).ok
+            snap = svc.live_snapshot()
+            router = svc._router.metrics_snapshot()["counters"]
+        assert sent == [ticket.id]
+        assert snap["counters"]["service.compiles"] == 1
+        assert "service.submitted" not in router
+        assert snap["router"]["plan_cache"]["misses"] == 0
+
+    def test_a_plan_a_shard_wrote_is_served_by_the_router(self):
+        request = edge_request()
+        with fleet(shards=2) as svc:
+            sent = forwarded(svc)
+            assert svc.submit(request).result(timeout=120).ok
+            assert os.path.exists(entry_path(svc, request))
+            assert len(svc._router.plan_cache) == 0
+            assert svc.submit(request).result(timeout=120).ok
+            assert len(sent) == 1
+            assert len(svc._router.plan_cache) == 1
+
+    def test_corrupt_disk_entry_is_forwarded_and_counted(self):
+        request = edge_request()
+        with fleet(shards=1) as svc:
+            os.makedirs(svc.config.shared_cache_dir, exist_ok=True)
+            with open(entry_path(svc, request), "w") as fh:
+                fh.write("{not json")
+            sent = forwarded(svc)
+            ticket = svc.submit(request)
+            response = ticket.result(timeout=120)
+            snap = svc.live_snapshot()
+        assert response.ok and not response.deduped
+        assert sent == [ticket.id]
+        assert snap["router"]["plan_cache"]["corrupt_entries"] == 1
+        assert snap["plan_cache"]["corrupt_entries"] == 1
+        assert snap["counters"]["service.compiles"] == 1
+
+    def test_router_has_no_worker_and_never_leads(self, monkeypatch):
+        acquired = []
+        acquire = FileLock.acquire
+
+        def spy(lock):
+            acquired.append(lock.path)
+            return acquire(lock)
+
+        with fleet(shards=1) as svc:
+            # Shards are already forked: only this process sees the spy.
+            monkeypatch.setattr(FileLock, "acquire", spy)
+            for size in (40, 40, 48, 40, 48):
+                assert svc.submit(edge_request(size=size)).result(
+                    timeout=120).ok
+            snap = svc.live_snapshot()
+            assert svc._router._workers == []
+        assert acquired == []
+        assert snap["router"]["workers"] == 0
+        assert snap["router"]["plan_cache"]["lock_waits"] == 0
+        assert snap["counters"]["service.compiles"] == 2
+
+    def test_a_cached_plan_survives_its_dead_shard(self):
+        """The first observable piece of a crash-only fleet: a key whose
+        plan is on the shared disk tier is answered with its owner dead;
+        a key never compiled still fails fast."""
+        with fleet(shards=2) as svc:
+            owner = svc.route(edge_request(size=32))
+            sizes = [s for s in range(40, 257, 8)
+                     if svc.route(edge_request(size=s)) == owner]
+            assert sizes, "2-shard ring gave every other size one shard"
+            assert svc.submit(edge_request(size=32)).result(timeout=120).ok
+            svc._shards[owner].process.kill()
+            deadline = time.monotonic() + 30
+            while svc._shards[owner].alive:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            response = svc.submit(edge_request(size=32)).result(timeout=10)
+            assert response.status is RequestStatus.OK
+            with pytest.raises(ShardDiedError):
+                svc.submit(edge_request(size=sizes[0]))
+
+    def test_concurrent_submitters_lose_no_count(self):
+        """More submitting threads than cores, switching often, over keys
+        the router and the shards both answer: every request is counted
+        once, in the router's service or in a shard's."""
+        requests = [edge_request(size=32 + 8 * i) for i in range(3)]
+        responses = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with fleet(shards=2) as svc:
+
+                def client(k):
+                    for i in range(60):
+                        ticket = svc.submit(requests[(i + k) % 3])
+                        responses.append(ticket.result(timeout=120))
+
+                threads = [threading.Thread(target=client, args=(k,))
+                           for k in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                counters = svc.live_snapshot()["counters"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(responses) == 240 and all(r.ok for r in responses)
+        assert counters["service.submitted"] == 240
+        assert counters["service.ok"] == 240
+        assert counters["service.compiles"] == 3
+        assert counters["service.dedupe_hits"] == 237
+
+    def test_a_miss_is_one_encode_frame_behind_one_route(self, monkeypatch):
+        """The per-layer request table wraps these two module globals by
+        name and reads ``len()`` of each frame: a miss must still cross
+        as one ``encode_frame(...) -> bytes`` call after one
+        ``HashRing.route``, or those rows go blind instead of red."""
+        from repro.service.hashring import HashRing
+        from repro.service.ipc import encode_frame
+
+        route = HashRing.route
+        frames, routes = [], []
+
+        def encode_spy(message, *args, **kwargs):
+            frame = encode_frame(message, *args, **kwargs)
+            frames.append((message, frame))
+            return frame
+
+        def route_spy(ring, key):
+            routes.append(key)
+            return route(ring, key)
+
+        with fleet(shards=1) as svc:
+            monkeypatch.setattr("repro.service.ipc.encode_frame", encode_spy)
+            monkeypatch.setattr(
+                "repro.service.hashring.HashRing.route", route_spy
+            )
+            request = edge_request()
+            assert svc.submit(request).result(timeout=120).ok
+            monkeypatch.undo()
+            assert routes == [svc.route_key(request)]
+        submits = [f for m, f in frames if m.get("kind") == "submit"]
+        assert len(submits) == 1
+        assert isinstance(submits[0], bytes) and len(submits[0]) > 0
 
 
 class TestByteIdentity:
@@ -372,8 +609,10 @@ class TestPipelinedAdmission:
     def test_shard_killed_mid_burst_resolves_every_ticket(self):
         """SIGKILL while a thread is pipelining submits: each request
         either has a ticket that resolves (answered before the kill, or
-        FAILED with the exit detail) or its submit() raised."""
-        request = edge_request()
+        FAILED with the exit detail) or its submit() raised.  The burst
+        simulates, so every request crosses the pipe (the router answers
+        a repeated compile itself)."""
+        request = edge_request(mode="simulate")
         tickets, raised = [], []
         under_way = threading.Event()
         with fleet(shards=1, max_queue_depth=100_000) as svc:
