@@ -910,9 +910,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--status-host", default="127.0.0.1",
                        help="bind address for --status-port")
         p.add_argument("--shards", type=int, default=0, metavar="N",
-                       help="run N worker *processes* routed by plan key "
-                            "over a consistent-hash ring (0 = one "
-                            "in-process service)")
+                       help="run the service's work on a pool of N "
+                            "worker *processes*, routed by plan key over "
+                            "a consistent-hash ring; admission, batching "
+                            "and telemetry stay in this process (0 = no "
+                            "pool)")
         p.add_argument("--batch-window", type=float, default=0.0,
                        metavar="MS",
                        help="coalesce compatible queued requests for up "
@@ -925,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--flight-dir", default=None, metavar="DIR",
                        help="journal every telemetry event to a crash-safe "
                             "on-disk flight recorder under DIR (one "
-                            "sub-directory per shard; read back with "
+                            "sub-directory per process; read back with "
                             "'repro postmortem')")
         p.add_argument("--alerts", action="store_true",
                        help="evaluate the default alert rules (p99 "

@@ -102,6 +102,13 @@ class FaultInjector:
         cap = self.spec.max_faults
         return cap is not None and self.injected_faults >= cap
 
+    def adopt(self, advanced: "FaultInjector") -> None:
+        """Take on ``advanced``'s healed sites and counts: this injector
+        after a run in another process (a fleet worker's)."""
+        self._healed = advanced._healed
+        self.injected_transfer_faults = advanced.injected_transfer_faults
+        self.injected_alloc_faults = advanced.injected_alloc_faults
+
     # -- hooks (called by SimRuntime) ------------------------------------
     def on_transfer(self, kind: str, name: str, nbytes: int) -> None:
         """Raise :class:`TransientTransferError` if this site faults."""

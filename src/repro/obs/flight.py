@@ -66,8 +66,9 @@ DEFAULT_SEGMENT_BYTES = 1 << 20  # 1 MiB per segment
 DEFAULT_MAX_BYTES = 16 << 20     # 16 MiB journal bound
 POSTMORTEM_BASENAME = "postmortem.json"
 
-#: event kinds that terminate a request's in-flight status
-_TERMINAL_KINDS = frozenset({"service.done"})
+#: event kinds that terminate a request's in-flight status (a fleet
+#: worker journals each call it answers as ``worker.done``)
+_TERMINAL_KINDS = frozenset({"service.done", "worker.done"})
 #: the worker's clean-shutdown marker (a journal ending without one of
 #: these, from a dead process, is a crash)
 _SHUTDOWN_KINDS = frozenset({"service.close", "worker.stop"})

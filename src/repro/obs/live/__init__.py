@@ -20,16 +20,10 @@ layer a serving tier is operated with:
 
 Like its parent package, nothing here imports ``repro.core`` /
 ``repro.gpusim`` / ``repro.service`` — the contract is callables and
-plain dicts, which is what lets future multi-process shards publish
-into the same exporters.
+plain dicts.
 """
 
-from .alerts import (
-    AlertEngine,
-    AlertRule,
-    default_alert_rules,
-    merge_alert_snapshots,
-)
+from .alerts import AlertEngine, AlertRule, default_alert_rules
 from .events import (
     EventLog,
     TelemetryEvent,
@@ -45,8 +39,6 @@ from .windows import (
     SloObjective,
     SloTracker,
     default_objectives,
-    merge_slo_snapshots,
-    merge_window_samples,
 )
 
 __all__ = [
@@ -64,9 +56,6 @@ __all__ = [
     "current_request_id",
     "default_alert_rules",
     "default_objectives",
-    "merge_alert_snapshots",
-    "merge_slo_snapshots",
-    "merge_window_samples",
     "prom_name",
     "publish",
     "registry_to_prom",

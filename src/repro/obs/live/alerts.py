@@ -246,33 +246,10 @@ class AlertEngine:
         }
 
 
-def merge_alert_snapshots(snapshots: "list[dict]") -> dict:
-    """Fleet view of per-shard :meth:`AlertEngine.snapshot` dicts:
-    counters add, active alerts union (deduped by rule name, any shard
-    firing keeps the alert active fleet-wide)."""
-    active: dict[str, dict[str, Any]] = {}
-    fired = resolved = rules = 0
-    for snap in snapshots:
-        rules = max(rules, int(snap.get("rules", 0)))
-        fired += int(snap.get("fired_total", 0))
-        resolved += int(snap.get("resolved_total", 0))
-        for alert in snap.get("active", []):
-            name = str(alert.get("rule", ""))
-            if name not in active:
-                active[name] = dict(alert)
-    return {
-        "rules": rules,
-        "active": [active[name] for name in sorted(active)],
-        "fired_total": fired,
-        "resolved_total": resolved,
-    }
-
-
 __all__ = [
     "AlertEngine",
     "AlertRule",
     "RULE_KINDS",
     "THRESHOLD_METRICS",
     "default_alert_rules",
-    "merge_alert_snapshots",
 ]

@@ -13,11 +13,9 @@ A tiny, dependency-free exposition server (``http.server`` +
 * ``GET /healthz``  — JSON liveness summary.
 
 The server knows nothing about the execution service: it is constructed
-from four callables, so anything — today's in-process
-:class:`~repro.service.ExecutionService`, tomorrow's multi-process
-shards — can publish into the same contract by providing the same four
-views.  Handler exceptions become HTTP 500s with the error text, never
-a dead scrape loop.
+from four callables (an :class:`~repro.service.ExecutionService`'s views;
+a fleet's are its router service's).  Handler exceptions become HTTP
+500s with the error text, never a dead scrape loop.
 """
 
 from __future__ import annotations

@@ -93,19 +93,6 @@ class SlidingWindow:
             self._prune(self._clock())
             return [v for _, v in self._samples]
 
-    def samples(self) -> list[tuple[float, float]]:
-        """The live ``(timestamp, value)`` samples (pruned first).
-
-        This is the window's raw material — a multi-process shard
-        aggregator ships these to the parent and merges them with
-        :func:`merge_window_samples` so fleet-level percentiles are
-        computed over the union of samples, not averaged per shard
-        (percentiles do not average).
-        """
-        with self._lock:
-            self._prune(self._clock())
-            return list(self._samples)
-
     # -- aggregates ------------------------------------------------------
     def count(self) -> int:
         return len(self._values())
@@ -155,41 +142,6 @@ class SlidingWindow:
             "p95": _nearest_rank(values, 95),
             "p99": _nearest_rank(values, 99),
         }
-
-
-def merge_window_samples(
-    sample_sets: "list[list[tuple[float, float]]]",
-    window_seconds: float = DEFAULT_WINDOW_SECONDS,
-) -> dict[str, float]:
-    """Combine raw window samples from several shards into one snapshot.
-
-    Percentiles are not averageable: a fleet p99 must be computed over
-    the union of every shard's samples.  Each element of
-    ``sample_sets`` is one shard's :meth:`SlidingWindow.samples`; the
-    result has the same shape as :meth:`SlidingWindow.snapshot`.
-    Timestamps are assumed comparable (``time.monotonic`` is
-    machine-wide on the platforms we support) and only used for
-    cross-shard consistency of the rate denominator.
-    """
-    values = sorted(v for samples in sample_sets for _, v in samples)
-    if not values:
-        return {
-            "window_seconds": window_seconds,
-            "count": 0, "rate": 0.0, "sum": 0.0, "mean": 0.0,
-            "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-        }
-    return {
-        "window_seconds": window_seconds,
-        "count": len(values),
-        "rate": len(values) / window_seconds,
-        "sum": sum(values),
-        "mean": sum(values) / len(values),
-        "min": values[0],
-        "max": values[-1],
-        "p50": _nearest_rank(values, 50),
-        "p95": _nearest_rank(values, 95),
-        "p99": _nearest_rank(values, 99),
-    }
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -314,65 +266,6 @@ class SloTracker:
         }
 
 
-def merge_slo_snapshots(snapshots: "list[dict]") -> dict:
-    """Combine per-shard :meth:`SloTracker.snapshot` dicts fleet-wide.
-
-    Good/bad counts add; compliance and error budgets are recomputed
-    from the summed counts (never averaged — a busy shard must weigh
-    more than an idle one).  Objectives are matched by name; shards are
-    expected to share one objective set (they are spawned from one
-    config), but stragglers missing an objective simply contribute
-    nothing to it.
-    """
-    window_seconds = max(
-        (s.get("window_seconds", DEFAULT_WINDOW_SECONDS) for s in snapshots),
-        default=DEFAULT_WINDOW_SECONDS,
-    )
-    merged: dict[str, dict] = {}
-    order: list[str] = []
-    for snap in snapshots:
-        for obj in snap.get("objectives", []):
-            name = obj["name"]
-            if name not in merged:
-                merged[name] = {
-                    "name": name,
-                    "target": obj["target"],
-                    "latency_threshold": obj.get("latency_threshold"),
-                    "total": 0,
-                    "good": 0,
-                    "bad": 0,
-                }
-                order.append(name)
-            acc = merged[name]
-            acc["total"] += obj.get("total", 0)
-            acc["good"] += obj.get("good", 0)
-            acc["bad"] += obj.get("bad", 0)
-    objectives = []
-    total_requests = 0
-    for name in order:
-        acc = merged[name]
-        total, good, bad = acc["total"], acc["good"], acc["bad"]
-        total_requests = max(total_requests, total)
-        budget = (1.0 - acc["target"]) * total
-        remaining = 1.0 if total == 0 else (
-            max(budget - bad, 0.0) / budget if budget > 0
-            else (1.0 if bad == 0 else 0.0)
-        )
-        objectives.append({
-            **acc,
-            "compliance": 1.0 if total == 0 else good / total,
-            "budget_total": budget,
-            "budget_consumed": float(bad),
-            "budget_remaining_fraction": remaining,
-            "breached": total > 0 and bad > budget,
-        })
-    return {
-        "window_seconds": window_seconds,
-        "total": total_requests,
-        "objectives": objectives,
-    }
-
-
 __all__ = [
     "DEFAULT_WINDOW_SECONDS",
     "MAX_WINDOW_SAMPLES",
@@ -380,6 +273,4 @@ __all__ = [
     "SloObjective",
     "SloTracker",
     "default_objectives",
-    "merge_slo_snapshots",
-    "merge_window_samples",
 ]

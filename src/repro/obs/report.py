@@ -341,15 +341,11 @@ def render_top(snap: dict[str, Any], url: str) -> str:
                    if shard.get("in_flight_at_death") else "")
             )
             continue
-        shard_window = shard.get("window", {})
         lines.append(
             f"  shard {shard.get('shard')}: "
-            f"queue={shard.get('queue_depth', 0)} "
             f"in_flight={shard.get('in_flight', 0)} "
             f"workers={shard.get('workers', 0)} "
-            f"cache_entries={shard.get('plan_cache', {}).get('entries', 0)} "
-            f"done={shard_window.get('count', 0)} "
-            f"p99={shard_window.get('p99', 0.0) * 1e3:.2f}ms"
+            f"cache_entries={shard.get('plan_cache', {}).get('entries', 0)}"
         )
     lines.append(f"  events: {events.get('emitted', 0)} emitted, "
                  f"{events.get('dropped', 0)} dropped "

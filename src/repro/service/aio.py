@@ -3,9 +3,10 @@
 :class:`AsyncExecutionService` is the asyncio face of the serving tier.
 It wraps the threaded execution core — the in-process
 :class:`~repro.service.ExecutionService` or, with ``shards > 0``, the
-multi-process :class:`~repro.service.ShardedExecutionService` — behind
-the same :class:`~repro.service.Submitter` contract, so async and sync
-callers are thin shells over one core::
+same service over a pool of worker processes
+(:class:`~repro.service.ShardedExecutionService`) — behind the same
+:class:`~repro.service.Submitter` contract, so async and sync callers
+are thin shells over one core::
 
     async with AsyncExecutionService(ServiceConfig(workers=4)) as svc:
         ticket = await svc.submit(ServiceRequest(
@@ -18,11 +19,9 @@ Tickets bridge the thread world into the event loop without polling:
 resolution fires the core ticket's done-callback on the worker thread,
 which hands the response to the awaiting loop via
 ``call_soon_threadsafe``.  The loop is never blocked — admission and
-shutdown run in the default executor.  The hop stays on both tiers, for
-two reasons: in process, admission serves a compile whose plan is
-cached *inside* ``submit()`` (the whole request runs there), and
-hashes a never-seen template; on the fleet, ``submit()`` blocks while
-the owning shard's pipe is full (the router's back-pressure).
+shutdown run in the default executor: on both tiers, admission serves a
+compile whose plan is cached *inside* ``submit()`` (the whole request
+runs there), and hashes a never-seen template.
 
 Every :class:`AsyncTicket` also works *without* a running event loop:
 ``result(timeout=...)`` falls back to the core ticket's blocking wait,
@@ -179,10 +178,9 @@ class AsyncExecutionService:
     ) -> AsyncTicket:
         """Admit one request; returns an awaitable :class:`AsyncTicket`.
 
-        Admission is synchronous in the core (it hashes a new template,
-        serves a cached compile outright, and can block on a shard's
-        full pipe), so it runs in the default executor — the event loop
-        never blocks.  Raises exactly what the
+        Admission is synchronous in the core (it hashes a new template
+        and serves a cached compile outright), so it runs in the default
+        executor — the event loop never blocks.  Raises exactly what the
         core raises
         (:class:`~repro.service.QueueFullError`,
         :class:`~repro.service.ServiceClosedError`).

@@ -70,12 +70,13 @@ class ServiceConfig:
       batch from one compiled plan.  ``0`` (default) disables batching.
     * ``batch_max`` — upper bound on requests coalesced into one batch.
     * ``shared_cache_dir`` — directory of the **cross-process** plan
-      cache (:class:`repro.core.plancache.SharedPlanCache`): shard
-      worker processes (and any other process pointed at the same
-      directory) share compiled plans with stampede protection.
+      cache (:class:`repro.core.plancache.SharedPlanCache`): a fleet's
+      router and worker processes (and any other process pointed at the
+      same directory) share compiled plans with stampede protection.
       ``None`` keeps the cache process-private.
-    * ``shard_label`` — this service's name in ``live_snapshot()``'s
-      per-shard breakdown (the shard router names workers ``proc/N``).
+    * ``shard_label`` — this process's name in ``live_snapshot()`` and
+      its journal directory (a fleet names its router ``router`` and its
+      worker processes ``proc/N``).
     * ``telemetry_events`` — capacity of the live telemetry event ring
       (:class:`repro.obs.live.EventLog`) and of the service tracer's
       span ring; ``0`` disables the event bus entirely (publishes become

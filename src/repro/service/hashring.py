@@ -1,10 +1,9 @@
-"""Consistent-hash ring for shard routing.
+"""Consistent-hash ring for the fleet's worker routing.
 
-The sharded serving tier routes every request by its content-addressed
-plan key (:func:`repro.core.plancache.plan_key`), so *identical
-templates always land on the same shard* — that is what lets
-single-flight dedupe, request batching, and the per-shard plan cache
-keep working unchanged inside each worker process.
+The fleet routes every call by its request's content-addressed plan key
+(:func:`repro.core.plancache.plan_key`), so *identical templates always
+land on the same worker process* — a key's compile and its later runs
+meet the plan in that worker's memory tier.
 
 A modulo hash (``hash(key) % n``) would remap nearly every key when the
 fleet grows from N to N+1 shards, invalidating every shard's warm cache

@@ -1,8 +1,9 @@
-"""Request/response framing for the shard IPC channel.
+"""Call/reply framing for the fleet's worker pipes.
 
-The sharded serving tier talks to its worker processes over duplex
-pipes.  A pipe is a byte stream with message boundaries but no
-*semantics*; this module defines the wire contract both sides speak:
+The fleet (:class:`~repro.service.ShardedExecutionService`) talks to its
+worker processes over duplex pipes.  A pipe is a byte stream with
+message boundaries but no *semantics*; this module defines the wire
+contract both sides speak:
 
 * every message is one **frame**: a fixed binary header (magic,
   protocol version, flags, CRC-32, payload length) followed by a
@@ -17,21 +18,16 @@ pipes.  A pipe is a byte stream with message boundaries but no
 Message kinds (parent → worker):
 
 =============  =============================================
-``submit``     one :class:`~repro.service.ServiceRequest` under the
-               fleet-global ``id`` the shard serves it as; never
-               acknowledged — the router admits on its own count of
-               unanswered requests, the answer is the ``response``
-``snapshot``   request the shard's ``live_snapshot()`` + window samples
-``events``     request recent telemetry events (optionally one request's)
-``prom``       request the shard's Prometheus text
-``close``      drain and exit (worker replies ``closed`` and returns)
+``submit``     one call — a :class:`~repro.service.ServiceRequest`, its
+               resolved compile options and fault injector — under the
+               fleet-global request ``id``
+``close``      finish the calls under way and exit
 =============  =============================================
 
-Worker → parent: ``response`` (the terminal
-:class:`~repro.service.ServiceResponse`, result value inside),
-``snapshot_result`` / ``events_result`` / ``prom_result``, ``closed``,
-and ``error`` (the worker-side exception for one correlated message; for
-a ``submit`` id it is that request's terminal answer).
+Worker → parent: ``response``, the one reply to a call under its ``id``
+(see :mod:`repro.service.worker`).  That is the whole protocol: the
+router's service owns every request's state and telemetry, so nothing
+else crosses.
 
 Either way: ``define`` — the **interning channel**.  A
 :class:`Channel` ships a heavy immutable object once, in a ``define``
@@ -52,7 +48,7 @@ C-level ``dispatch_table`` — no Python runs for any other object:
   already memoised): equal templates share a token and a mutated one —
   its mutator dropped the digest — is defined afresh;
 * devices, hosts and compile options by **value** (frozen dataclasses);
-* the shard's cached split graphs and plans by **identity**: the plan
+* the worker's cached split graphs and plans by **identity**: the plan
   cache hands the same read-only objects to every hit, and hashing a
   plan would cost more than shipping it.  An identity key is only
   unique while its object is alive, so the table holds a strong
@@ -82,23 +78,17 @@ from repro.core.plancache import graph_fingerprint
 from repro.gpusim import GpuDevice, HostSystem
 
 MAGIC = b"RSRV"
-#: 2: ``accepted`` gone, ``define`` and interned tokens added
-PROTOCOL_VERSION = 2
+#: 2: ``accepted`` gone, ``define`` and interned tokens added;
+#: 3: a ``submit`` is a call, the telemetry kinds are gone
+PROTOCOL_VERSION = 3
 
 #: ``!`` network order: magic, version, flags, crc32, payload length
 _HEADER = struct.Struct("!4sBBII")
 HEADER_SIZE = _HEADER.size
 
-#: parent -> worker message kinds
-REQUEST_KINDS = frozenset({
-    "submit", "snapshot", "events", "prom", "close", "define",
-})
-#: worker -> parent message kinds
-RESPONSE_KINDS = frozenset({
-    "response", "snapshot_result", "events_result", "prom_result",
-    "closed", "error", "define",
-})
-KNOWN_KINDS = REQUEST_KINDS | RESPONSE_KINDS
+#: ``submit`` / ``close`` go to a worker, ``response`` comes back,
+#: ``define`` goes either way
+KNOWN_KINDS = frozenset({"submit", "close", "response", "define"})
 
 
 class FrameError(RuntimeError):
@@ -207,14 +197,14 @@ def _by_value(obj: Hashable) -> Hashable:
     return obj
 
 
-#: router -> shard: what a :class:`~repro.service.ServiceRequest` holds
+#: router -> worker: what a :class:`~repro.service.ServiceRequest` holds
 ROUTER_INTERNS: Mapping[type, Callable[[Any], Hashable]] = {
     OperatorGraph: graph_fingerprint,
     GpuDevice: _by_value,
     HostSystem: _by_value,
     CompileOptions: _by_value,
 }
-#: shard -> router: what a served ``CompiledTemplate`` holds
+#: worker -> router: what a served ``CompiledTemplate`` holds
 SHARD_INTERNS: Mapping[type, Callable[[Any], Hashable]] = {
     OperatorGraph: id,
     ExecutionPlan: id,
@@ -227,7 +217,7 @@ INTERNS_PER_PLAN = len(SHARD_INTERNS)
 
 
 class Channel:
-    """One end of a shard pipe: framed messages with interning.
+    """One end of a worker pipe: framed messages with interning.
 
     ``interns`` maps each exact type this end interns to the function
     giving an object's table key; ``capacity`` bounds the table of
@@ -323,8 +313,6 @@ __all__ = [
     "KNOWN_KINDS",
     "MAGIC",
     "PROTOCOL_VERSION",
-    "REQUEST_KINDS",
-    "RESPONSE_KINDS",
     "ROUTER_INTERNS",
     "SHARD_INTERNS",
     "decode_frame",

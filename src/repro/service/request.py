@@ -90,7 +90,7 @@ class ServiceRequest:
         """The options this request compiles with: its own, with
         ``scheduler="pb"`` when the planner is ``pb`` (or ``auto`` on a
         template of at most ``pb_max_ops`` operators).  The one rule
-        behind the router's shard choice and every key of the service."""
+        behind every key of the service, and a fleet's worker choice."""
         opts = self.options or CompileOptions()
         pb = self.planner == "pb" or (
             self.planner == "auto" and len(self.template.ops) <= pb_max_ops
@@ -211,9 +211,7 @@ class Ticket:
         already resolved — always the case for a compile served from
         the plan cache, which ``submit()`` runs on the submitting thread
         before it returns.  Otherwise callbacks run on the resolving
-        worker thread.  Either way they must be brief and non-blocking
-        (the shard worker uses this to pump completed responses back
-        over the IPC channel).
+        worker thread.  Either way they must be brief and non-blocking.
         """
         fire = False
         if self._event.is_set():

@@ -10,10 +10,10 @@ Architecture (one process, N worker threads)::
                 └─ QueueFullError
 
     _run(ticket) ─┬─ deadline gate (expire / degrade)
-                  ├─ compile stage: single-flight + shared
-                  │    content-addressed plan cache
-                  ├─ execute/simulate stage with retry + exponential
-                  │    backoff on TransientFault
+                  ├─ single-flight + batching decide who compiles
+                  ├─ _call: compile through the shared content-addressed
+                  │    plan cache, then the request's simulate/execute —
+                  │    retried with exponential backoff on TransientFault
                   └─ ServiceResponse -> Ticket
 
 Admission resolves the request's compile options once
@@ -22,17 +22,24 @@ option) and keys them — the ``plan_key`` the ``Framework`` cache uses;
 the single-flight and batch keys derive from it.  A ``compile`` whose
 plan is resident (``PlanCache.load``: in the memory tier, or read into
 it from a disk tier) is a lookup, so it is not queued: it runs the same
-``_run`` path on the submitting thread.  The fleet router's service
-(``inline_only``, no workers) takes only that branch and declines every
-other request to the shards.
+``_run`` path on the submitting thread.
+
+:meth:`ExecutionService._call` is the one place work runs: a compile,
+then the request's ``simulate`` / ``execute`` on the plan.  Everything
+around it — admission, single-flight, batching, deadlines, retries,
+degradation, telemetry — is policy, and the fleet
+(:class:`~repro.service.ShardedExecutionService`) is this same service
+with ``_call`` sent to a pool of worker processes.
 
 Single-flight: the *first* worker to dequeue a given plan-cache key
 becomes the leader and compiles; workers dequeuing the same key while
 the leader is in flight join the flight and share its result (leaders
 are always dequeued before their followers, so a joining worker never
 waits on work that has not started — the pool cannot deadlock on
-itself).  Completed keys are served by the plan cache.  Either way the
-request is counted as a dedupe hit and never recompiles.
+itself).  In process the flight lands as soon as the plan exists,
+before the leader's own run; in a fleet it lands with the worker's
+reply, which carries that run too.  Completed keys are served by the
+plan cache.  Either way the request is a dedupe hit, never a compile.
 
 Every path out of a request is explicit: ``ok``, ``failed`` (with the
 last error), ``expired`` (deadline), or ``cancelled`` — and all of them
@@ -85,6 +92,7 @@ from .request import (
     QueueFullError,
     RequestStatus,
     ServiceClosedError,
+    ServiceError,
     ServiceRequest,
     ServiceResponse,
     Ticket,
@@ -114,13 +122,12 @@ class _LockedPlanCache(PlanCache):
 class _Flight:
     """One in-flight compile; followers wait on the leader's event."""
 
-    __slots__ = ("event", "value", "error", "followers", "leader_id")
+    __slots__ = ("event", "value", "error", "leader_id")
 
     def __init__(self, leader_id: int) -> None:
         self.event = threading.Event()
         self.value: CompiledTemplate | None = None
         self.error: BaseException | None = None
-        self.followers = 0
         #: request id of the leader — followers' timelines reference it
         self.leader_id = leader_id
 
@@ -159,10 +166,6 @@ class ExecutionService:
             responses = [t.result(timeout=60) for t in tickets]
 
     ``clock`` and ``sleep`` are injectable for deterministic tests.
-    ``inline_only=True`` builds the fleet router's service
-    (:mod:`repro.service.shard`): it starts no worker thread, serves a
-    compile whose plan is resident — in memory or on the shared disk
-    tier — inline, and declines everything else (see :meth:`_admit`).
     """
 
     def __init__(
@@ -172,10 +175,8 @@ class ExecutionService:
         plan_cache: PlanCache | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        inline_only: bool = False,
     ) -> None:
         self.config = config or ServiceConfig()
-        self._inline_only = inline_only
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=time.perf_counter)
         # Merged request spans: the most recent ``telemetry_events`` only.
@@ -226,7 +227,7 @@ class ExecutionService:
             threading.Thread(
                 target=self._worker_loop, name=f"repro-svc-{i}", daemon=True
             )
-            for i in range(0 if inline_only else self.config.workers)
+            for i in range(self.config.workers)
         ]
         for t in self._workers:
             t.start()
@@ -280,16 +281,8 @@ class ExecutionService:
             require_request("ExecutionService.submit", request)
         )
 
-    def _admit(
-        self, request: ServiceRequest, request_id: int | None = None
-    ) -> Ticket | None:
-        """``submit()`` proper.  A shard worker or the fleet router
-        passes the fleet-global ``request_id`` the router assigned, so
-        that provenance, events and the journal of every process speak
-        one id space; otherwise the service numbers requests itself.
-
-        An ``inline_only`` service returns ``None`` for a request it
-        would queue — before any counter, event or id is spent on it."""
+    def _admit(self, request: ServiceRequest) -> Ticket:
+        """``submit()`` proper, once the request is validated."""
         now = self._clock()
         deadline = request.deadline
         if deadline is None:
@@ -301,8 +294,6 @@ class ExecutionService:
             and self.config.batch_window <= 0
             and self.plan_cache.load(key)
         )
-        if self._inline_only and not inline:
-            return None
         with self._cv:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -318,11 +309,9 @@ class ExecutionService:
                     f"queue depth {len(self._queue)} at configured limit "
                     f"{self.config.max_queue_depth}; retry with backoff"
                 )
-            if request_id is None:
-                self._next_id += 1
-                request_id = self._next_id
+            self._next_id += 1
             ticket = Ticket(
-                id=request_id,
+                id=self._next_id,
                 request=request,
                 submitted_at=now,
                 deadline_at=None if deadline is None else now + deadline,
@@ -434,7 +423,7 @@ class ExecutionService:
                 for name, c in sorted(self.metrics.counters.items())
                 if name.startswith("service.")
             }
-        cache_stats = self.plan_cache.stats()
+        cache_stats = self._cache_stats()
         with self._alert_lock:
             if self._alerts:
                 # re-evaluate at snapshot time so an idle service still
@@ -491,7 +480,7 @@ class ExecutionService:
                 "End-to-end request latency over the rolling window"
             ),
         )
-        stats = self.plan_cache.stats()
+        stats = self._cache_stats()
         out.counter(
             "plancache.hits", stats["hits"],
             help_text="Plan-cache memory-tier hits",
@@ -523,6 +512,11 @@ class ExecutionService:
             )
             out.gauge(f"{base}.breached", 1.0 if obj["breached"] else 0.0)
         return out.render()
+
+    def _cache_stats(self) -> dict[str, Any]:
+        """The plan-cache counters ``live_snapshot()`` and ``prom_text()``
+        report."""
+        return self.plan_cache.stats()
 
     def _health(self) -> dict[str, Any]:
         with self._lock:
@@ -603,7 +597,9 @@ class ExecutionService:
                     request_id=ticket.id,
                     label=ticket.request.label,
                     status=RequestStatus.FAILED,
-                    error=f"internal: {type(exc).__name__}: {exc}",
+                    # a ServiceError (a dead fleet worker) says what failed
+                    error=str(exc) if isinstance(exc, ServiceError)
+                    else f"internal: {type(exc).__name__}: {exc}",
                 ),
                 tracer=None,
             )
@@ -817,11 +813,16 @@ class ExecutionService:
         batch: _Batch | None = None,
     ) -> tuple[CompiledTemplate, Any, bool, int | None]:
         """Run one attempt; returns (compiled, value, deduped,
-        deduped_from)."""
-        req = ticket.request
-        is_batch_follower = (
-            batch is not None and ticket.id != batch.leader_id
-        )
+        deduped_from) — ``deduped_from`` is the leader's request id when
+        this request joined an in-flight compile or a batch, so its
+        telemetry timeline points at the request whose compile actually
+        produced the plan.
+
+        Single-flight and batching decide whether this request compiles,
+        keyed on the content-addressed compile key; the work itself is
+        one :meth:`_call`.
+        """
+        req, request_id = ticket.request, ticket.id
         opts, key = ticket._options, ticket._key
         if degraded:
             # The request's own heuristic scheduler (dfs where it named pb).
@@ -829,73 +830,15 @@ class ExecutionService:
             opts = replace(opts, scheduler="dfs" if own == "pb" else own)
             key = plan_key(req.template, req.device, opts)
             self.metrics.counter("service.degraded").inc()
-        compiled, deduped, deduped_from = self._compile_stage(
-            ticket, opts, key, tracer, batch=batch
-        )
-        if req.mode == "compile":
-            if batch is not None and ticket.id == batch.leader_id:
-                batch.shared_value = compiled
-            return compiled, compiled, deduped, deduped_from
-        if req.mode == "simulate":
-            # One batched plan execution: the leader simulates, followers
-            # reuse the value verbatim (the batch key pins template,
-            # device, options, and host, so the timing is identical).
-            if is_batch_follower and batch.shared_value is not None:
-                tracer.event("service.batch_shared_value")
-                return compiled, batch.shared_value, deduped, deduped_from
-            with tracer.span("service.simulate") as sp:
-                sim = simulate_plan(
-                    compiled.plan, compiled.graph, req.device, req.host
-                )
-            publish("service.simulate_done", seconds=sp.duration)
-            if batch is not None and ticket.id == batch.leader_id:
-                batch.shared_value = sim
-            return compiled, sim, deduped, deduped_from
-        # mode == "execute": a fresh runtime per attempt, so a failed
-        # attempt leaves no residue; the injector survives across
-        # attempts (transient faults, new decisions each retry).
-        runtime = SimRuntime(
-            req.device,
-            req.host,
-            metrics=MetricsRegistry(),
-            fault_injector=injector,
-        )
-        try:
-            with tracer.span("service.execute") as sp:
-                result = execute_plan(
-                    compiled.plan, compiled.graph, runtime, req.inputs
-                )
-            publish("service.execute_done", seconds=sp.duration)
-        finally:
-            with self._lock:
-                self.metrics.merge(runtime.metrics)
-        return compiled, result, deduped, deduped_from
-
-    def _compile_stage(
-        self,
-        ticket: Ticket,
-        opts: CompileOptions,
-        key: str,
-        tracer: Tracer,
-        batch: _Batch | None = None,
-    ) -> tuple[CompiledTemplate, bool, int | None]:
-        """Single-flight compile of ``opts``, keyed on their
-        content-addressed compile key ``key``.
-
-        Returns (compiled, deduped, deduped_from) —
-        ``deduped_from`` is the leader's request id when this request
-        joined an in-flight compile, so its telemetry timeline points at
-        the request whose compile actually produced the plan.
-
-        A batch follower short-circuits everything: its leader already
-        compiled (or failed) on this very worker thread, so the result
-        is taken straight off the batch — no locks, no flights.
-        """
-        req, request_id = ticket.request, ticket.id
-        if batch is not None and request_id != batch.leader_id:
+        batch_leader = batch if batch and request_id == batch.leader_id else None
+        if batch is not None and batch_leader is None:
+            # A batch follower: its leader already compiled (or failed) on
+            # this very worker thread, so the plan is taken straight off
+            # the batch — no locks, no flights.
             if batch.error is not None:
                 raise batch.error
-            if batch.compiled is not None:
+            compiled = batch.compiled
+            if compiled is not None:
                 self.metrics.counter("service.dedupe_hits").inc()
                 self.metrics.counter("service.batch_joins").inc()
                 tracer.event(
@@ -906,19 +849,66 @@ class ExecutionService:
                     leader_request_id=batch.leader_id,
                     via="batch",
                 )
-                return batch.compiled, True, batch.leader_id
-            # Leader finished without a compile result (should not
-            # happen) — fall through and compile independently.
+                if req.mode == "compile":
+                    value = compiled
+                elif req.mode == "simulate" and batch.shared_value is not None:
+                    # One batched plan execution: the batch key pins
+                    # template, device, options and host, so the
+                    # leader's timing is this request's.
+                    tracer.event("service.batch_shared_value")
+                    value = batch.shared_value
+                else:
+                    value = self._call(
+                        ticket, opts, key, compiled, injector, tracer, None
+                    )
+                return compiled, value, True, batch.leader_id
+            # The leader expired before it compiled: compile independently.
         with self._lock:
             flight = self._flights.get(key)
             leader = flight is None
             if leader:
                 flight = _Flight(leader_id=request_id)
                 self._flights[key] = flight
-            else:
-                flight.followers += 1
         assert flight is not None
-        if not leader:
+        if leader:
+            deduped, deduped_from = False, None
+
+            def landed(compiled: CompiledTemplate, seconds: float) -> None:
+                """Account the compile and release the flight — as soon
+                as the plan reaches this process."""
+                nonlocal deduped
+                counters = compiled.metrics.get("counters", {})
+                deduped = cached = bool(counters.get("plan_cache.hit", 0))
+                if cached:
+                    self.metrics.counter("service.dedupe_hits").inc()
+                    self.metrics.counter("service.plan_cache_hits").inc()
+                    tracer.event("service.plan_cache_hit", key=key[:16])
+                else:
+                    self.metrics.counter("service.compiles").inc()
+                publish(
+                    "service.compile_done",
+                    planner=compiled.source,
+                    cached=cached,
+                    seconds=seconds,
+                )
+                flight.value = compiled
+                if batch_leader is not None:
+                    batch_leader.compiled = compiled
+                self._land(key, flight)
+
+            try:
+                value = self._call(
+                    ticket, opts, key, None, injector, tracer, landed
+                )
+            except BaseException as exc:
+                if flight.value is None:  # the compile itself failed
+                    flight.error = exc
+                    if batch_leader is not None:
+                        batch_leader.error = exc
+                    self._land(key, flight)
+                raise
+            compiled = flight.value
+        else:
             # Join the in-flight compile: its leader is guaranteed to be
             # running on another worker (FIFO dequeue), so this wait is
             # bounded by one compile, never by queued work.
@@ -932,48 +922,78 @@ class ExecutionService:
             )
             flight.event.wait()
             if flight.error is not None:
-                if batch is not None and request_id == batch.leader_id:
-                    batch.error = flight.error
+                if batch_leader is not None:
+                    batch_leader.error = flight.error
                 raise flight.error
-            assert flight.value is not None
-            if batch is not None and request_id == batch.leader_id:
-                batch.compiled = flight.value
-            return flight.value, True, flight.leader_id
+            compiled = flight.value
+            assert compiled is not None
+            if batch_leader is not None:
+                batch_leader.compiled = compiled
+            value = compiled if req.mode == "compile" else self._call(
+                ticket, opts, key, compiled, injector, tracer, None
+            )
+            deduped, deduped_from = True, flight.leader_id
+        if batch_leader is not None and req.mode != "execute":
+            # reusable verbatim by the followers (execute inputs differ)
+            batch_leader.shared_value = value
+        return compiled, value, deduped, deduped_from
+
+    def _land(self, key: str, flight: _Flight) -> None:
+        """End ``flight``: later requests for ``key`` go to the plan
+        cache, and its followers wake."""
+        with self._lock:
+            self._flights.pop(key, None)
+        flight.event.set()
+
+    def _call(
+        self,
+        ticket: Ticket,
+        opts: CompileOptions,
+        key: str,
+        compiled: CompiledTemplate | None,
+        injector: FaultInjector | None,
+        tracer: Tracer,
+        landed: Callable[[CompiledTemplate, float], None] | None,
+    ) -> Any:
+        """One attempt's work, and the one place work runs: compile
+        ``opts`` (keyed ``key``) unless ``compiled`` is given, handing
+        the plan to ``landed``; then the request's mode on the plan.
+        Returns the response value.  The fleet sends this call to a
+        worker process."""
+        req = ticket.request
+        if compiled is None:
+            compiled = self._compile(req, opts, key, tracer, landed)
+        if req.mode == "compile":
+            return compiled
+        metrics = MetricsRegistry() if req.mode == "execute" else None
         try:
-            with tracer.span(
-                "service.compile", scheduler=opts.scheduler, key=key[:16]
-            ) as sp:
-                compiled = Framework(
-                    req.device, host=req.host, options=opts, plan_cache=self.plan_cache
-                ).compile(req.template)
-            cached = bool(
-                compiled.metrics.get("counters", {}).get("plan_cache.hit", 0)
-            )
-            if cached:
-                self.metrics.counter("service.dedupe_hits").inc()
-                self.metrics.counter("service.plan_cache_hits").inc()
-                tracer.event("service.plan_cache_hit", key=key[:16])
-            else:
-                self.metrics.counter("service.compiles").inc()
-            publish(
-                "service.compile_done",
-                planner=compiled.source,
-                cached=cached,
-                seconds=sp.duration,
-            )
-            flight.value = compiled
-            if batch is not None and request_id == batch.leader_id:
-                batch.compiled = compiled
-            return compiled, cached, None
-        except BaseException as exc:
-            flight.error = exc
-            if batch is not None and request_id == batch.leader_id:
-                batch.error = exc
-            raise
+            with tracer.span(f"service.{req.mode}") as sp:
+                value = run_request(req, compiled, injector, metrics)
         finally:
-            with self._lock:
-                self._flights.pop(key, None)
-            flight.event.set()
+            if metrics is not None:
+                with self._lock:
+                    self.metrics.merge(metrics)
+        publish(f"service.{req.mode}_done", seconds=sp.duration)
+        return value
+
+    def _compile(
+        self,
+        req: ServiceRequest,
+        opts: CompileOptions,
+        key: str,
+        tracer: Tracer,
+        landed: Callable[[CompiledTemplate, float], None],
+    ) -> CompiledTemplate:
+        """Compile in this process: a plan-cache hit when the plan is
+        resident."""
+        with tracer.span(
+            "service.compile", scheduler=opts.scheduler, key=key[:16]
+        ) as sp:
+            compiled = Framework(
+                req.device, host=req.host, options=opts, plan_cache=self.plan_cache
+            ).compile(req.template)
+        landed(compiled, sp.duration)
+        return compiled
 
     # -- bookkeeping -----------------------------------------------------
     def _record_done(
@@ -1018,4 +1038,28 @@ class ExecutionService:
         ticket._resolve(response)
 
 
-__all__ = ["ExecutionService"]
+def run_request(
+    request: ServiceRequest,
+    compiled: CompiledTemplate,
+    injector: FaultInjector | None = None,
+    metrics: MetricsRegistry | None = None,
+) -> Any:
+    """A ``simulate`` or ``execute`` request's run on its compiled plan.
+
+    An execute gets a fresh runtime per attempt, recording into
+    ``metrics``, so a failed attempt leaves no residue; ``injector``
+    survives across attempts (transient faults, new decisions each
+    retry).
+    """
+    if request.mode == "simulate":
+        return simulate_plan(
+            compiled.plan, compiled.graph, request.device, request.host
+        )
+    runtime = SimRuntime(
+        request.device, request.host, metrics=metrics,
+        fault_injector=injector,
+    )
+    return execute_plan(compiled.plan, compiled.graph, runtime, request.inputs)
+
+
+__all__ = ["ExecutionService", "run_request"]

@@ -628,9 +628,8 @@ FLEET_SNAPSHOT = {
         {"rule": "slo_burn", "rule_kind": "burn_rate"},
     ], "fired_total": 2, "resolved_total": 0},
     "shards": [
-        {"shard": "proc/0", "alive": True, "queue_depth": 3,
-         "in_flight": 2, "workers": 4, "plan_cache": {"entries": 4},
-         "window": {"count": 9, "p99": 0.02345}},
+        {"shard": "proc/0", "alive": True, "in_flight": 2, "workers": 4,
+         "plan_cache": {"entries": 4}},
         {"shard": "proc/1", "alive": False,
          "exit_detail": "killed by SIGKILL (-9)", "in_flight_at_death": 2},
         {"shard": "proc/2", "alive": False},
@@ -660,8 +659,7 @@ FLEET_TOP = (
     "  slo latency: compliance 1.0000 (target 0.99), budget remaining 87%\n"
     "  ALERT p99_latency: p99 23.45ms > 10ms\n"
     "  ALERT slo_burn: burn_rate\n"
-    "  shard proc/0: queue=3 in_flight=2 workers=4 cache_entries=4 done=9 "
-    "p99=23.45ms\n"
+    "  shard proc/0: in_flight=2 workers=4 cache_entries=4\n"
     "  shard proc/1: DEAD — killed by SIGKILL (-9), 2 in flight at death\n"
     "  shard proc/2: DEAD — exit status unknown\n"
     "  events: 120 emitted, 3 dropped (ring 4096)\n"

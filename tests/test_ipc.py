@@ -6,8 +6,8 @@ never a ``KeyError`` or a raw unpickling error.  *Interning*: whatever
 sequence of repeated, fresh and mutated templates crosses a small table,
 the shard decodes each request to a template with the sender's key (the
 ``conftest.memo_free`` oracle) and never re-serialises a graph to get
-it.  *One encode*: a response value is pickled once, and one that does
-not pickle still delivers its outcome.
+it.  *One encode*: a reply's value is pickled once, and one that does
+not pickle still delivers the call's outcome.
 """
 
 import multiprocessing
@@ -22,7 +22,12 @@ from hypothesis import given, settings
 from .conftest import memo_free
 from repro.core import CompileOptions, plan_key, plancache
 from repro.gpusim import TESLA_C870, XEON_WORKSTATION
-from repro.service import RequestStatus, ServiceRequest, ServiceResponse, Ticket
+from repro.service import (
+    ServiceConfig,
+    ServiceRequest,
+    ShardedExecutionService,
+    worker,
+)
 from repro.service.ipc import (
     HEADER_SIZE,
     MAGIC,
@@ -34,7 +39,7 @@ from repro.service.ipc import (
     decode_frame,
     encode_frame,
 )
-from repro.service.worker import _send_response
+from repro.service.worker import _send_reply
 from repro.templates import find_edges_graph
 
 OPTIONS = CompileOptions()
@@ -58,7 +63,7 @@ def pipe():
 
 
 class TestFrameValidation:
-    FRAME = encode_frame({"kind": "snapshot", "id": 7})
+    FRAME = encode_frame({"kind": "close", "id": 7})
 
     def reheadered(self, **fields):
         """The valid frame with some header fields overwritten."""
@@ -67,8 +72,8 @@ class TestFrameValidation:
         return HEADER.pack(*header.values()) + self.FRAME[HEADER_SIZE:]
 
     def test_round_trip(self):
-        assert decode_frame(self.FRAME) == {"kind": "snapshot", "id": 7}
-        assert self.FRAME[:4] == MAGIC and PROTOCOL_VERSION == 2
+        assert decode_frame(self.FRAME) == {"kind": "close", "id": 7}
+        assert self.FRAME[:4] == MAGIC and PROTOCOL_VERSION == 3
 
     def test_bad_magic(self):
         with pytest.raises(FrameError, match="bad magic"):
@@ -161,11 +166,8 @@ class TestInterning:
         compiled = Framework(TESLA_C870).compile(find_edges_graph(32, 32, 3, 2))
         values = []
         for gid in (1, 2):
-            shard.send({"kind": "response", "id": gid,
-                        "response": ServiceResponse(
-                            request_id=gid, label="", value=compiled,
-                            status=RequestStatus.OK)})
-            values.append(router.recv()["response"].value)
+            shard.send({"kind": "response", "id": gid, "value": compiled})
+            values.append(router.recv()["value"])
         assert values[0] is not compiled
         assert values[0].graph is values[1].graph
         assert values[0].plan is values[1].plan
@@ -239,32 +241,43 @@ class TestOneEncodePerResponse:
             super().__reduce__()
             raise TypeError("holds an open device handle")
 
-    def finished(self, value, error=None):
-        request = request_for(find_edges_graph(32, 32, 3, 2), label="r")
-        ticket = Ticket(id=41, request=request, submitted_at=0.0,
-                        deadline_at=None)
-        ticket._response = ServiceResponse(
-            request_id=41, label="r", status=RequestStatus.OK, value=value,
-            error=error, planner_used="heuristic",
-        )
-        return ticket
+    def finished(self, value):
+        return {"kind": "response", "id": 41, "compiled": "plan",
+                "value": value, "error": None,
+                "events": [("compile.done", {"cached": True})]}
 
     def test_value_is_encoded_exactly_once(self, pipe):
         router, shard = pipe()
         self.Value.reduced = 0
-        _send_response(shard, self.finished(self.Value()))
+        _send_reply(shard, self.finished(self.Value()))
         message = router.recv()
         assert self.Value.reduced == 1
         assert message["kind"] == "response" and message["id"] == 41
-        assert isinstance(message["response"].value, self.Value)
-        assert message["response"].error is None
+        assert isinstance(message["value"], self.Value)
+        assert message["error"] is None
 
-    def test_unpicklable_value_travels_as_none_with_a_note(self, pipe):
+    def test_unpicklable_value_travels_as_none_with_a_note(
+        self, pipe, monkeypatch
+    ):
         router, shard = pipe()
-        _send_response(shard, self.finished(self.Unpicklable(), "warned"))
-        response = router.recv()["response"]
+        _send_reply(shard, self.finished(self.Unpicklable()))
+        reply = router.recv()
+        assert reply["id"] == 41 and reply["value"] is None
+        assert reply["error"] is None and reply["compiled"] == "plan"
+        assert reply["note"].startswith("result value not transferable: "
+                                        "TypeError")
+        # Through a fleet, the request the value answered is still OK.
+        monkeypatch.setattr(worker, "run_request",
+                            lambda *args: self.Unpicklable())
+        with ShardedExecutionService(
+            ServiceConfig(workers=1), shards=1,
+            mp_context=multiprocessing.get_context("fork"),  # keeps the patch
+        ) as svc:
+            response = svc.submit(request_for(
+                find_edges_graph(32, 32, 3, 2), label="r", mode="simulate"
+            )).result(timeout=60)
         assert response.value is None
         assert response.ok and response.planner_used == "heuristic"
-        assert response.error.startswith("warned; result value not "
-                                         "transferable: TypeError")
+        assert response.error.startswith("result value not transferable: "
+                                         "TypeError")
         assert "open device handle" in response.error

@@ -33,7 +33,6 @@ from repro.obs.live import (
     current_request_id,
     default_alert_rules,
     default_objectives,
-    merge_alert_snapshots,
     prom_name,
     publish,
     registry_to_prom,
@@ -411,17 +410,6 @@ class TestAlertRules:
         rule = AlertRule(name="x", metric="p99", above=1.0)
         with pytest.raises(ValueError, match="duplicate"):
             AlertEngine((rule, rule))
-
-    def test_merge_unions_active_and_sums_counters(self):
-        a = {"rules": 2, "fired_total": 3, "resolved_total": 1,
-             "active": [{"rule": "p99_high", "value": 2.0}]}
-        b = {"rules": 2, "fired_total": 1, "resolved_total": 0,
-             "active": [{"rule": "p99_high", "value": 9.0},
-                        {"rule": "burn"}]}
-        merged = merge_alert_snapshots([a, b])
-        assert merged["fired_total"] == 4
-        assert merged["resolved_total"] == 1
-        assert [x["rule"] for x in merged["active"]] == ["burn", "p99_high"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,25 @@
-"""Sharded multi-process serving tier (repro.service.shard) + batching.
+"""The multi-process fleet (repro.service.shard) + batching.
 
-The acceptance spine of the sharded tier: plan-key routing lands
-identical templates on one shard (16 submissions over 4 templates =
-exactly 4 compiles fleet-wide), results are byte-identical to the
-single-process tier (the differential harness gains a shard
-dimension), telemetry aggregates across every shard's event stream,
-and batching records per-request provenance (``batched_with`` /
-``deduped_from``) with fleet-global ids.  A compile whose plan is cached
-is answered by the router itself, identically to a shard's answer.
+The acceptance spine of the fleet: one service in the router over a
+pool of worker processes.  Plan-key routing lands identical templates
+on one worker (16 submissions over 4 templates = exactly 4 compiles
+fleet-wide), results are byte-identical to the single-process tier (the
+differential harness gains a shard dimension), telemetry is the router
+service's own and reading it crosses no pipe, and batching records
+per-request provenance (``batched_with`` / ``deduped_from``) with the
+caller's ids.  A compile whose plan is cached is answered by the router
+itself, identically to a worker's answer; work is one frame each way.
 """
 
-import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from .differential import (
@@ -33,13 +35,15 @@ from repro.core.framework import CompileOptions, Framework
 from repro.core.plancache import plan_key
 from repro.core.serialize import plan_to_dict
 from repro.gpusim import XEON_WORKSTATION, GpuDevice
+from repro.gpusim.faults import FaultSpec
+from repro.gpusim.memory import OutOfDeviceMemoryError
 from repro.obs.flight import (
     POSTMORTEM_BASENAME,
     harvest_postmortem,
     journal_dir,
     list_segments,
+    read_journal,
 )
-from repro.obs.live import merge_slo_snapshots, merge_window_samples
 from repro.service import (
     ExecutionService,
     QueueFullError,
@@ -49,6 +53,8 @@ from repro.service import (
     ShardDiedError,
     ShardedExecutionService,
 )
+from repro.service import service as service_module
+from repro.service import worker as worker_module
 from repro.service.ipc import INTERNS_PER_PLAN
 from repro.templates import find_edges_graph, find_edges_inputs
 
@@ -153,15 +159,14 @@ class TestRoutingAndDedupe:
 
 
 def forwarded(svc):
-    """The ids of the submit frames ``svc`` sends from now on."""
-    sent, send = [], svc._send
+    """The request ids of the calls ``svc`` sends to workers from now on."""
+    sent, send = [], svc._send_call
 
-    def spy(shard, message):
-        if message["kind"] == "submit":
-            sent.append(message["id"])
-        send(shard, message)
+    def spy(request_id, key, call):
+        sent.append(request_id)
+        return send(request_id, key, call)
 
-    svc._send = spy
+    svc._send_call = spy
     return sent
 
 
@@ -188,6 +193,19 @@ def served(response):
     )
 
 
+def wait_until(predicate, seconds=30):
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def kill_and_wait(svc, name):
+    """SIGKILL worker ``name`` and wait until the router has reaped it."""
+    svc._pool[name].process.kill()
+    wait_until(lambda: not svc._pool[name].alive)
+
+
 class TestRouterServesHits:
     """A compile whose plan is cached is answered by the router on the
     submitting thread; only work crosses the pipe."""
@@ -200,9 +218,9 @@ class TestRouterServesHits:
             miss = svc.submit(request).result(timeout=120)
             router_hit = svc.submit(request).result(timeout=120)
             assert len(sent) == 1
-            # Make the router forget the plan, so the shard answers.
+            # Make the router forget the plan, so the worker answers.
             os.remove(entry_path(svc, request))
-            svc._router.plan_cache.clear()
+            svc.plan_cache.clear()
             shard_hit = svc.submit(request).result(timeout=120)
             assert len(sent) == 2
         assert miss.ok and router_hit.ok and shard_hit.ok
@@ -231,10 +249,8 @@ class TestRouterServesHits:
         assert counters["service.dedupe_hits"] == 1
         assert counters["service.plan_cache_hits"] == 1
         assert counters["service.compiles"] == 1
-        assert snap["router"]["shard"] == "router"
-        assert snap["router"]["window"]["count"] == 1
         assert snap["window"]["count"] == 2
-        assert "router" not in [s["shard"] for s in snap["shards"]]
+        assert [s["shard"] for s in snap["shards"]] == ["proc/0", "proc/1"]
         assert "service.admit" in kinds and "service.done" in kinds
 
     def test_non_resident_key_is_forwarded_once(self):
@@ -243,11 +259,12 @@ class TestRouterServesHits:
             ticket = svc.submit(edge_request())
             assert ticket.result(timeout=120).ok
             snap = svc.live_snapshot()
-            router = svc._router.metrics_snapshot()["counters"]
+            router = svc.plan_cache.stats()
         assert sent == [ticket.id]
         assert snap["counters"]["service.compiles"] == 1
-        assert "service.submitted" not in router
-        assert snap["router"]["plan_cache"]["misses"] == 0
+        assert snap["counters"]["service.submitted"] == 1
+        assert router["misses"] == 0  # the worker's miss, not the router's
+        assert snap["plan_cache"]["misses"] == 1
 
     def test_a_plan_a_shard_wrote_is_served_by_the_router(self):
         request = edge_request()
@@ -255,10 +272,10 @@ class TestRouterServesHits:
             sent = forwarded(svc)
             assert svc.submit(request).result(timeout=120).ok
             assert os.path.exists(entry_path(svc, request))
-            assert len(svc._router.plan_cache) == 0
+            assert len(svc.plan_cache) == 0
             assert svc.submit(request).result(timeout=120).ok
             assert len(sent) == 1
-            assert len(svc._router.plan_cache) == 1
+            assert len(svc.plan_cache) == 1
 
     def test_corrupt_disk_entry_is_forwarded_and_counted(self):
         request = edge_request()
@@ -270,13 +287,17 @@ class TestRouterServesHits:
             ticket = svc.submit(request)
             response = ticket.result(timeout=120)
             snap = svc.live_snapshot()
+            router = svc.plan_cache.stats()
         assert response.ok and not response.deduped
         assert sent == [ticket.id]
-        assert snap["router"]["plan_cache"]["corrupt_entries"] == 1
+        assert router["corrupt_entries"] == 1
         assert snap["plan_cache"]["corrupt_entries"] == 1
         assert snap["counters"]["service.compiles"] == 1
 
     def test_router_has_no_worker_and_never_leads(self, monkeypatch):
+        """The router does no worker's work: it compiles only what is
+        resident, so it never takes a plan's leadership lock — misses
+        are the worker processes'."""
         acquired = []
         acquire = FileLock.acquire
 
@@ -291,31 +312,26 @@ class TestRouterServesHits:
                 assert svc.submit(edge_request(size=size)).result(
                     timeout=120).ok
             snap = svc.live_snapshot()
-            assert svc._router._workers == []
+            router = svc.plan_cache.stats()
         assert acquired == []
-        assert snap["router"]["workers"] == 0
-        assert snap["router"]["plan_cache"]["lock_waits"] == 0
+        assert router["lock_waits"] == 0 and router["misses"] == 0
         assert snap["counters"]["service.compiles"] == 2
 
     def test_a_cached_plan_survives_its_dead_shard(self):
-        """The first observable piece of a crash-only fleet: a key whose
-        plan is on the shared disk tier is answered with its owner dead;
-        a key never compiled still fails fast."""
+        """A key whose plan is on the shared disk tier is answered with
+        its worker dead, and a key never compiled on the dead worker's
+        arc fails over to the live one."""
         with fleet(shards=2) as svc:
             owner = svc.route(edge_request(size=32))
             sizes = [s for s in range(40, 257, 8)
                      if svc.route(edge_request(size=s)) == owner]
             assert sizes, "2-shard ring gave every other size one shard"
             assert svc.submit(edge_request(size=32)).result(timeout=120).ok
-            svc._shards[owner].process.kill()
-            deadline = time.monotonic() + 30
-            while svc._shards[owner].alive:
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
+            kill_and_wait(svc, owner)
             response = svc.submit(edge_request(size=32)).result(timeout=10)
             assert response.status is RequestStatus.OK
-            with pytest.raises(ShardDiedError):
-                svc.submit(edge_request(size=sizes[0]))
+            moved = svc.submit(edge_request(size=sizes[0]))
+            assert moved.result(timeout=120).status is RequestStatus.OK
 
     def test_concurrent_submitters_lose_no_count(self):
         """More submitting threads than cores, switching often, over keys
@@ -353,7 +369,9 @@ class TestRouterServesHits:
         """The per-layer request table wraps these two module globals by
         name and reads ``len()`` of each frame: a miss must still cross
         as one ``encode_frame(...) -> bytes`` call after one
-        ``HashRing.route``, or those rows go blind instead of red."""
+        ``HashRing.route``, or those rows go blind instead of red.  So
+        must a ``simulate`` or ``execute`` — of a resident plan (the
+        router looks it up, the worker runs) or of a never-seen one."""
         from repro.service.hashring import HashRing
         from repro.service.ipc import encode_frame
 
@@ -369,18 +387,28 @@ class TestRouterServesHits:
             routes.append(key)
             return route(ring, key)
 
+        def work(size, mode):
+            inputs = find_edges_inputs(size, size, 8, 2)
+            return edge_request(size=size, mode=mode, inputs=(
+                inputs if mode == "execute" else None))
+
+        requests = [work(64, "compile"), work(64, "simulate"),
+                    work(64, "execute"), work(72, "simulate"),
+                    work(80, "execute")]
         with fleet(shards=1) as svc:
-            monkeypatch.setattr("repro.service.ipc.encode_frame", encode_spy)
-            monkeypatch.setattr(
-                "repro.service.hashring.HashRing.route", route_spy
-            )
-            request = edge_request()
-            assert svc.submit(request).result(timeout=120).ok
-            monkeypatch.undo()
-            assert routes == [svc.route_key(request)]
-        submits = [f for m, f in frames if m.get("kind") == "submit"]
-        assert len(submits) == 1
-        assert isinstance(submits[0], bytes) and len(submits[0]) > 0
+            for request in requests:
+                del frames[:], routes[:]
+                monkeypatch.setattr(
+                    "repro.service.ipc.encode_frame", encode_spy)
+                monkeypatch.setattr(
+                    "repro.service.hashring.HashRing.route", route_spy
+                )
+                assert svc.submit(request).result(timeout=120).ok
+                monkeypatch.undo()
+                assert routes == [svc.route_key(request)], request.mode
+                submits = [f for m, f in frames if m.get("kind") == "submit"]
+                assert len(submits) == 1, (request.mode, request.label)
+                assert isinstance(submits[0], bytes) and len(submits[0]) > 0
 
 
 class TestByteIdentity:
@@ -422,40 +450,45 @@ class TestAggregatedTelemetry:
         assert sorted(labels) == ["proc/0", "proc/1", "proc/2"]
         assert snap["shard_count"] == 3
         assert snap["live_shards"] == 3
-        # The fleet window covers every completed request even though no
-        # single shard saw them all.
+        # The router's window covers every completed request: it served
+        # them all, whichever worker did the work.
         assert snap["window"]["count"] == 6
-        per_shard = sum(s["window"]["count"] for s in snap["shards"])
-        assert per_shard == 6
+        assert all(s["alive"] and s["in_flight"] == 0 for s in snap["shards"])
         assert snap["counters"]["service.ok"] == 6
         for obj in snap["slo"]["objectives"]:
             assert obj["total"] == 6
 
-    def test_fleet_percentiles_merge_raw_samples(self):
-        """p99 must come from the union of samples, not shard averages:
-        one slow shard dominates the fleet tail."""
-        fast = [(0.0, 0.010)] * 99
-        slow = [(0.0, 1.0)] * 99
-        merged = merge_window_samples([fast, slow], 60.0)
-        assert merged["count"] == 198
-        assert merged["p99"] == 1.0  # the tail survives the merge
-        assert merged["p50"] == 0.010
-        # Averaging per-shard p99s would have reported ~0.5 for p50.
+    def test_telemetry_reads_write_no_frame(self, monkeypatch):
+        """The fleet's telemetry is the router service's own: reading it
+        asks no worker.  A forwarded request's timeline still shows what
+        its call published in the worker."""
+        from repro.service.ipc import encode_frame
 
-    def test_slo_merge_sums_budgets(self):
-        a = {"window_seconds": 60.0, "objectives": [{
-            "name": "availability", "target": 0.9,
-            "latency_threshold": None, "total": 100, "good": 100, "bad": 0,
-        }]}
-        b = {"window_seconds": 60.0, "objectives": [{
-            "name": "availability", "target": 0.9,
-            "latency_threshold": None, "total": 100, "good": 70, "bad": 30,
-        }]}
-        merged = merge_slo_snapshots([a, b])
-        obj = merged["objectives"][0]
-        assert obj["total"] == 200 and obj["bad"] == 30
-        assert obj["compliance"] == pytest.approx(170 / 200)
-        assert obj["breached"]  # 30 bad > (1-0.9)*200 = 20 budget
+        frames = []
+
+        def encode_spy(message, *args, **kwargs):
+            frames.append(message.get("kind"))
+            return encode_frame(message, *args, **kwargs)
+
+        with fleet(shards=2) as svc:
+            ticket = svc.submit(edge_request())
+            assert ticket.result(timeout=120).ok
+            monkeypatch.setattr("repro.service.ipc.encode_frame", encode_spy)
+            snap = svc.live_snapshot()
+            text = svc.prom_text()
+            depth = svc.queue_depth()
+            timeline = svc.request_timeline(ticket.id)
+            monkeypatch.undo()
+        assert frames == []
+        assert snap["counters"]["service.submitted"] == 1 and depth == 0
+        assert "repro_service_submitted_total 1" in text
+        kinds = [e.kind for e in timeline]
+        assert kinds[0] == "service.admit" and kinds[-1] == "service.done"
+        for kind in ("compile.start", "plancache.miss", "compile.done"):
+            assert kind in kinds, kinds
+        assert kinds.index("compile.done") < kinds.index(
+            "service.compile_done"
+        )
 
     def test_request_timeline_reaches_the_owning_shard(self):
         with fleet(shards=2) as svc:
@@ -490,35 +523,6 @@ class TestAggregatedTelemetry:
 
 
 class TestShardFailure:
-    def test_dead_shard_fails_fast_and_fleet_survives(self):
-        with fleet(shards=2) as svc:
-            # Find two templates owned by different shards.
-            by_owner = {}
-            for size in range(32, 257, 8):
-                by_owner.setdefault(svc.route(edge_request(size=size)), size)
-                if len(by_owner) == 2:
-                    break
-            assert len(by_owner) == 2, "2-shard ring left one shard idle"
-            (dead_name, dead_size), (live_name, live_size) = by_owner.items()
-            svc._shards[dead_name].process.terminate()
-            deadline = time.monotonic() + 30
-            while svc._shards[dead_name].alive:
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            with pytest.raises(ShardDiedError):
-                svc.submit(edge_request(size=dead_size))
-            assert svc.submit(
-                edge_request(size=live_size)
-            ).result(timeout=120).ok
-            snap = svc.live_snapshot()
-            assert snap["live_shards"] == 1
-            assert snap["shard_count"] == 2
-            live_rows = [s for s in snap["shards"] if s.get("alive", True)]
-            dead_rows = [s for s in snap["shards"] if not s.get("alive", True)]
-            assert [s["shard"] for s in live_rows] == [live_name]
-            assert [s["shard"] for s in dead_rows] == [dead_name]
-            assert "SIGTERM" in dead_rows[0]["exit_detail"]
-
     def test_inflight_requests_fail_with_explicit_error(self):
         with fleet(shards=1, workers=1) as svc:
             # Queue slow work, then kill the only shard mid-flight.
@@ -526,8 +530,10 @@ class TestShardFailure:
                 svc.submit(edge_request(size=128 + 32 * i, mode="simulate"))
                 for i in range(3)
             ]
-            svc._shards["proc/0"].process.kill()
+            svc._pool["proc/0"].process.kill()
             responses = [t.result(timeout=60) for t in tickets]
+            with pytest.raises(ShardDiedError, match="no live worker"):
+                svc.submit(edge_request())
         failed = [r for r in responses if not r.ok]
         assert failed, "killing the shard should fail queued requests"
         for r in failed:
@@ -535,11 +541,101 @@ class TestShardFailure:
             assert "died" in (r.error or "")
             assert "SIGKILL" in (r.error or "")
 
+    def test_dead_shard_fails_fast_and_fleet_survives(self):
+        """SIGKILL fails the calls in flight on the worker, with its exit
+        status; the worker leaves the ring, and a never-compiled key on
+        its arc is answered by the live worker, with the plan a direct
+        compile gives."""
+        plug = big_simulate(size=4096)
+        with fleet(shards=2, workers=1) as svc:
+            owner = svc.route(plug)
+            sizes = [s for s in range(40, 257, 8)
+                     if svc.route(edge_request(size=s)) == owner]
+            assert sizes, "2-shard ring gave every other size one shard"
+            ticket = svc.submit(plug)
+            wait_until(lambda: svc._pool[owner].calls)
+            kill_and_wait(svc, owner)
+            response = ticket.result(timeout=60)
+            assert response.status is RequestStatus.FAILED
+            assert f"shard {owner} died (" in response.error
+            assert "SIGKILL" in response.error
+            request = edge_request(size=sizes[0])
+            live = svc.route(request)
+            assert live != owner
+            answer = svc.submit(request).result(timeout=120)
+            snap = svc.live_snapshot()
+        assert answer.status is RequestStatus.OK
+        direct = Framework(
+            DEV, host=XEON_WORKSTATION, plan_cache=False,
+            options=request.compile_options(ServiceConfig().pb_max_ops),
+        ).compile(request.template)
+        assert plan_digest(answer.value.plan) == plan_digest(direct.plan)
+        assert snap["live_shards"] == 1 and snap["shard_count"] == 2
+        live_rows = [s for s in snap["shards"] if s["alive"]]
+        dead_rows = [s for s in snap["shards"] if not s["alive"]]
+        assert [s["shard"] for s in live_rows] == [live]
+        assert [s["shard"] for s in dead_rows] == [owner]
+        assert "SIGKILL" in dead_rows[0]["exit_detail"]
 
-def big_simulate(label="plug"):
+    def test_a_worker_error_fails_only_its_call(self, monkeypatch):
+        """An error raised in a worker fails its request with the text
+        it has in process, even one that pickles but does not unpickle
+        (OutOfDeviceMemoryError); the worker stays in the ring."""
+        def out_of_memory(*args):
+            raise OutOfDeviceMemoryError(1 << 20, 0, 0)
+
+        monkeypatch.setattr(service_module, "run_request", out_of_memory)
+        monkeypatch.setattr(worker_module, "run_request", out_of_memory)
+        request = edge_request(mode="simulate")
+        with ExecutionService(ServiceConfig(workers=1)) as svc:
+            local = svc.submit(request).result(timeout=60)
+        with ShardedExecutionService(
+            ServiceConfig(workers=1), shards=1,
+            mp_context=multiprocessing.get_context("fork"),  # keeps the patch
+        ) as svc:
+            failed = svc.submit(request).result(timeout=60)
+            later = svc.submit(edge_request(size=48)).result(timeout=60)
+            alive = svc._pool["proc/0"].alive
+        assert local.status is failed.status is RequestStatus.FAILED
+        assert failed.error == local.error
+        assert failed.error.startswith("internal: OutOfDeviceMemoryError")
+        assert later.ok and alive
+
+    def test_seeded_faults_match_in_process(self):
+        """A fault-injected execute retries in the router with the
+        injector its worker advanced: the same attempts and retries as
+        in process, and bit-identical outputs."""
+        spec = FaultSpec(transfer_failure_rate=0.3, seed=5)
+        inputs = find_edges_inputs(64, 64, 8, 2)
+
+        def run(svc):
+            with svc:
+                responses = [
+                    svc.submit(edge_request(mode="execute", inputs=inputs))
+                    .result(timeout=120) for _ in range(4)
+                ]
+                retries = svc.metrics_snapshot()["counters"]["service.retries"]
+            return responses, retries
+
+        config = ServiceConfig(workers=2, fault_spec=spec)
+        local, local_retries = run(ExecutionService(config))
+        sharded, sharded_retries = run(
+            ShardedExecutionService(config, shards=2))
+        outcome = [(r.status, r.attempts, r.retries) for r in local]
+        assert outcome == [(r.status, r.attempts, r.retries) for r in sharded]
+        assert all(r.ok and r.retries > 0 for r in local), outcome
+        assert local_retries == sharded_retries > 0
+        for a, b in zip(local, sharded):
+            assert a.value.outputs.keys() == b.value.outputs.keys()
+            for name in a.value.outputs:
+                assert np.array_equal(a.value.outputs[name],
+                                      b.value.outputs[name])
+
+
+def big_simulate(label="plug", size=2048):
     """A request that holds a worker long enough to queue work behind."""
     return ServiceRequest(
-        template=find_edges_graph(2048, 2048, 16, 4), device=DEV,
+        template=find_edges_graph(size, size, 16, 4), device=DEV,
         host=XEON_WORKSTATION, mode="simulate", label=label,
     )
 
@@ -562,11 +658,12 @@ def mappings_under(obj, seen=None):
 
 @pytest.mark.timeout(180)
 class TestPipelinedAdmission:
-    """Admission at the router: no ack, no per-request router state."""
+    """Admission is the in-process rule; the pool keeps nothing about a
+    call once it is answered."""
 
     def test_router_state_does_not_grow_with_requests_served(self):
         """2,000 resolved requests over more templates than the tables
-        hold: nothing the router keeps per shard outgrows the interning
+        hold: nothing the router keeps per worker outgrows the interning
         bound (it used to keep — and copy per response — one
         local->global entry per request ever served)."""
         entries = 2
@@ -581,22 +678,25 @@ class TestPipelinedAdmission:
                 ]
                 assert all(t.result(timeout=120).ok for t in tickets)
                 served += len(tickets)
-            assert svc._pending == {}
-            shard = svc._shards["proc/0"]
-            assert shard.unanswered == 0
-            sizes = [len(m) for m in mappings_under(shard)]
+            worker = svc._pool["proc/0"]
+            assert worker.calls == {}
+            sizes = [len(m) for m in mappings_under(worker)]
             assert sizes and max(sizes) <= bound, sizes
-            assert len(shard.channel._sent) == bound  # and it did fill
-            # a long-resolved id still reaches its shard's event stream
+            assert len(worker.channel._sent) == bound  # and it did fill
+            # a long-resolved id is still in the router's event stream
             last = tickets[-1]
             kinds = [e.kind for e in svc.request_timeline(last.id)]
             assert "service.admit" in kinds and "service.done" in kinds
 
     def test_queue_full_raises_from_submit_and_credits_return(self):
-        with fleet(shards=1, workers=1, max_queue_depth=2) as svc:
-            plug = svc.submit(big_simulate())
+        """``max_queue_depth`` bounds the router's queue, as in process:
+        the plug runs on the router's one thread, one miss queues behind
+        it, the next is refused, and the slot frees once it is served."""
+        with fleet(shards=1, workers=1, max_queue_depth=1) as svc:
+            plug = svc.submit(big_simulate(size=4096))
+            wait_until(lambda: svc._pool["proc/0"].calls)
             queued = svc.submit(edge_request())
-            with pytest.raises(QueueFullError, match="proc/0 has 2"):
+            with pytest.raises(QueueFullError, match="queue depth 1"):
                 svc.submit(edge_request())
             assert plug.result(timeout=120).ok
             assert queued.result(timeout=120).ok
@@ -629,11 +729,11 @@ class TestPipelinedAdmission:
             thread = threading.Thread(target=burst)
             thread.start()
             assert under_way.wait(timeout=60)
-            svc._shards["proc/0"].process.kill()
+            svc._pool["proc/0"].process.kill()
             thread.join(timeout=120)
             assert not thread.is_alive()
             responses = [t.result(timeout=60) for t in tickets]
-            assert svc._pending == {}
+            assert svc._pool["proc/0"].calls == {}
         assert len(tickets) + len(raised) == 5000
         assert raised, "the burst should have outlasted the shard"
         failed = [r for r in responses if not r.ok]
@@ -642,43 +742,30 @@ class TestPipelinedAdmission:
             assert r.status is RequestStatus.FAILED
             assert "shard proc/0 died (" in r.error and "SIGKILL" in r.error
 
-    def test_shard_side_rejection_fails_the_ticket(self):
-        """The router's count keeps the shard's own queue check from
-        ever firing; should a refusal arrive anyway (forced here by
-        raising the router's limit over the shard's), it is the
-        request's answer — not a ticket that never resolves."""
-        with fleet(shards=1, workers=1, max_queue_depth=1) as svc:
-            svc.config = dataclasses.replace(svc.config, max_queue_depth=64)
-            tickets = [svc.submit(big_simulate())]
-            tickets += [svc.submit(edge_request()) for _ in range(4)]
-            responses = [t.result(timeout=120) for t in tickets]
-            assert svc._pending == {}
-        refused = [r for r in responses if not r.ok]
-        assert refused, "a queue of 1 cannot hold 4 requests behind a plug"
-        for r in refused:
-            assert r.status is RequestStatus.FAILED
-            assert "QueueFullError: queue depth 1" in r.error
-
 
 @pytest.mark.timeout(180)
 class TestFlightRecorderPostmortem:
-    """The PR's acceptance spine: SIGKILL a shard mid-request, then
-    reconstruct its final moments *purely from the on-disk journal* —
-    the shard process is dead and the supervisor may be too."""
+    """SIGKILL a worker mid-call, then reconstruct its final moments
+    *purely from the on-disk journal* — the worker process is dead and
+    the supervisor may be too."""
 
     def killed_fleet(self, flight_dir):
-        """One shard, one worker, flight recorder on; three big
-        simulate requests submitted and the shard killed as soon as it
-        has admitted them, so every request is genuinely mid-flight
+        """One worker process with three threads, flight recorder on;
+        three big simulate requests (three plans, so three calls at
+        once) and the worker killed as soon as its journal shows all
+        three calls under way, so every request is genuinely mid-flight
         when it dies.  ``submit()`` returning says nothing about the
-        shard; a control RPC does — the pipe is FIFO, so once
-        ``live_snapshot()`` answers, every earlier submit has been
-        admitted and journalled."""
-        cfg = ServiceConfig(workers=1, flight_dir=flight_dir)
+        worker; its journal does — it is written before a call starts."""
+        cfg = ServiceConfig(workers=3, flight_dir=flight_dir)
         svc = ShardedExecutionService(cfg, shards=1)
-        tickets = [svc.submit(big_simulate(f"r{i}")) for i in range(3)]
-        svc.live_snapshot()
-        svc._shards["proc/0"].process.kill()
+        tickets = [svc.submit(big_simulate(f"r{i}", size=4096 - 8 * i))
+                   for i in range(3)]
+        jdir = journal_dir(flight_dir, "proc/0")
+        wait_until(lambda: sum(
+            r.get("kind") == "worker.call"
+            for r in read_journal(jdir).records
+        ) == 3, seconds=60)
+        svc._pool["proc/0"].process.kill()
         responses = [t.result(timeout=60) for t in tickets]
         return svc, tickets, responses
 
@@ -729,7 +816,7 @@ class TestFlightRecorderPostmortem:
         assert {t.id for t in tickets} <= timeline_ids
         kinds = [r["kind"] for r in pm["timeline"]]
         assert kinds[0] == "worker.start"
-        assert "service.admit" in kinds
+        assert "worker.call" in kinds
         assert {e["request_id"] for e in pm["in_flight"]} == {
             t.id for t in tickets
         }
