@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.graph import OperatorGraph
-from repro.core.plan import CopyToCPU, CopyToGPU, ExecutionPlan, Free, Launch
+from repro.core.plan import ExecutionPlan
+from repro.core.walk import HOOKS, Observer, Residency
 
 
 @dataclass
@@ -25,39 +26,23 @@ class TimelineRow:
 def plan_timeline(
     plan: ExecutionPlan, graph: OperatorGraph
 ) -> list[TimelineRow]:
-    """Symbolically replay a plan into per-step memory snapshots."""
-    on_gpu: dict[str, int] = {}
-    on_host = {
-        d for d, ds in graph.data.items() if ds.is_input and not ds.virtual
-    }
+    """Per-step memory snapshots of device 0, taken as the residency
+    machine walks the plan."""
+    machine = Residency(graph, [plan.capacity_floats] * plan.num_devices)
+    inputs = {d for d, ds in graph.data.items() if ds.is_input}
     rows: list[TimelineRow] = []
-    for step in plan.steps:
-        if isinstance(step, CopyToGPU):
-            on_gpu[step.data] = graph.data[step.data].size
-            label = f"h2d  {step.data}"
-        elif isinstance(step, CopyToCPU):
-            on_host.add(step.data)
-            label = f"d2h  {step.data}"
-        elif isinstance(step, Free):
-            on_gpu.pop(step.data, None)
-            label = f"free {step.data}"
-        elif isinstance(step, Launch):
-            for d in graph.ops[step.op].outputs:
-                on_gpu[d] = graph.data[d].size
-                on_host.discard(d)  # device result supersedes host copy
-            label = f"exec {step.op}"
-        else:  # pragma: no cover - defensive
-            label = str(step)
+
+    def snapshot(i: int, *_) -> None:
         rows.append(
             TimelineRow(
-                step=label,
-                gpu_resident=sorted(on_gpu),
-                gpu_floats=sum(on_gpu.values()),
-                host_copies=sorted(
-                    d for d in on_host if not graph.data[d].is_input
-                ),
+                step=str(plan.steps[i]),
+                gpu_resident=sorted(machine.resident[0]),
+                gpu_floats=machine.used[0],
+                host_copies=sorted(machine.on_host - inputs),
             )
         )
+
+    machine.walk(plan, Observer(**dict.fromkeys(HOOKS.values(), snapshot)))
     return rows
 
 

@@ -515,7 +515,7 @@ class Framework:
 
         Partitions the template into independent fragments, recompiles
         only those whose content fingerprint misses the plan cache, and
-        stitches the fragment plans into one validated plan.  Returns an
+        stitches the fragment plans into one plan (checked when it runs).  Returns an
         :class:`repro.core.incremental.IncrementalCompiled`; see that
         module for the trade-off against :meth:`compile`.
         """

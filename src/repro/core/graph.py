@@ -226,11 +226,11 @@ class OperatorGraph:
     shard-routing key is composed from
     (:func:`repro.core.plancache.graph_fingerprint`), the plan keys
     composed from it (:func:`repro.core.plancache.plan_key`), and the
-    per-operator launch costs every plan interpreter reads
-    (:func:`repro.ops.launch_cost`).  A mutator drops them all before it
-    edits; on a frozen graph each is written once.  Writing around the
-    mutators (a ``DataStructure`` field, an ``Operator.params`` key)
-    is not an edit path.
+    per-operator launch costs and per-datum sizes every plan interpreter
+    reads (:func:`repro.ops.launch_cost`, :meth:`data_sizes`).  A
+    mutator drops them all before it edits; on a frozen graph each is
+    written once.  Writing around the mutators (a ``DataStructure``
+    field, an ``Operator.params`` key) is not an edit path.
     """
 
     def __init__(self, name: str = "template") -> None:
@@ -250,6 +250,8 @@ class OperatorGraph:
         self._plan_keys: dict[tuple, str] | None = None
         # op name -> (flops, bytes_accessed); filled by repro.ops.launch_cost
         self._launch_costs: dict[str, tuple[float, float]] | None = None
+        # data name -> size in floats; filled by data_sizes()
+        self._sizes: dict[str, int] | None = None
 
     @property
     def name(self) -> str:
@@ -275,6 +277,7 @@ class OperatorGraph:
         self._fingerprint = None
         self._plan_keys = None
         self._launch_costs = None
+        self._sizes = None
 
     def __getstate__(self) -> tuple:
         """Pickle the tables, the fingerprint and the freeze flag (a
@@ -427,6 +430,14 @@ class OperatorGraph:
             )
             self._sorted_chunks[root] = entry
         return entry
+
+    def data_sizes(self) -> dict[str, int]:
+        """Floats per data structure, derived once (callers must not
+        mutate the result)."""
+        sizes = self._sizes
+        if sizes is None:
+            sizes = self._sizes = {d: ds.size for d, ds in self.data.items()}
+        return sizes
 
     def template_inputs(self) -> list[str]:
         return [d for d, ds in self.data.items() if ds.is_input]

@@ -22,7 +22,8 @@ This module makes compile time proportional to the dirty slice:
 * :func:`compile_incremental` compiles only the fragments whose
   fingerprint misses the cache (the full pipeline: splitting, candidate
   headrooms, scheduling, transfers) and **stitches** cached and fresh
-  fragment plans back into one validated :class:`ExecutionPlan`.
+  fragment plans back into one :class:`ExecutionPlan`, checked step by
+  step when it runs.
 
 Fragments are independent by construction — no produced datum crosses a
 fragment boundary — so concatenating their plans is valid: each fragment
@@ -282,7 +283,7 @@ def _stitch(
     opts: CompileOptions,
     capacity: int,
 ) -> CompiledTemplate:
-    """Concatenate fragment plans into one validated whole-template plan.
+    """Concatenate fragment plans into one whole-template plan.
 
     Fragment plans each end with the device drained, and no produced
     datum crosses fragments, so concatenation in fragment order is a
@@ -337,8 +338,9 @@ def _stitch(
     # Every fragment plan was validated at fill time and ends with the
     # device drained, so the concatenation's occupancy timeline is the
     # fragment timelines back to back: the stitched peak is exactly the
-    # max of the fragment peaks, and re-walking 100k steps here would
-    # make the warm path O(template) instead of O(edit).
+    # max of the fragment peaks.  The stitch is not walked here (100k
+    # steps would make the warm path O(template) instead of O(edit)); the
+    # residency machine checks the stitched plan when it runs.
     peak = max((e.peak_device_floats for e in entries), default=0)
     # PB-planned fragments stitch into a feasible, not a proven, optimum.
     sources = {e.extra.get("source", "heuristic") for e in entries}

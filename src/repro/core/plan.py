@@ -17,11 +17,12 @@ without it is a single-device plan — every step implicitly runs on
 device 0 — which keeps the paper's original single-GPU pipeline exactly
 as it was.
 
-Plans are validated symbolically (:func:`validate_plan`) before they are
-handed to the code generator or the simulator-backed executor: memory
-stays within capacity at every step on every device, every launch has
-its inputs resident on its device and its dependencies executed, and
-every template output ends up in host memory.
+Plans are checked symbolically by one step-at-a-time machine
+(:mod:`repro.core.walk`): memory stays within capacity at every step on
+every device, every launch has its inputs resident on its device and its
+dependencies executed, and every template output ends up in host memory.
+:func:`validate_plan` is that machine alone; every simulator and executor
+walks a plan through the same machine, so none of them trusts its plan.
 """
 
 from __future__ import annotations
@@ -216,113 +217,11 @@ def validate_plan(
     inputs resident on its own device, a ``PeerCopy`` needs the data on
     ``src`` and not on ``dst``.  ``capacity_floats`` may then be a
     per-device sequence; an ``int`` applies uniformly.  The return value
-    is the peak usage across all devices.
+    is the peak usage across all devices.  This is the residency machine
+    (:mod:`repro.core.walk`) with no observer.
     """
-    ndev = plan.num_devices
-    raw_cap = capacity_floats if capacity_floats is not None else plan.capacity_floats
-    if isinstance(raw_cap, Sequence):
-        caps = list(raw_cap)
-        if len(caps) < ndev:
-            raise PlanError(
-                f"capacity given for {len(caps)} devices, plan uses {ndev}"
-            )
-    else:
-        caps = [raw_cap] * ndev
-    if plan.devices and len(plan.devices) != len(plan.steps):
-        raise PlanError(
-            f"devices list length {len(plan.devices)} != steps {len(plan.steps)}"
-        )
-    # per-device residency: on_gpu[dev] maps data name -> size in floats
-    on_gpu: list[dict[str, int]] = [dict() for _ in range(ndev)]
-    on_cpu: set[str] = {
-        d for d, ds in graph.data.items() if ds.is_input and not ds.virtual
-    }
-    executed: set[str] = set()
-    peak = 0
-    used = [0] * ndev
-    for i, step in enumerate(plan.steps):
-        dev = plan.device_of(i)
-        if not 0 <= dev < ndev:  # pragma: no cover - defensive
-            raise PlanError(f"step {i}: device index {dev} out of range")
-        if isinstance(step, CopyToGPU):
-            d = step.data
-            if d in on_gpu[dev]:
-                raise PlanError(f"step {i}: h2d of {d!r} already on device {dev}")
-            if d not in on_cpu:
-                raise PlanError(f"step {i}: h2d of {d!r} not in host memory")
-            size = graph.data[d].size
-            on_gpu[dev][d] = size
-            used[dev] += size
-        elif isinstance(step, CopyToCPU):
-            d = step.data
-            if d not in on_gpu[dev]:
-                raise PlanError(f"step {i}: d2h of {d!r} not on device {dev}")
-            on_cpu.add(d)
-        elif isinstance(step, PeerCopy):
-            d = step.data
-            if not (0 <= step.src < ndev and 0 <= step.dst < ndev):
-                raise PlanError(
-                    f"step {i}: p2p of {d!r} between invalid devices "
-                    f"{step.src}->{step.dst} (plan has {ndev})"
-                )
-            if step.src == step.dst:
-                raise PlanError(f"step {i}: p2p of {d!r} to same device {step.src}")
-            if d not in on_gpu[step.src]:
-                raise PlanError(
-                    f"step {i}: p2p of {d!r} not on source device {step.src}"
-                )
-            if d in on_gpu[step.dst]:
-                raise PlanError(
-                    f"step {i}: p2p of {d!r} already on device {step.dst}"
-                )
-            size = graph.data[d].size
-            on_gpu[step.dst][d] = size
-            used[step.dst] += size
-        elif isinstance(step, Free):
-            d = step.data
-            if d not in on_gpu[dev]:
-                raise PlanError(f"step {i}: free of {d!r} not on device {dev}")
-            used[dev] -= on_gpu[dev].pop(d)
-        elif isinstance(step, Launch):
-            op = graph.ops.get(step.op)
-            if op is None:
-                raise PlanError(f"step {i}: unknown operator {step.op!r}")
-            if step.op in executed:
-                raise PlanError(f"step {i}: operator {step.op!r} launched twice")
-            for p in graph.op_predecessors(step.op):
-                if p not in executed:
-                    raise PlanError(
-                        f"step {i}: {step.op!r} launched before dependency {p!r}"
-                    )
-            for d in op.inputs:
-                if d not in on_gpu[dev]:
-                    raise PlanError(
-                        f"step {i}: {step.op!r} input {d!r} not resident "
-                        f"on device {dev}"
-                    )
-            for d in op.outputs:
-                if d in on_gpu[dev]:
-                    raise PlanError(
-                        f"step {i}: {step.op!r} output {d!r} already resident"
-                    )
-                size = graph.data[d].size
-                on_gpu[dev][d] = size
-                used[dev] += size
-                on_cpu.discard(d)  # device result supersedes any host copy
-            executed.add(step.op)
-        else:  # pragma: no cover - defensive
-            raise PlanError(f"step {i}: unknown step type {type(step).__name__}")
-        for k in (step.src, step.dst) if isinstance(step, PeerCopy) else (dev,):
-            if caps[k] and used[k] > caps[k]:
-                raise PlanError(
-                    f"step {i}: device {k} memory {used[k]} floats exceeds "
-                    f"capacity {caps[k]}"
-                )
-            peak = max(peak, used[k])
-    missing_ops = set(graph.ops) - executed
-    if missing_ops:
-        raise PlanError(f"plan never executes {sorted(missing_ops)[:5]} ...")
-    for d, ds in graph.data.items():
-        if ds.is_output and not ds.virtual and d not in on_cpu:
-            raise PlanError(f"template output {d!r} not in host memory at end")
-    return peak
+    from .walk import Residency  # the machine decodes this module's steps
+
+    cap = plan.capacity_floats if capacity_floats is None else capacity_floats
+    caps = list(cap) if isinstance(cap, Sequence) else [cap] * plan.num_devices
+    return max(Residency(graph, caps).walk(plan).peak, default=0)

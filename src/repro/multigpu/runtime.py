@@ -5,8 +5,9 @@ device of a :class:`~repro.gpusim.DeviceGroup` (each with its own clock
 and profiler timeline) plus the state that coordinates them: the shared
 bus and when each host copy became available.  The step loops are
 :mod:`repro.runtime.executor`'s — the same ones that run a single device
-as their N = 1 case — so multi-GPU execution inherits the allocator's
-capacity enforcement, kernel costs, thrashing and numeric checkability.
+as their N = 1 case — so multi-GPU execution inherits the residency
+machine's checks, the allocator's capacity enforcement, kernel costs,
+thrashing and numeric checkability.
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ def execute_multi_plan(
     mrt: MultiSimRuntime,
     template_inputs: Mapping[str, np.ndarray],
 ) -> MultiExecutionResult:
-    """Run a validated device-tagged plan with real payloads."""
+    """Run a device-tagged plan with real payloads, each device within
+    its own capacity (the plan records only the group's smallest)."""
     outputs = execute_steps(
         plan, graph, mrt.runtimes, template_inputs, mrt.group,
-        bus=mrt.bus, host_avail=mrt.host_avail,
+        mrt.group.usable_memory_floats, bus=mrt.bus, host_avail=mrt.host_avail,
     )
     return MultiExecutionResult(
         outputs=outputs, elapsed=mrt.clock, num_devices=len(mrt),
@@ -133,7 +135,8 @@ def simulate_multi_plan(
     host: HostSystem | None = None,
 ) -> MultiSimulatedRun:
     """Walk a device-tagged plan analytically against the group cost model."""
-    run, clocks, peak, peer_time, peer = simulate_steps(plan, graph, group, host)
+    caps = group.usable_memory_floats  # each device's own, as compile_multi planned
+    run, clocks, peak, peer_time, peer = simulate_steps(plan, graph, group, caps, host)
     return MultiSimulatedRun(
         total_time=run.total_time, num_devices=len(group), device_times=clocks,
         transfer_time=run.transfer_time, compute_time=run.compute_time,

@@ -7,9 +7,9 @@ This is that library: inputs transferred on demand, *online* LRU
 eviction (no future knowledge, unlike the static scheduler's Belady)
 and reference-counted frees.  None of those decisions looks ahead, so
 :func:`repro.core.online_plan` records them before the run and the
-synchronous walker (:func:`~repro.runtime.executor.execute_plan`) runs
-them under every plan's capacity, host-paging and launch-cost rules.
-It is the baseline that shows what static plan-ahead buys.
+synchronous walker (:func:`~repro.runtime.executor.execute_plan`) checks
+and runs them under every plan's capacity, host-paging and launch-cost
+rules.  It is the baseline that shows what static plan-ahead buys.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.core.baseline import online_plan
 from repro.core.graph import OperatorGraph
-from repro.core.plan import validate_plan
 from repro.gpusim import SimRuntime
 
 from .executor import ExecutionResult, execute_plan
@@ -46,7 +45,6 @@ class DynamicExecutor:
         op_order: Sequence[str] | None = None,
     ) -> ExecutionResult:
         plan = online_plan(self.graph, self.capacity, op_order)
-        validate_plan(plan, self.graph)
         return execute_plan(plan, self.graph, self.rt, template_inputs)
 
 

@@ -26,11 +26,11 @@ Dependency model:
 * frees are host-side bookkeeping events that wait on every prior step
   touching the buffer — they cost nothing and gate nothing.
 
-Memory capacity is not re-checked here: the plan already bounds
-simultaneous residency, and plans reach this engine after
-:func:`validate_plan`.  Allocator-level fidelity (first-fit placement,
-compaction, fault injection) stays with the synchronous executor; the
-differential matrix pins this engine bitwise against it.
+The residency machine (:mod:`repro.core.walk`) checks every step, in
+plan order and against the plan's capacity, before it becomes an event.
+Allocator-level fidelity (first-fit placement, compaction, fault
+injection) stays with the synchronous executor; the differential matrix
+pins this engine bitwise against it.
 
 Invariants, asserted across the differential matrix, the overlap
 benchmark gate and the oracle ``tests/reference_events.py``:
@@ -49,16 +49,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.graph import OperatorGraph, op_slots
-from repro.core.plan import (
-    CopyToCPU,
-    CopyToGPU,
-    ExecutionPlan,
-    Free,
-    Launch,
-    PeerCopy,
-    Step,
-)
+from repro.core.graph import Operator, OperatorGraph, op_slots
+from repro.core.plan import CopyToCPU, CopyToGPU, ExecutionPlan, Free, Launch, PeerCopy, Step
+from repro.core.walk import HOOKS, Observer, Residency
 from repro.gpusim import FLOAT_BYTES, CostModel, GpuDevice, HostSystem
 from repro.gpusim.profiler import Event, EventKind, Profile
 from repro.ops import get_impl, launch_cost
@@ -78,6 +71,10 @@ HOST_STREAM = "host"
 COPY_STREAM_MODES = ("per-direction", "shared")
 
 
+#: the engine each step type fires on; anything else runs host-side
+_STREAMS = {Launch: COMPUTE, CopyToGPU: H2D_STREAM, CopyToCPU: D2H_STREAM, PeerCopy: "p2p"}
+
+
 def step_stream(step: Step, *, copy_streams: str = "per-direction") -> str:
     """The stream a plan step fires on (static assignment).
 
@@ -86,15 +83,10 @@ def step_stream(step: Step, *, copy_streams: str = "per-direction") -> str:
     bookkeeping run host-side.  ``PeerCopy`` is labelled ``p2p`` — the
     multi-GPU executor owns those steps.
     """
-    if isinstance(step, Launch):
-        return COMPUTE
-    if isinstance(step, CopyToGPU):
-        return SHARED_COPY if copy_streams == "shared" else H2D_STREAM
-    if isinstance(step, CopyToCPU):
-        return SHARED_COPY if copy_streams == "shared" else D2H_STREAM
-    if isinstance(step, PeerCopy):
-        return "p2p"
-    return HOST_STREAM
+    stream = _STREAMS.get(type(step), HOST_STREAM)
+    if copy_streams == "shared" and stream in (H2D_STREAM, D2H_STREAM):
+        return SHARED_COPY
+    return stream
 
 
 def plan_streams(plan: ExecutionPlan, *, copy_streams: str = "per-direction") -> list[str]:
@@ -107,7 +99,7 @@ def plan_streams(plan: ExecutionPlan, *, copy_streams: str = "per-direction") ->
     multi = plan.num_devices > 1
     for i, step in enumerate(plan.steps):
         name = step_stream(step, copy_streams=copy_streams)
-        if isinstance(step, PeerCopy):
+        if name == "p2p":
             out.append(f"gpu{step.src}->gpu{step.dst}:p2p")
         elif multi and name != HOST_STREAM:
             out.append(f"gpu{plan.device_of(i)}:{name}")
@@ -204,63 +196,70 @@ def _build_event_graph(
     *,
     copy_streams: str,
 ) -> _EventGraph:
-    """Durations, dependency edges (both ways) and streams per plan step."""
+    """Durations, dependency edges (both ways) and streams per plan step:
+    a dependency observer on the residency machine."""
     if copy_streams not in COPY_STREAM_MODES:
         raise ValueError(
             f"copy_streams must be one of {COPY_STREAM_MODES}, "
             f"got {copy_streams!r}"
         )
-    if plan.num_devices > 1 or any(
-        isinstance(s, PeerCopy) for s in plan.steps
-    ):
+    if plan.num_devices > 1:
         raise ValueError(
             "the event engine executes single-device plans; multi-device "
             "plans run through repro.multigpu"
         )
     n = len(plan.steps)
-    eg = _EventGraph([0.0] * n, [[] for _ in range(n)], [[] for _ in range(n)], [])
     copies = (SHARED_COPY,) if copy_streams == "shared" else (H2D_STREAM, D2H_STREAM)
+    eg = _EventGraph([0.0] * n, [[] for _ in range(n)], [[] for _ in range(n)], [])
     eg.copy_queues = {name: [] for name in copies}
     last_upload: dict[str, int] = {}
     last_download: dict[str, int] = {}
     producer_launch: dict[str, int] = {}
     touched: dict[str, list[int]] = {}
-    for i, step in enumerate(plan.steps):
-        stream = step_stream(step, copy_streams=copy_streams)
+
+    def event(i: int, stream: str, deps: list[int]) -> None:
         eg.streams.append(stream)
-        deps = eg.deps[i]
-        if isinstance(step, (CopyToGPU, CopyToCPU)):
-            # Re-uploading evicted data needs the saving download done;
-            # a download needs the launch that produced the data.
-            up = isinstance(step, CopyToGPU)
-            source = (last_download if up else producer_launch).get(step.data)
-            if source is not None:
-                deps.append(source)
-            (last_upload if up else last_download)[step.data] = i
-            eg.durations[i] = cost.transfer_time_floats(graph.data[step.data].size)
-            eg.copy_queues[stream].append(i)
-            touched.setdefault(step.data, []).append(i)
-        elif isinstance(step, Launch):
-            op = graph.ops[step.op]
-            eg.durations[i] = cost.kernel_time(*launch_cost(op, graph))
-            deps.extend(last_upload[x] for x in op.inputs if x in last_upload)
-            if eg.compute_order:  # single in-order compute queue
-                deps.append(eg.compute_order[-1])
-            for x in op.outputs:
-                producer_launch[x] = i
-                last_upload.pop(x, None)  # device-born: no upload needed
-                touched.setdefault(x, []).append(i)
-            for x in op.inputs:
-                touched.setdefault(x, []).append(i)
-            eg.compute_order.append(i)
-        elif isinstance(step, Free):
-            # Host bookkeeping: fires after every prior touch of the
-            # buffer; costs nothing; nothing depends on it.
-            deps.extend(touched.get(step.data, ()))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
+        eg.deps[i] = deps
         for d in deps:
             eg.users[d].append(i)
+
+    def copy(i: int, stream: str, name: str, size: int, source: int | None) -> None:
+        eg.durations[i] = cost.transfer_time_floats(size)
+        eg.copy_queues[stream].append(i)
+        touched.setdefault(name, []).append(i)
+        event(i, stream, [] if source is None else [source])
+
+    def h2d(i: int, dev: int, name: str, size: int) -> None:
+        # Re-uploading evicted data needs the saving download done.
+        copy(i, copies[0], name, size, last_download.get(name))
+        last_upload[name] = i
+
+    def d2h(i: int, dev: int, name: str, size: int) -> None:
+        # A download needs the launch that produced the data.
+        copy(i, copies[-1], name, size, producer_launch.get(name))
+        last_download[name] = i
+
+    def launch(i: int, dev: int, op: Operator) -> None:
+        eg.durations[i] = cost.kernel_time(*launch_cost(op, graph))
+        deps = [last_upload[x] for x in op.inputs if x in last_upload]
+        if eg.compute_order:  # single in-order compute queue
+            deps.append(eg.compute_order[-1])
+        for x in op.outputs:
+            producer_launch[x] = i
+            last_upload.pop(x, None)  # device-born: no upload needed
+            touched.setdefault(x, []).append(i)
+        for x in op.inputs:
+            touched.setdefault(x, []).append(i)
+        eg.compute_order.append(i)
+        event(i, COMPUTE, deps)
+
+    def free(i: int, dev: int, name: str, size: int) -> None:
+        # Host bookkeeping: fires after every prior touch of the buffer;
+        # costs nothing; nothing depends on it.
+        event(i, HOST_STREAM, list(touched.get(name, ())))
+
+    observer = Observer(h2d=h2d, d2h=d2h, launch=launch, free=free)
+    Residency(graph, [plan.capacity_floats]).walk(plan, observer)
     return eg
 
 
@@ -501,7 +500,7 @@ def execute_plan_events(
     copy_streams: str = "per-direction",
     in_order_copy: bool = False,
 ) -> EventExecutionResult:
-    """Execute a validated plan on the discrete-event stream engine.
+    """Execute a plan on the discrete-event stream engine.
 
     Numeric work happens *inside* event firing: an upload materialises
     its host chunk onto the device store when the upload event fires, a
@@ -518,69 +517,46 @@ def execute_plan_events(
     hostmem: dict[str, np.ndarray] = {}
     profile = Profile()
 
-    def host_fetch(name: str) -> np.ndarray:
-        if name not in hostmem:
-            ds = graph.data[name]
-            if not ds.is_input:
-                raise KeyError(f"host read of {name!r} before it was saved")
-            hostmem[name] = input_chunk_array(graph, name, template_inputs)
-        return hostmem[name]
+    def h2d(step: CopyToGPU, start: float, end: float) -> None:
+        arr = hostmem.get(step.data)
+        if arr is None:  # the machine admitted a saved copy or a template input
+            arr = hostmem[step.data] = input_chunk_array(graph, step.data, template_inputs)
+        nbytes = arr.size * FLOAT_BYTES
+        profile.record(Event(EventKind.ALLOC, step.data, start, 0.0, nbytes))
+        profile.record(Event(EventKind.H2D, step.data, start, end - start, nbytes))
+        resident[step.data] = np.ascontiguousarray(arr, dtype=np.float32)
 
-    def fire(i: int, step: Step, stream: str, start: float, end: float) -> None:
-        if isinstance(step, CopyToGPU):
-            arr = host_fetch(step.data)
-            nbytes = arr.size * FLOAT_BYTES
-            profile.record(Event(EventKind.ALLOC, step.data, start, 0.0, nbytes))
-            profile.record(
-                Event(EventKind.H2D, step.data, start, end - start, nbytes)
-            )
-            resident[step.data] = np.ascontiguousarray(arr, dtype=np.float32)
-        elif isinstance(step, CopyToCPU):
-            arr = resident[step.data].copy()
-            hostmem[step.data] = arr
-            profile.record(
-                Event(
-                    EventKind.D2H, step.data, start, end - start,
-                    arr.size * FLOAT_BYTES,
-                )
-            )
-        elif isinstance(step, Launch):
-            op = graph.ops[step.op]
-            impl = get_impl(op.kind)
-            operands = [
-                gather_slot(graph, s, resident.__getitem__)
-                for s in op_slots(op, graph)
-            ]
-            results = impl.execute(op, operands)
+    def d2h(step: CopyToCPU, start: float, end: float) -> None:
+        arr = hostmem[step.data] = resident[step.data].copy()
+        profile.record(
+            Event(EventKind.D2H, step.data, start, end - start, arr.size * FLOAT_BYTES)
+        )
 
-            def put(name: str, array: np.ndarray) -> None:
-                profile.record(
-                    Event(
-                        EventKind.ALLOC, name, start, 0.0,
-                        graph.data[name].size * FLOAT_BYTES,
-                    )
-                )
-                resident[name] = np.ascontiguousarray(array, dtype=np.float32)
+    def launch(step: Launch, start: float, end: float) -> None:
+        op = graph.ops[step.op]
+        operands = [gather_slot(graph, s, resident.__getitem__) for s in op_slots(op, graph)]
+        results = get_impl(op.kind).execute(op, operands)
 
-            scatter_outputs(graph, op, results, put)
-            profile.record(
-                Event(
-                    EventKind.KERNEL, step.op, start, end - start,
-                    int(launch_cost(op, graph)[1]),
-                )
-            )
-        elif isinstance(step, Free):
-            profile.record(
-                Event(
-                    EventKind.FREE, step.data, start, 0.0,
-                    graph.data[step.data].size * FLOAT_BYTES,
-                )
-            )
-            resident.pop(step.data, None)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
+        def put(name: str, array: np.ndarray) -> None:
+            nbytes = graph.data[name].size * FLOAT_BYTES
+            profile.record(Event(EventKind.ALLOC, name, start, 0.0, nbytes))
+            resident[name] = np.ascontiguousarray(array, dtype=np.float32)
 
-    timeline = _run_event_loop(plan, eg, in_order_copy=in_order_copy, fire=fire)
+        scatter_outputs(graph, op, results, put)
+        profile.record(
+            Event(EventKind.KERNEL, step.op, start, end - start, int(launch_cost(op, graph)[1]))
+        )
+
+    def free(step: Free, start: float, end: float) -> None:
+        nbytes = graph.data[step.data].size * FLOAT_BYTES
+        profile.record(Event(EventKind.FREE, step.data, start, 0.0, nbytes))
+        resident.pop(step.data, None)
+
+    work = {"h2d": h2d, "d2h": d2h, "launch": launch, "free": free}
+    timeline = _run_event_loop(
+        plan, eg, in_order_copy=in_order_copy,
+        fire=lambda i, step, stream, start, end: work[HOOKS[type(step)]](step, start, end),
+    )
     timeline.copy_streams = copy_streams
     outputs = {
         name: assemble_root(graph, name, lambda n: hostmem[n])

@@ -1,13 +1,16 @@
 """Synchronous execution of plans on one to N simulated devices.
 
-The two synchronous step loops.  Each walks a device-tagged plan (an
-untagged plan runs on device 0) over one clock per device and reports
-the *makespan*, the slowest clock; one device is the N = 1 case:
+The two synchronous step loops, observers on the residency machine
+(:mod:`repro.core.walk`): a bad plan fails with its ``PlanError`` at the
+first bad step.  Each walks a device-tagged plan (an untagged plan runs
+on device 0) over one clock per device and reports the *makespan*, the
+slowest clock; one device is the N = 1 case:
 
 * :func:`execute_steps`, behind :func:`execute_plan` — real numpy
-  payloads on :class:`~repro.gpusim.SimRuntime` contexts.  Capacity is
-  *enforced by the allocator*, so an over-committing plan fails exactly
-  like it would on hardware; outputs are comparable to the host reference.
+  payloads on :class:`~repro.gpusim.SimRuntime` contexts.  The device's
+  capacity is *enforced by the allocator*, so a plan made for a bigger
+  device fails exactly like it would on hardware; outputs are
+  comparable to the host reference.
 * :func:`simulate_steps`, behind :func:`simulate_plan` — sizes only, for
   paper-scale workloads (the Table 1/2 configurations reach 17 GB
   footprints, which we account but never materialise).
@@ -31,13 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.graph import OperatorGraph, op_slots
-from repro.core.plan import CopyToCPU, CopyToGPU, ExecutionPlan, Free, Launch, PeerCopy
+from repro.core.plan import ExecutionPlan
+from repro.core.walk import Observer, Residency
 from repro.gpusim import (
     FLOAT_BYTES, CostModel, DeviceGroup, GpuDevice, HostSystem, SharedBus, SimRuntime,
 )
@@ -75,26 +78,21 @@ def execute_steps(
     runtimes: Sequence[SimRuntime],
     template_inputs: Mapping[str, np.ndarray],
     group: DeviceGroup,
+    caps: Sequence[int],
     *,
     bus: SharedBus | None = None,
     host_avail: dict[str, float] | None = None,
 ) -> dict[str, np.ndarray]:
     """The numeric step loop; returns the assembled template outputs.
 
-    ``runtimes[i]`` runs device ``i`` of ``group``.  ``bus`` and
-    ``host_avail`` are coordination state the caller may keep.
+    ``runtimes[i]`` runs device ``i`` of ``group`` within ``caps[i]``.
+    ``bus`` and ``host_avail`` are coordination state the caller may keep.
     """
     host: dict[str, np.ndarray] = {}
+    data = graph.data
     avail = {} if host_avail is None else host_avail
     inputs_bytes = sum(np.asarray(a).size * FLOAT_BYTES for a in template_inputs.values())
     copies = 0  # bytes of downloaded intermediates the host keeps
-
-    def host_fetch(name: str) -> np.ndarray:
-        if name not in host:
-            if not graph.data[name].is_input:
-                raise KeyError(f"host read of {name!r} before it was saved")
-            host[name] = input_chunk_array(graph, name, template_inputs)
-        return host[name]
 
     def over_bus(rt: SimRuntime, copy):
         """Run one host<->device copy, serialized over the shared bus."""
@@ -108,53 +106,58 @@ def execute_steps(
         return out
 
     def put(rt: SimRuntime, name: str, array: np.ndarray) -> None:
-        rt.malloc(name, graph.data[name].size * FLOAT_BYTES)
+        rt.malloc(name, data[name].size * FLOAT_BYTES)
         rt.write_device(name, array)
+
+    def h2d(i: int, dev: int, name: str, size: int) -> None:
+        rt = runtimes[dev]
+        arr = host.get(name)
+        if arr is None:  # the machine admits a saved copy or a template input
+            arr = host[name] = input_chunk_array(graph, name, template_inputs)
+        rt.clock = max(rt.clock, avail.get(name, 0.0))
+        rt.malloc(name, arr.size * FLOAT_BYTES)
+        over_bus(rt, lambda: rt.memcpy_h2d(name, arr))
+
+    def d2h(i: int, dev: int, name: str, size: int) -> None:
+        nonlocal copies
+        rt = runtimes[dev]
+        arr = over_bus(rt, lambda: rt.memcpy_d2h(name))
+        avail[name] = max(avail.get(name, 0.0), rt.clock)
+        if not data[name].is_input:
+            old = host.get(name)
+            copies += (arr.size - (0 if old is None else old.size)) * FLOAT_BYTES
+            for r in runtimes:
+                r.host_working_set = inputs_bytes + copies
+        host[name] = arr
+
+    def p2p(i: int, name: str, s: int, d: int, size: int) -> None:
+        src, dst = runtimes[s], runtimes[d]
+        array = src.read_device(name)
+        nbytes = array.size * FLOAT_BYTES
+        dst.malloc(name, nbytes)
+        dst.write_device(name, array)
+        dt = group.peer_time(nbytes)
+        begin = max(src.clock, dst.clock)
+        for side, label in ((src, f"->gpu{d}"), (dst, f"<-gpu{s}")):
+            side.profile.record(Event(EventKind.P2P, name + label, begin, dt, nbytes))
+        src.clock = dst.clock = begin + dt
+
+    def free(i: int, dev: int, name: str, size: int) -> None:
+        runtimes[dev].free(name)
+
+    def launch(i: int, dev: int, op) -> None:
+        rt = runtimes[dev]
+        impl = get_impl(op.kind)
+        ins = [gather_slot(graph, s, rt.read_device) for s in op_slots(op, graph)]
+        scatter_outputs(graph, op, impl.execute(op, ins), partial(put, rt))
+        rt.launch(op.name, *launch_cost(op, graph))
 
     for rt in runtimes:
         rt.host_working_set = inputs_bytes
-    for step, dev in zip(plan.steps, plan.devices or repeat(0)):
-        rt = runtimes[dev]
-        if isinstance(step, CopyToGPU):
-            name = step.data
-            arr = host_fetch(name)
-            rt.clock = max(rt.clock, avail.get(name, 0.0))
-            rt.malloc(name, arr.size * FLOAT_BYTES)
-            over_bus(rt, lambda: rt.memcpy_h2d(name, arr))
-        elif isinstance(step, CopyToCPU):
-            name = step.data
-            arr = over_bus(rt, lambda: rt.memcpy_d2h(name))
-            avail[name] = max(avail.get(name, 0.0), rt.clock)
-            if not graph.data[name].is_input:
-                old = host.get(name)
-                copies += (arr.size - (0 if old is None else old.size)) * FLOAT_BYTES
-                for r in runtimes:
-                    r.host_working_set = inputs_bytes + copies
-            host[name] = arr
-        elif isinstance(step, PeerCopy):
-            src, dst = runtimes[step.src], runtimes[step.dst]
-            array = src.read_device(step.data)
-            nbytes = array.size * FLOAT_BYTES
-            dst.malloc(step.data, nbytes)
-            dst.write_device(step.data, array)
-            dt = group.peer_time(nbytes)
-            begin = max(src.clock, dst.clock)
-            for side, label in ((src, f"->gpu{step.dst}"), (dst, f"<-gpu{step.src}")):
-                side.profile.record(Event(EventKind.P2P, step.data + label, begin, dt, nbytes))
-            src.clock = dst.clock = begin + dt
-        elif isinstance(step, Free):
-            rt.free(step.data)
-        elif isinstance(step, Launch):
-            op = graph.ops[step.op]
-            impl = get_impl(op.kind)
-            ins = [gather_slot(graph, s, rt.read_device) for s in op_slots(op, graph)]
-            scatter_outputs(graph, op, impl.execute(op, ins), partial(put, rt))
-            rt.launch(step.op, *launch_cost(op, graph))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
+    Residency(graph, caps).walk(plan, Observer(h2d=h2d, d2h=d2h, p2p=p2p, free=free, launch=launch))
     return {
         name: assemble_root(graph, name, lambda n: host[n])
-        for name, ds in graph.data.items()
+        for name, ds in data.items()
         if ds.is_output and ds.parent is None
     }
 
@@ -165,9 +168,9 @@ def execute_plan(
     runtime: SimRuntime,
     template_inputs: Mapping[str, np.ndarray],
 ) -> ExecutionResult:
-    """Run a validated plan on the simulated device with real payloads."""
-    group = DeviceGroup((runtime.device,))
-    outputs = execute_steps(plan, graph, [runtime], template_inputs, group)
+    """Run a plan on the simulated device with real payloads."""
+    group, caps = DeviceGroup((runtime.device,)), [plan.capacity_floats]
+    outputs = execute_steps(plan, graph, [runtime], template_inputs, group, caps)
     prof = runtime.profile
     metrics = getattr(runtime, "metrics", None)
     if metrics is not None:
@@ -233,45 +236,38 @@ def simulate_steps(
     plan: ExecutionPlan,
     graph: OperatorGraph,
     group: DeviceGroup,
+    caps: Sequence[int],
     host: HostSystem | None = None,
     record_events: bool = False,
 ) -> tuple[SimulatedRun, list[float], list[int], float, int]:
-    """The sizes-only step loop, against the group's cost model.
+    """The sizes-only step loop, against the group's cost model, device
+    ``i`` within ``caps[i]``.
 
     Returns the aggregate run plus what only N devices add: per-device
     clocks and peak footprints, peer-copy seconds and peer floats.
     """
-    n = len(group)
     costs = [CostModel(d, host) for d in group.devices]
     bus = SharedBus() if group.shared_bus else None
-    data = graph.data
-    last_read: dict[str, int] = {}  # data -> index of the last launch reading it
-    t = 0
-    for step in plan.steps:
-        if isinstance(step, Launch):
-            for d in graph.ops[step.op].inputs:
-                last_read[d] = t
-            t += 1
-
-    inputs_bytes = sum(
-        ds.size * FLOAT_BYTES for ds in data.values() if ds.is_input and not ds.virtual
-    )
+    data, consumers, steps, sizes = graph.data, graph.consumers, plan.steps, graph.data_sizes()
+    machine = Residency(graph, caps)
+    executed = machine.executed
+    inputs_bytes = FLOAT_BYTES * sum(sizes[d] for d in machine.on_host)  # template inputs
     copies = 0  # bytes of live host copies of intermediates
     live: dict[str, int] = {}
-    retire: dict[int, list[str]] = {}  # launch index -> host copies dead once it ran
+    # A host copy of an intermediate dies after the later of the next
+    # launch and the last launch that reads it.
+    retire_next: list[str] = []  # every reader has run
+    awaiting: dict[str, int] = {}  # readers still to run
     host_avail: dict[str, float] = {}
-    clocks = [0.0] * n
-    resident: list[dict[str, int]] = [dict() for _ in range(n)]
-    used = [0] * n
-    peak = [0] * n
+    clocks = [0.0] * len(group)
     transfer_time = compute_time = peer_time = 0.0
-    h2d = d2h = peer = 0
+    h2d_floats = d2h_floats = peer = 0
     peak_host = inputs_bytes
     thrashed = False
     events: list[tuple[str, float]] = []
 
     def host_transfer(dev: int, nfloats: int) -> float:
-        nonlocal thrashed
+        nonlocal thrashed, transfer_time
         dt = costs[dev].transfer_time_floats(nfloats)
         if costs[dev].thrashing(inputs_bytes + copies):
             thrashed = True
@@ -280,66 +276,72 @@ def simulate_steps(
             clocks[dev] += dt
         else:
             clocks[dev] = bus.acquire(clocks[dev], dt)[1]
+        transfer_time += dt
         return dt
 
-    t = 0
-    for step, dev in zip(plan.steps, plan.devices or repeat(0)):
-        if isinstance(step, CopyToGPU):
-            size = data[step.data].size
-            clocks[dev] = max(clocks[dev], host_avail.get(step.data, 0.0))
-            dt = host_transfer(dev, size)
-            transfer_time += dt
-            h2d += size
-            resident[dev][step.data] = size
-            used[dev] += size
-            peak[dev] = max(peak[dev], used[dev])
-        elif isinstance(step, CopyToCPU):
-            name = step.data
-            ds = data[name]
-            dt = host_transfer(dev, ds.size)
-            transfer_time += dt
-            d2h += ds.size
-            host_avail[name] = max(host_avail.get(name, 0.0), clocks[dev])
-            if not ds.is_input:
-                copies += ds.size * FLOAT_BYTES - live.get(name, 0)
-                live[name] = ds.size * FLOAT_BYTES
-                peak_host = max(peak_host, inputs_bytes + copies)
-                if not ds.is_output:
-                    # dies after the later of the next launch and its last read
-                    retire.setdefault(max(t, last_read.get(name, -1)), []).append(name)
-        elif isinstance(step, PeerCopy):
-            size = data[step.data].size
-            dt = group.peer_time(size * FLOAT_BYTES)
-            begin = max(clocks[step.src], clocks[step.dst])
-            clocks[step.src] = clocks[step.dst] = begin + dt
-            peer_time += dt
-            peer += size
-            resident[step.dst][step.data] = size
-            used[step.dst] += size
-            peak[step.dst] = max(peak[step.dst], used[step.dst])
-        elif isinstance(step, Free):
-            used[dev] -= resident[dev].pop(step.data)
-            dt = 0.0
-        elif isinstance(step, Launch):
-            op = graph.ops[step.op]
-            dt = costs[dev].kernel_time(*launch_cost(op, graph))
-            clocks[dev] += dt
-            compute_time += dt
-            for d in op.outputs:
-                resident[dev][d] = data[d].size
-                used[dev] += data[d].size
-            peak[dev] = max(peak[dev], used[dev])
-            for d in retire.pop(t, ()):
+    def h2d(i: int, dev: int, name: str, size: int) -> float:
+        nonlocal h2d_floats
+        clocks[dev] = max(clocks[dev], host_avail.get(name, 0.0))
+        h2d_floats += size
+        return host_transfer(dev, size)
+
+    def d2h(i: int, dev: int, name: str, size: int) -> float:
+        nonlocal d2h_floats, copies, peak_host
+        dt = host_transfer(dev, size)
+        d2h_floats += size
+        host_avail[name] = max(host_avail.get(name, 0.0), clocks[dev])
+        ds = data[name]
+        if not ds.is_input:
+            copies += size * FLOAT_BYTES - live.get(name, 0)
+            live[name] = size * FLOAT_BYTES
+            peak_host = max(peak_host, inputs_bytes + copies)
+            if not ds.is_output:
+                left = sum(c not in executed for c in consumers[name])
+                if left:
+                    awaiting[name] = left
+                else:
+                    retire_next.append(name)
+        return dt
+
+    def p2p(i: int, name: str, src: int, dst: int, size: int) -> float:
+        nonlocal peer_time, peer
+        dt = group.peer_time(size * FLOAT_BYTES)
+        clocks[src] = clocks[dst] = max(clocks[src], clocks[dst]) + dt
+        peer_time += dt
+        peer += size
+        return dt
+
+    def launch(i: int, dev: int, op) -> float:
+        nonlocal compute_time, copies
+        dt = costs[dev].kernel_time(*launch_cost(op, graph))
+        clocks[dev] += dt
+        compute_time += dt
+        for d in retire_next:
+            copies -= live.pop(d, 0)
+        retire_next.clear()
+        for d in op.inputs:
+            left = awaiting.get(d)
+            if left == 1:
+                del awaiting[d]
                 copies -= live.pop(d, 0)
-            t += 1
-        if record_events:
-            events.append((str(step), dt))
+            elif left:
+                awaiting[d] = left - 1
+        return dt
+
+    hooks = {"h2d": h2d, "d2h": d2h, "p2p": p2p, "launch": launch, "free": None}
+    if record_events:
+        def recorded(hook):
+            return lambda i, *args: events.append((str(steps[i]), hook(i, *args) if hook else 0.0))
+
+        hooks = {name: recorded(hook) for name, hook in hooks.items()}
+    machine.walk(plan, Observer(**hooks))
     run = SimulatedRun(
         total_time=max(clocks), transfer_time=transfer_time, compute_time=compute_time,
-        h2d_floats=h2d, d2h_floats=d2h, launches=t, peak_device_floats=max(peak),
-        peak_host_bytes=peak_host, thrashed=thrashed, events=events,
+        h2d_floats=h2d_floats, d2h_floats=d2h_floats, launches=len(executed),
+        peak_device_floats=max(machine.peak), peak_host_bytes=peak_host,
+        thrashed=thrashed, events=events,
     )
-    return run, clocks, peak, peer_time, peer
+    return run, clocks, machine.peak, peer_time, peer
 
 
 def simulate_plan(
@@ -351,4 +353,5 @@ def simulate_plan(
     record_events: bool = False,
 ) -> SimulatedRun:
     """Walk a plan analytically against the device/host cost model."""
-    return simulate_steps(plan, graph, DeviceGroup((device,)), host, record_events)[0]
+    caps = [plan.capacity_floats]  # the capacity the plan was made for
+    return simulate_steps(plan, graph, DeviceGroup((device,)), caps, host, record_events)[0]

@@ -17,6 +17,10 @@ is the gate that does not drift.  The pins here are exact:
   dependency edge once: its time grows linearly with plan steps.
 * A cold compile never lists a plan's launches; a warm compile
   allocates the same few bytes whatever the size of the plan it hits.
+* Every plan walker is one residency-machine walk: each entry point
+  visits each step once, a cold compile walks each candidate plan once,
+  and a valid plan never asks for an operator's predecessors (only a
+  failing launch does, to name the dependency it lacks).
 """
 
 import math
@@ -26,17 +30,18 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis import best_possible
+from repro.analysis import best_possible, plan_timeline
 from repro.codegen import generate_python
 from repro.core import CompileOptions, Framework, PlanCache, make_feasible
 from repro.core import framework as framework_module
 from repro.core import graph as graph_module
 from repro.core import splitting as splitting_module
 from repro.core.graph import DataStructure, GraphError, Operator, OperatorGraph
-from repro.core.plan import ExecutionPlan, Launch
+from repro.core.plan import ExecutionPlan, Launch, validate_plan
+from repro.core.walk import Residency
 from repro.obs import provenance_summary
 from repro.gpusim import XEON_WORKSTATION, GpuDevice, SimRuntime, homogeneous_group
-from repro.multigpu import simulate_multi_plan
+from repro.multigpu import MultiSimRuntime, execute_multi_plan, simulate_multi_plan
 from repro.ops import get_impl, known_kinds
 from repro.runtime import (
     dynamic_execute,
@@ -279,3 +284,75 @@ def test_a_warm_compile_allocates_the_same_for_any_plan_size():
     small_ops, small = warm_compile_peak_bytes(find_edges_graph(48, 40, 5, 4), DEVICE)
     assert big_ops >= 5000 and small_ops < 100
     assert big - small < 2048, (big, small)
+
+
+#: every entry point that walks a compiled plan through the machine
+PLAN_WALKS = {
+    "validate_plan": lambda c: validate_plan(c.plan, c.graph),
+    "plan_timeline": lambda c: plan_timeline(c.plan, c.graph),
+    "execute_multi_plan": lambda c: execute_multi_plan(
+        c.plan, c.graph, MultiSimRuntime(homogeneous_group(DEVICE, 1), HOST), INPUTS
+    ),
+    **{name: WALKS[name] for name in (
+        "simulate_plan", "simulate_multi_plan", "execute_plan",
+        "simulate_plan_events", "execute_plan_events", "simulate_plan_overlap",
+    )},
+}
+
+
+class Steps(list):
+    """A plan's step list that counts the steps handed out by iteration."""
+
+    visits = 0
+
+    def __iter__(self):
+        for step in list.__iter__(self):
+            self.visits += 1
+            yield step
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The plans every ``Residency.walk`` call was made for."""
+    plans: list = []
+    real = Residency.walk
+
+    def counting(self, plan, observer=None):
+        plans.append(plan)
+        return real(self, plan, observer)
+
+    monkeypatch.setattr(Residency, "walk", counting)
+    return plans
+
+
+@pytest.mark.parametrize("entry", list(PLAN_WALKS))
+def test_each_entry_point_visits_each_step_once(compiled, walks, entry):
+    plan = compiled.plan
+    plan.summary(compiled.graph)  # the accounting memo a compile fills
+    plan.steps = Steps(plan.steps)
+    PLAN_WALKS[entry](compiled)
+    assert walks == [plan]
+    assert plan.steps.visits == len(plan.steps)
+
+
+@pytest.mark.parametrize("entry", list(PLAN_WALKS))
+def test_a_valid_plan_never_asks_for_predecessors(compiled, monkeypatch, entry):
+    calls = []
+    real = OperatorGraph.op_predecessors
+
+    def counting(self, op_name):
+        calls.append(op_name)
+        return real(self, op_name)
+
+    monkeypatch.setattr(OperatorGraph, "op_predecessors", counting)
+    PLAN_WALKS[entry](compiled)
+    assert calls == []
+
+
+def test_a_cold_compile_walks_each_candidate_plan_once(walks):
+    template = find_edges_graph(96, 80, 5, 4)
+    compiled = Framework(DEVICE, host=HOST, plan_cache=PlanCache()).compile(template)
+    candidates = compiled.metrics["counters"]["compile.candidates"]
+    assert candidates > 1
+    assert len(walks) == len({id(plan) for plan in walks}) <= candidates
+    assert any(plan is compiled.plan for plan in walks)

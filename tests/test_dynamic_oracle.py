@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import Framework, validate_plan
 from repro.gpusim import XEON_WORKSTATION, GpuDevice, SimRuntime
-from repro.runtime import dynamic, dynamic_execute, simulate_plan
+from repro.runtime import dynamic, dynamic_execute, execute_plan, simulate_plan
 from repro.templates import (
     SMALL_CNN,
     cnn_graph,
@@ -73,13 +73,13 @@ def test_matches_the_former_step_loop(
     device, compiled, inputs = compiled_case(template, mem_kb)
     graph, host_system = compiled.graph, HOSTS[host]
     op_order = compiled.op_order if order == "compiled" else None
-    validated = []  # the plan the executor ran, as validate_plan accepted it
+    ran = []  # the plan the executor ran; its walk checked it
 
-    def spy(plan, graph):
-        validated.append(plan)
-        return validate_plan(plan, graph)
+    def spy(plan, *args):
+        ran.append(plan)
+        return execute_plan(plan, *args)
 
-    monkeypatch.setattr(dynamic, "validate_plan", spy)
+    monkeypatch.setattr(dynamic, "execute_plan", spy)
     old_rt = SimRuntime(device, host_system)
     old = reference_dynamic.dynamic_execute(graph, old_rt, inputs, op_order)
     new_rt = SimRuntime(device, host_system)
@@ -95,6 +95,7 @@ def test_matches_the_former_step_loop(
         assert getattr(new, field) == getattr(old, field), field
     assert new_rt.profile.events == old_rt.profile.events
 
-    (plan,) = validated
+    (plan,) = ran
+    validate_plan(plan, graph)
     sim = simulate_plan(plan, graph, device, host_system)
     assert sim.transfer_floats == new.transfer_floats

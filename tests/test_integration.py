@@ -164,7 +164,7 @@ class TestFailureInjection:
 
     def test_executor_rejects_missing_buffer(self):
         """Execution of a plan referencing an unallocated buffer fails
-        loudly in the simulated runtime, not silently."""
+        loudly at that step, with the validator's message."""
         from repro.core.plan import CopyToCPU, ExecutionPlan
         from repro.gpusim import SimRuntime
         from repro.runtime import execute_plan
@@ -172,7 +172,7 @@ class TestFailureInjection:
         g = find_edges_graph(16, 16, 3, 2)
         plan = ExecutionPlan([CopyToCPU("Edg")], 10**9)
         rt = SimRuntime(GpuDevice(name="x", memory_bytes=1 << 20))
-        with pytest.raises(KeyError):
+        with pytest.raises(PlanError, match=r"^step 0: d2h of 'Edg' not on device 0$"):
             execute_plan(plan, g, rt, find_edges_inputs(16, 16, 3, 2))
 
 

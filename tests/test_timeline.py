@@ -1,7 +1,14 @@
 """Tests for the Figure-6-style plan timeline renderer."""
 
+import json
+import os
+from pathlib import Path
+
+import pytest
+
 from repro.analysis import plan_timeline, render_timeline
 from repro.core import Framework, dfs_schedule, schedule_transfers
+from repro.core import plan_from_dict
 from repro.core.plan import CopyToGPU, Free, Launch
 from repro.gpusim import GpuDevice
 from repro.templates import find_edges_graph
@@ -91,3 +98,38 @@ class TestRender:
         c = build()
         text = render_timeline(c.plan, c.graph)
         assert "#" in text and "?" not in text
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _golden_edge():
+    """The committed edge golden plan over its recompiled graph."""
+    from tests.test_golden_plans import _edge_compiled
+
+    plan = plan_from_dict(json.loads((GOLDEN_DIR / "edge_plan.json").read_text()))
+    return plan, _edge_compiled().graph
+
+
+def _rows_text(rows) -> str:
+    return "".join(
+        json.dumps([r.step, r.gpu_resident, r.gpu_floats, r.host_copies]) + "\n"
+        for r in rows
+    )
+
+
+class TestGoldenTimeline:
+    """``plan_timeline`` rows and ``render_timeline`` text for the edge
+    golden plan, byte for byte.  Regenerate with ``REGEN_GOLDEN=1``."""
+
+    @pytest.mark.parametrize("name", ["edge_timeline_rows.txt", "edge_timeline.txt"])
+    def test_edge_golden(self, name):
+        plan, graph = _golden_edge()
+        if name == "edge_timeline.txt":
+            got = render_timeline(plan, graph) + "\n"
+        else:
+            got = _rows_text(plan_timeline(plan, graph))
+        path = GOLDEN_DIR / name
+        if os.environ.get("REGEN_GOLDEN"):
+            path.write_text(got)
+        assert got == path.read_text()
