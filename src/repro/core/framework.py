@@ -207,7 +207,7 @@ class Framework:
                     "compile.done",
                     template=template.name,
                     cached=True,
-                    seconds=sum(s.duration for s in compiled.spans),
+                    seconds=compiled.spans[0].duration,  # the hit's root span
                 )
                 return compiled
         try:

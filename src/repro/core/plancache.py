@@ -291,7 +291,7 @@ class PlanCache:
         """
 
     def __len__(self) -> int:
-        return len(self._mem)
+        return len(self._mem)  # one C call: no subclass needs a lock here
 
     def stats(self) -> dict[str, int]:
         return {
@@ -538,10 +538,6 @@ class SharedPlanCache(PlanCache):
             held, self._held = dict(self._held), {}
         for lock in held.values():
             lock.release()
-
-    def __len__(self) -> int:
-        with self._tlock:
-            return len(self._mem)
 
     def stats(self) -> dict[str, int]:
         with self._tlock:

@@ -20,8 +20,11 @@ one context-variable read, so library code pays nothing when no one is
 watching.
 
 The ring is bounded (``capacity`` events, oldest dropped first, drops
-counted — never silently) and every mutation is lock-protected, so many
-worker threads can publish while an exporter thread reads.  A capacity
+counted — never silently) and an emit takes no lock: its ``seq`` comes
+from an :func:`itertools.count` and it lands in a ``deque(maxlen)``,
+each one call that is atomic under the GIL, so many threads publish
+while an exporter reads.  Only a sink (the flight recorder's tee) makes
+emits serialise, so the sink sees events in ``seq`` order.  A capacity
 of 0 disables the log entirely: ``emit`` returns immediately, which is
 the telemetry-off configuration the overhead benchmark measures against.
 
@@ -32,17 +35,24 @@ This module sits at the bottom of the import graph (no ``repro.core`` /
 from __future__ import annotations
 
 import contextvars
+import itertools
 import json
 import threading
 import time
-from contextlib import contextmanager
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from operator import attrgetter
+from typing import Any
 
 DEFAULT_CAPACITY = 4096
+#: ring slots beyond ``capacity``: an emitter switched out between
+#: taking its seq and appending lands after newer events, so the ring
+#: keeps room for that many late arrivals and reads order by seq
+_LATE_SLOTS = 64
+_SEQ = attrgetter("seq")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TelemetryEvent:
     """One timestamped occurrence on the event bus.
 
@@ -59,6 +69,14 @@ class TelemetryEvent:
     kind: str
     request_id: int | None = None
     fields: dict[str, Any] = field(default_factory=dict)
+
+    def __init__(self, seq: int, ts: float, kind: str,
+                 request_id: int | None = None,
+                 fields: dict[str, Any] | None = None) -> None:
+        # One write of the instance dict: a frozen dataclass's own
+        # __init__ pays a guarded setattr per field, on every emit.
+        self.__dict__.update(seq=seq, ts=ts, kind=kind, request_id=request_id,
+                             fields={} if fields is None else fields)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -87,10 +105,11 @@ class EventLog:
             raise ValueError("capacity must be >= 0")
         self.capacity = capacity
         self._clock = clock
-        self._lock = threading.Lock()
-        self._events: list[TelemetryEvent] = []
-        self._start = 0  # ring read index
-        self._seq = 0
+        self._ring: deque[TelemetryEvent] = deque(
+            maxlen=capacity + _LATE_SLOTS if capacity else 0
+        )
+        self._seq = itertools.count()
+        self._lock = threading.Lock()  # sinks only
         self._sinks: list = []
         self.sink_errors = 0
 
@@ -104,21 +123,10 @@ class EventLog:
         """Append one event; returns it (or ``None`` when disabled)."""
         if self.capacity == 0:
             return None
-        ts = self._clock()
+        if not self._sinks:
+            return self._append(kind, request_id, fields)
         with self._lock:
-            event = TelemetryEvent(
-                seq=self._seq,
-                ts=ts,
-                kind=kind,
-                request_id=request_id,
-                fields=fields,
-            )
-            self._seq += 1
-            if len(self._events) < self.capacity:
-                self._events.append(event)
-            else:  # overwrite the oldest slot
-                self._events[self._start] = event
-                self._start = (self._start + 1) % self.capacity
+            event = self._append(kind, request_id, fields)
             # Sinks run inside the lock so a durable tee (the flight
             # recorder) sees events in exact seq order; they must be
             # fast, and they must never break the publishing request.
@@ -129,14 +137,20 @@ class EventLog:
                     self.sink_errors += 1
         return event
 
+    def _append(self, kind: str, request_id: int | None,
+                fields: dict[str, Any]) -> TelemetryEvent:
+        event = TelemetryEvent(next(self._seq), self._clock(), kind, request_id, fields)
+        self._ring.append(event)
+        return event
+
     def add_sink(self, sink) -> None:
         """Tee every future event into ``sink(event)``.
 
-        Sinks are invoked synchronously inside the ring lock (events
-        arrive in strict ``seq`` order, with no reordering window for a
-        crash to exploit); exceptions are swallowed and counted in
-        ``sink_errors`` — observability must never fail the request
-        being observed.
+        While a sink is attached, emits take the sink lock and invoke it
+        synchronously (events arrive in strict ``seq`` order, with no
+        reordering window for a crash to exploit); exceptions are
+        swallowed and counted in ``sink_errors`` — observability must
+        never fail the request being observed.
         """
         with self._lock:
             self._sinks.append(sink)
@@ -150,6 +164,10 @@ class EventLog:
                 pass
 
     # -- queries ---------------------------------------------------------
+    def _retained(self) -> list[TelemetryEvent]:
+        """The newest ``capacity`` events, in seq order."""
+        return sorted(self._ring, key=_SEQ)[-self.capacity:] if self.capacity else []
+
     def events(
         self,
         *,
@@ -163,8 +181,7 @@ class EventLog:
         by exact kind or dotted prefix (``"service."``); ``limit`` keeps
         the *newest* N after filtering.
         """
-        with self._lock:
-            ordered = self._events[self._start:] + self._events[: self._start]
+        ordered = self._retained()
         if request_id is not None:
             ordered = [e for e in ordered if e.request_id == request_id]
         if kind is not None:
@@ -177,24 +194,30 @@ class EventLog:
         return ordered
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
+        return min(len(self._ring), self.capacity)
 
     @property
     def total_emitted(self) -> int:
-        with self._lock:
-            return self._seq
+        # A count's repr names its next value: the one read of an
+        # itertools.count that does not advance it.
+        return int(repr(self._seq)[6:-1])
 
     @property
     def dropped(self) -> int:
         """Events evicted by the ring bound (0 while under capacity)."""
-        with self._lock:
-            return self._seq - len(self._events)
+        return self.total_emitted - len(self)
+
+    def stats(self) -> dict[str, int]:
+        """``capacity``, ``emitted`` and ``dropped``: the ring's health."""
+        emitted = self.total_emitted
+        return {
+            "capacity": self.capacity,
+            "emitted": emitted,
+            "dropped": emitted - len(self),
+        }
 
     def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-            self._start = 0
+        self._ring.clear()
 
     def to_ndjson(
         self, *, request_id: int | None = None, limit: int | None = None
@@ -215,18 +238,23 @@ _CONTEXT: contextvars.ContextVar[tuple[EventLog, int | None] | None] = (
 )
 
 
-@contextmanager
-def bind(log: EventLog, request_id: int | None = None) -> Iterator[None]:
+class bind:  # noqa: N801 - used as a function: ``with bind(log, id):``
     """Make ``log``/``request_id`` the ambient publish target.
 
     Context variables are per-thread (and per-async-task), so worker
     threads binding different request ids never observe each other's.
     """
-    token = _CONTEXT.set((log, request_id))
-    try:
-        yield
-    finally:
-        _CONTEXT.reset(token)
+
+    __slots__ = ("_context", "_token")
+
+    def __init__(self, log: EventLog, request_id: int | None = None) -> None:
+        self._context = (log, request_id)
+
+    def __enter__(self) -> None:
+        self._token = _CONTEXT.set(self._context)
+
+    def __exit__(self, *exc: Any) -> None:
+        _CONTEXT.reset(self._token)
 
 
 def publish(kind: str, **fields: Any) -> TelemetryEvent | None:
@@ -264,39 +292,20 @@ def timeline_to_chrome(
     epoch = events[0].ts
     rid = events[0].request_id
     name = track or (f"request {rid}" if rid is not None else "events")
-    out: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": name,
-            "tid": name,
-            "args": {"name": name},
-        }
-    ]
+    out: list[dict[str, Any]] = [{
+        "name": "process_name", "ph": "M", "pid": name, "tid": name,
+        "args": {"name": name},
+    }]
     for e in events:
         ts_us = (e.ts - epoch) * 1e6
-        args = {"seq": e.seq, "request_id": e.request_id, **e.fields}
+        mark = {"name": e.kind, "pid": name, "tid": name,
+                "args": {"seq": e.seq, "request_id": e.request_id, **e.fields}}
         seconds = e.fields.get("seconds")
         if isinstance(seconds, (int, float)) and seconds > 0:
-            out.append({
-                "name": e.kind,
-                "ph": "X",
-                "ts": max(ts_us - seconds * 1e6, 0.0),
-                "dur": seconds * 1e6,
-                "pid": name,
-                "tid": name,
-                "args": args,
-            })
+            mark.update(ph="X", ts=max(ts_us - seconds * 1e6, 0.0), dur=seconds * 1e6)
         else:
-            out.append({
-                "name": e.kind,
-                "ph": "i",
-                "s": "t",
-                "ts": ts_us,
-                "pid": name,
-                "tid": name,
-                "args": args,
-            })
+            mark.update(ph="i", s="t", ts=ts_us)
+        out.append(mark)
     return out
 
 

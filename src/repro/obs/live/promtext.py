@@ -152,21 +152,12 @@ class PromText:
         gauge.  Ring overflow (``repro_events_dropped_total`` climbing)
         is the scrape-visible sign that ``telemetry_events`` is too
         small for the traffic."""
-        self.counter(
-            "events.emitted",
-            stats.get("emitted", 0),
-            help_text="Telemetry events published to the live event ring",
-        )
-        self.counter(
-            "events.dropped",
-            stats.get("dropped", 0),
-            help_text="Telemetry events evicted by the ring capacity bound",
-        )
-        self.gauge(
-            "events.capacity",
-            stats.get("capacity", 0),
-            help_text="Configured capacity of the live event ring",
-        )
+        self.counter("events.emitted", stats.get("emitted", 0), help_text=(
+            "Telemetry events published to the live event ring"))
+        self.counter("events.dropped", stats.get("dropped", 0), help_text=(
+            "Telemetry events evicted by the ring capacity bound"))
+        self.gauge("events.capacity", stats.get("capacity", 0), help_text=(
+            "Configured capacity of the live event ring"))
 
     def registry(self, snapshot: Mapping[str, Any]) -> None:
         """Emit every metric of a :meth:`MetricsRegistry.snapshot` dict."""

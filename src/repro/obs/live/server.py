@@ -74,62 +74,35 @@ class StatusServer:
 
             def do_GET(self) -> None:  # noqa: N802 (http.server API)
                 url = urlsplit(self.path)
+                query = parse_qs(url.query)
+                get = outer._providers
+
+                def _int(key: str) -> int | None:
+                    raw = query.get(key, [None])[0]
+                    return None if raw is None else int(raw)
+
+                routes = {
+                    "/metrics": lambda: (PROM_CONTENT_TYPE, get["metrics"]()),
+                    "/slo": lambda: (
+                        JSON_CONTENT_TYPE, json.dumps(get["slo"](), sort_keys=True)),
+                    "/requests": lambda: (NDJSON_CONTENT_TYPE, get["requests"](
+                        _int("request_id"), _int("limit"))),
+                    "/healthz": lambda: (
+                        JSON_CONTENT_TYPE, json.dumps(get["health"](), sort_keys=True)),
+                }
                 try:
-                    if url.path == "/metrics":
-                        self._reply(
-                            200, PROM_CONTENT_TYPE,
-                            outer._providers["metrics"](),
-                        )
-                    elif url.path == "/slo":
-                        self._reply(
-                            200, JSON_CONTENT_TYPE,
-                            json.dumps(
-                                outer._providers["slo"](), sort_keys=True
-                            ),
-                        )
-                    elif url.path == "/requests":
-                        query = parse_qs(url.query)
-
-                        def _int(key: str) -> int | None:
-                            raw = query.get(key, [None])[0]
-                            return None if raw is None else int(raw)
-
-                        self._reply(
-                            200, NDJSON_CONTENT_TYPE,
-                            outer._providers["requests"](
-                                _int("request_id"), _int("limit")
-                            ),
-                        )
-                    elif url.path == "/healthz":
-                        self._reply(
-                            200, JSON_CONTENT_TYPE,
-                            json.dumps(
-                                outer._providers["health"](), sort_keys=True
-                            ),
-                        )
+                    if url.path in routes:
+                        self._reply(200, *routes[url.path]())
                     else:
-                        self._reply(
-                            404, JSON_CONTENT_TYPE,
-                            json.dumps({
-                                "error": f"unknown path {url.path!r}",
-                                "endpoints": [
-                                    "/metrics", "/slo", "/requests",
-                                    "/healthz",
-                                ],
-                            }),
-                        )
+                        self._reply(404, JSON_CONTENT_TYPE, json.dumps({
+                            "error": f"unknown path {url.path!r}",
+                            "endpoints": list(routes),
+                        }))
                 except ValueError as exc:  # bad query parameters
-                    self._reply(
-                        400, JSON_CONTENT_TYPE,
-                        json.dumps({"error": str(exc)}),
-                    )
+                    self._reply(400, JSON_CONTENT_TYPE, json.dumps({"error": str(exc)}))
                 except Exception as exc:  # provider bug: loud, not fatal
-                    self._reply(
-                        500, JSON_CONTENT_TYPE,
-                        json.dumps(
-                            {"error": f"{type(exc).__name__}: {exc}"}
-                        ),
-                    )
+                    self._reply(500, JSON_CONTENT_TYPE, json.dumps(
+                        {"error": f"{type(exc).__name__}: {exc}"}))
 
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True

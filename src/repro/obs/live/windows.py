@@ -17,15 +17,18 @@ requests, an objective targeting fraction ``target`` may tolerate
 reports compliance, budget consumed/remaining, and the breach flag, the
 numbers a pager (or ``repro top``) wants.
 
-Everything here is lock-protected and clock-injectable; nothing imports
+Writes take no lock: a sample is one ``deque.append``, atomic under the
+GIL, and the deque's ``maxlen`` drops the oldest sample from the left in
+O(1).  Reads copy the deque in one C call and skip the samples older
+than the window.  Everything is clock-injectable; nothing imports
 ``repro.core`` / ``repro.gpusim`` / ``repro.service``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -44,13 +47,17 @@ def _nearest_rank(ordered: list[float], p: float) -> float:
     return ordered[rank - 1]
 
 
+def _recent(samples: deque, horizon: float) -> list:
+    """The ``(ts, ...)`` samples newer than ``horizon``, oldest first."""
+    return [s for s in list(samples) if s[0] > horizon]
+
+
 class SlidingWindow:
     """Time-bounded sample of (timestamp, value) observations.
 
-    Samples older than ``window_seconds`` are pruned on every write and
-    read; the sample count is additionally capped at ``max_samples``
-    (oldest dropped first) so a traffic spike cannot grow the window
-    without bound.
+    Only the newest ``max_samples`` are kept (oldest dropped first), so
+    a traffic spike cannot grow the window without bound; reads see
+    those not older than ``window_seconds``.
     """
 
     def __init__(
@@ -67,31 +74,14 @@ class SlidingWindow:
         self.window_seconds = window_seconds
         self.max_samples = max_samples
         self._clock = clock
-        self._lock = threading.Lock()
-        self._samples: list[tuple[float, float]] = []  # (ts, value)
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self.window_seconds
-        i = 0
-        n = len(self._samples)
-        while i < n and self._samples[i][0] <= horizon:
-            i += 1
-        if i:
-            del self._samples[:i]
-        overflow = len(self._samples) - self.max_samples
-        if overflow > 0:
-            del self._samples[:overflow]
+        self._samples: deque[tuple[float, float]] = deque(maxlen=max_samples)
 
     def observe(self, value: float) -> None:
-        now = self._clock()
-        with self._lock:
-            self._samples.append((now, float(value)))
-            self._prune(now)
+        self._samples.append((self._clock(), float(value)))
 
     def _values(self) -> list[float]:
-        with self._lock:
-            self._prune(self._clock())
-            return [v for _, v in self._samples]
+        horizon = self._clock() - self.window_seconds
+        return [v for _, v in _recent(self._samples, horizon)]
 
     # -- aggregates ------------------------------------------------------
     def count(self) -> int:
@@ -124,23 +114,19 @@ class SlidingWindow:
     def snapshot(self) -> dict[str, float]:
         """JSON-ready summary; zeros (with ``count=0``) when empty."""
         values = sorted(self._values())
-        if not values:
-            return {
-                "window_seconds": self.window_seconds,
-                "count": 0, "rate": 0.0, "sum": 0.0, "mean": 0.0,
-                "min": 0.0, "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0,
-            }
+        n = len(values)
+
+        def rank(p: float) -> float:
+            return _nearest_rank(values, p) if n else 0.0
+
         return {
             "window_seconds": self.window_seconds,
-            "count": len(values),
-            "rate": len(values) / self.window_seconds,
-            "sum": sum(values),
-            "mean": sum(values) / len(values),
-            "min": values[0],
-            "max": values[-1],
-            "p50": _nearest_rank(values, 50),
-            "p95": _nearest_rank(values, 95),
-            "p99": _nearest_rank(values, 99),
+            "count": n,
+            "rate": n / self.window_seconds,
+            "sum": float(sum(values)),
+            "mean": sum(values) / n if n else 0.0,
+            "min": rank(0), "max": rank(100),
+            "p50": rank(50), "p95": rank(95), "p99": rank(99),
         }
 
 
@@ -197,28 +183,14 @@ class SloTracker:
         self.window_seconds = window_seconds
         self._clock = clock
         self.max_samples = max_samples
-        self._lock = threading.Lock()
         #: (ts, ok, latency_seconds)
-        self._samples: list[tuple[float, bool, float]] = []
+        self._samples: deque[tuple[float, bool, float]] = deque(
+            maxlen=max_samples
+        )
 
     def record(self, *, ok: bool, latency: float) -> None:
         """Account one completed request (any terminal status)."""
-        now = self._clock()
-        with self._lock:
-            self._samples.append((now, bool(ok), float(latency)))
-            self._prune(now)
-
-    def _prune(self, now: float) -> None:
-        horizon = now - self.window_seconds
-        i = 0
-        n = len(self._samples)
-        while i < n and self._samples[i][0] <= horizon:
-            i += 1
-        if i:
-            del self._samples[:i]
-        overflow = len(self._samples) - self.max_samples
-        if overflow > 0:
-            del self._samples[:overflow]
+        self._samples.append((self._clock(), bool(ok), float(latency)))
 
     def snapshot(self) -> dict[str, Any]:
         """Per-objective compliance and error-budget accounting.
@@ -230,9 +202,7 @@ class SloTracker:
         ``breached`` flips when consumption exceeds the budget, i.e.
         when compliance drops below target.
         """
-        with self._lock:
-            self._prune(self._clock())
-            samples = list(self._samples)
+        samples = _recent(self._samples, self._clock() - self.window_seconds)
         total = len(samples)
         objectives: list[dict[str, Any]] = []
         for obj in self.objectives:

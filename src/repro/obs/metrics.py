@@ -64,8 +64,10 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
         if (self.count - 1) % self._stride == 0:
             self._samples.append(value)
             if len(self._samples) > self.MAX_SAMPLES:

@@ -68,25 +68,26 @@ class Tracer:
         self._stack: list[Span] = []
         self.spans: list[Span] = []
 
-    def _now(self) -> float:
+    def now(self) -> float:
+        """Seconds since this tracer's epoch (span ``start`` time base)."""
         return self._clock() - self._epoch
 
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[Span]:
         parent = self._stack[-1].name if self._stack else None
-        sp = Span(name=name, start=self._now(), parent=parent, attrs=dict(attrs))
+        sp = Span(name=name, start=self.now(), parent=parent, attrs=dict(attrs))
         self._stack.append(sp)
         try:
             yield sp
         finally:
-            sp.duration = self._now() - sp.start
+            sp.duration = self.now() - sp.start
             self._stack.pop()
             self.spans.append(sp)
 
     def event(self, name: str, **attrs: Any) -> Span:
         """Record an instantaneous (zero-duration) marker."""
         parent = self._stack[-1].name if self._stack else None
-        sp = Span(name=name, start=self._now(), parent=parent, attrs=dict(attrs))
+        sp = Span(name=name, start=self.now(), parent=parent, attrs=dict(attrs))
         self.spans.append(sp)
         return sp
 

@@ -21,6 +21,8 @@ from repro.gpusim import GpuDevice, HostSystem
 
 MODES = ("compile", "execute", "simulate")
 PLANNERS = ("heuristic", "pb", "auto")
+#: frozen, so every request without options can share it
+_DEFAULT_OPTIONS = CompileOptions()
 
 
 class ServiceError(RuntimeError):
@@ -91,7 +93,7 @@ class ServiceRequest:
         ``scheduler="pb"`` when the planner is ``pb`` (or ``auto`` on a
         template of at most ``pb_max_ops`` operators).  The one rule
         behind every key of the service, and a fleet's worker choice."""
-        opts = self.options or CompileOptions()
+        opts = self.options or _DEFAULT_OPTIONS
         pb = self.planner == "pb" or (
             self.planner == "auto" and len(self.template.ops) <= pb_max_ops
         )
@@ -154,15 +156,25 @@ class ServiceResponse:
         }
 
 
+#: guards the one lazy ``Event`` of a ticket someone waits on
+_WAITERS = threading.Lock()
+
+
 @dataclass(eq=False)
 class Ticket:
-    """Caller-side handle for one submitted request."""
+    """Caller-side handle for one submitted request.
+
+    A ticket is resolved by one write of its response and makes a
+    :class:`threading.Event` only for a caller that waits on it
+    unresolved.  Resolver and waiter (or callback) each write their
+    side, then read the other's, so one of them always sees the other.
+    """
 
     id: int
     request: ServiceRequest
     submitted_at: float
     deadline_at: float | None
-    _event: threading.Event = field(default_factory=threading.Event, repr=False)
+    _event: threading.Event | None = field(default=None, repr=False)
     _response: ServiceResponse | None = field(default=None, repr=False)
     _status: RequestStatus = RequestStatus.PENDING
     _cancel_hook: Any = field(default=None, repr=False)
@@ -177,7 +189,7 @@ class Ticket:
         return self._status
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._response is not None
 
     def result(self, timeout: float | None = None) -> ServiceResponse:
         """Block until the request reaches a terminal state.
@@ -186,11 +198,15 @@ class Ticket:
         request itself keeps running; call ``result()`` again to keep
         waiting.
         """
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.id} not done after {timeout} s "
-                f"(status {self._status.value})"
-            )
+        if self._response is None:
+            with _WAITERS:
+                if self._event is None:
+                    self._event = threading.Event()
+            if self._response is None and not self._event.wait(timeout):
+                raise TimeoutError(
+                    f"request {self.id} not done after {timeout} s "
+                    f"(status {self._status.value})"
+                )
         assert self._response is not None
         return self._response
 
@@ -213,25 +229,28 @@ class Ticket:
         before it returns.  Otherwise callbacks run on the resolving
         worker thread.  Either way they must be brief and non-blocking.
         """
-        fire = False
-        if self._event.is_set():
-            fire = True
-        else:
+        if self._response is None:
             self._done_callbacks.append(fn)
-            # _resolve may have run between the check and the append
-            fire = self._event.is_set() and fn in self._done_callbacks
-            if fire:
+            if self._response is None:
+                return  # the resolver reads the list after its write
+            try:  # both saw each other: whoever takes fn out fires it
                 self._done_callbacks.remove(fn)
-        if fire:
-            fn(self)
+            except ValueError:
+                return
+        fn(self)
 
     # -- service side ----------------------------------------------------
     def _resolve(self, response: ServiceResponse) -> None:
-        self._response = response
         self._status = response.status
-        self._event.set()
-        callbacks, self._done_callbacks = self._done_callbacks, []
-        for fn in callbacks:
+        self._response = response
+        if self._event is not None:
+            self._event.set()
+        callbacks = self._done_callbacks
+        while callbacks:
+            try:
+                fn = callbacks.pop(0)
+            except IndexError:  # add_done_callback took the last one back
+                break
             try:
                 fn(self)
             except Exception:

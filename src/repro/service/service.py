@@ -2,11 +2,12 @@
 
 Architecture (one process, N worker threads)::
 
-    submit() ──admission──┬──> bounded FIFO queue ──> workers ──┐
-                │         │                                      ├──> _run(ticket)
-                │         └──> compile whose plan is resident ───┘
-                │              (no batch window): on the submitting
-                │              thread, resolved before submit() returns
+    submit() ──admission──┬──> bounded FIFO queue ──> workers ──> _run(ticket)
+                │         │
+                │         └──> compile whose plan is resident (no batch
+                │              window): _serve_hit on the submitting
+                │              thread — one Framework.compile cache hit,
+                │              resolved before submit() returns
                 └─ QueueFullError
 
     _run(ticket) ─┬─ deadline gate (expire / degrade)
@@ -21,8 +22,10 @@ Admission resolves the request's compile options once
 option) and keys them — the ``plan_key`` the ``Framework`` cache uses;
 the single-flight and batch keys derive from it.  A ``compile`` whose
 plan is resident (``PlanCache.load``: in the memory tier, or read into
-it from a disk tier) is a lookup, so it is not queued: it runs the same
-``_run`` path on the submitting thread.
+it from a disk tier) is a lookup: :meth:`ExecutionService._serve_hit`
+serves it without a service lock, an ``Event`` or a ``Tracer``.  Every
+request's counters, window and SLO samples are recorded without a lock;
+counters are folded into :attr:`ExecutionService.metrics` when read.
 
 :meth:`ExecutionService._call` is the one place work runs: a compile,
 then the request's ``simulate`` / ``execute`` on the plan.  Everything
@@ -57,6 +60,7 @@ and ``serve_status()`` exposes all of it over HTTP for ``repro top``.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from collections import deque
@@ -71,7 +75,7 @@ from repro.core.framework import (
 from repro.core.plancache import PlanCache, SharedPlanCache, plan_key
 from repro.gpusim import SimRuntime
 from repro.gpusim.faults import FaultInjector, TransientFault
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry, Span, Tracer
 from repro.obs.flight import FlightRecorder, journal_dir
 from repro.obs.live import (
     AlertEngine,
@@ -113,10 +117,6 @@ class _LockedPlanCache(PlanCache):
     def put(self, key, entry):  # type: ignore[override]
         with self._plock:
             super().put(key, entry)
-
-    def __len__(self) -> int:
-        with self._plock:
-            return super().__len__()
 
 
 class _Flight:
@@ -208,8 +208,13 @@ class ExecutionService:
         self._queue: deque[Ticket] = deque()
         self._flights: dict[str, _Flight] = {}
         self._closed = False
-        self._next_id = 0
-        self._in_flight = 0
+        self._ids = itertools.count(1)
+        self._in_flight = 0  # tickets a worker holds
+        self._hits: set[Ticket] = set()  # on submitting threads
+        #: (counters, wait, service seconds) per completed request,
+        #: folded into ``metrics`` when read
+        self._unfolded: deque[tuple[tuple[str, ...], float, float]] = deque()
+        self._frameworks: dict[tuple[int, int], Framework] = {}
         if plan_cache is not None:
             self.plan_cache = plan_cache
         elif self.config.shared_cache_dir:
@@ -254,7 +259,7 @@ class ExecutionService:
         for t in self._workers:
             t.join()
         with self._cv:
-            while self._in_flight:  # hits still running on submitting threads
+            while self._in_flight or self._hits:
                 self._cv.wait()
         if self._status_server is not None:
             self._status_server.close()
@@ -284,16 +289,16 @@ class ExecutionService:
     def _admit(self, request: ServiceRequest) -> Ticket:
         """``submit()`` proper, once the request is validated."""
         now = self._clock()
-        deadline = request.deadline
-        if deadline is None:
-            deadline = self.config.default_deadline
         options = request.compile_options(self.config.pb_max_ops)
         key = plan_key(request.template, request.device, options)
-        inline = (
+        if (
             request.mode == "compile"
             and self.config.batch_window <= 0
+            and not self._closed
+            and len(self._queue) < self.config.max_queue_depth
             and self.plan_cache.load(key)
-        )
+        ):
+            return self._serve_hit(self._ticket(request, now, options, key))
         with self._cv:
             if self._closed:
                 raise ServiceClosedError("service is closed")
@@ -309,44 +314,33 @@ class ExecutionService:
                     f"queue depth {len(self._queue)} at configured limit "
                     f"{self.config.max_queue_depth}; retry with backoff"
                 )
-            self._next_id += 1
-            ticket = Ticket(
-                id=self._next_id,
-                request=request,
-                submitted_at=now,
-                deadline_at=None if deadline is None else now + deadline,
-            )
+            ticket = self._ticket(request, now, options, key)
             ticket._cancel_hook = self._cancel
-            ticket._options, ticket._key = options, key
             self.metrics.counter("service.submitted").inc()
-            if inline:
-                self._in_flight += 1
-                self.metrics.gauge("service.in_flight").set(self._in_flight)
-            else:
-                self._queue.append(ticket)
-                self.metrics.gauge("service.queue_depth").set(len(self._queue))
-            self.events.emit(
-                "service.admit",
-                request_id=ticket.id,
-                label=request.label,
-                mode=request.mode,
-                planner=request.planner,
-                queue_depth=len(self._queue),
-            )
+            self._queue.append(ticket)
+            self.metrics.gauge("service.queue_depth").set(len(self._queue))
+            self._admitted(ticket)
             # notify_all: with batching enabled, a gathering worker also
             # waits on this condition — a single notify could wake it
             # instead of an idle worker and delay an incompatible request
             # by a full batch window.
-            if not inline:
-                self._cv.notify_all()
-        if inline:
-            # A resident plan is a dict lookup away: handing it to a
-            # worker and back would cost more than serving it here.
-            try:
-                self._run(ticket)
-            finally:
-                self._leave()
+            self._cv.notify_all()
         return ticket
+
+    def _ticket(self, request: ServiceRequest, now: float,
+                options: CompileOptions, key: str) -> Ticket:
+        deadline = request.deadline
+        if deadline is None:
+            deadline = self.config.default_deadline
+        return Ticket(id=next(self._ids), request=request, submitted_at=now,
+                      deadline_at=None if deadline is None else now + deadline,
+                      _options=options, _key=key)
+
+    def _admitted(self, ticket: Ticket) -> None:
+        req = ticket.request
+        self.events.emit("service.admit", request_id=ticket.id, label=req.label,
+                         mode=req.mode, planner=req.planner,
+                         queue_depth=len(self._queue))
 
     def submit_all(self, requests: list[ServiceRequest]) -> list[Ticket]:
         """Submit a batch; admission is all-or-error per request."""
@@ -384,6 +378,7 @@ class ExecutionService:
     def metrics_snapshot(self) -> dict[str, Any]:
         """JSON-ready snapshot of every service and substrate metric."""
         with self._lock:
+            self._fold()
             return self.metrics.snapshot()
 
     def queue_depth(self) -> int:
@@ -415,8 +410,9 @@ class ExecutionService:
         the list shape is the contract multi-process shards will extend).
         """
         with self._lock:
+            self._fold()
             queue_depth = len(self._queue)
-            in_flight = self._in_flight
+            in_flight = self._in_flight + len(self._hits)
             closed = self._closed
             counters = {
                 name: c.value
@@ -435,30 +431,17 @@ class ExecutionService:
                 )
             alert_snap = self._alerts.snapshot()
         shard = {
-            "shard": self.config.shard_label,
-            "alive": True,
-            "workers": len(self._workers),
-            "queue_depth": queue_depth,
-            "in_flight": in_flight,
-            "plan_cache": cache_stats,
+            "shard": self.config.shard_label, "alive": True,
+            "workers": len(self._workers), "queue_depth": queue_depth,
+            "in_flight": in_flight, "plan_cache": cache_stats,
             "window": self._latency_window.snapshot(),
         }
         snap = {
-            "closed": closed,
-            "queue_depth": queue_depth,
-            "in_flight": in_flight,
-            "workers": len(self._workers),
-            "counters": counters,
-            "window": self._latency_window.snapshot(),
-            "slo": self._slo.snapshot(),
-            "alerts": alert_snap,
-            "plan_cache": cache_stats,
-            "events": {
-                "capacity": self.events.capacity,
-                "emitted": self.events.total_emitted,
-                "dropped": self.events.dropped,
-            },
-            "shards": [shard],
+            "closed": closed, "queue_depth": queue_depth, "in_flight": in_flight,
+            "workers": len(self._workers), "counters": counters,
+            "window": shard["window"], "slo": self._slo.snapshot(),
+            "alerts": alert_snap, "plan_cache": cache_stats,
+            "events": self.events.stats(), "shards": [shard],
         }
         if self.flight is not None:
             snap["flight"] = {
@@ -470,46 +453,25 @@ class ExecutionService:
     def prom_text(self) -> str:
         """Prometheus text exposition (the ``GET /metrics`` payload)."""
         out = PromText()
-        with self._lock:
-            snap = self.metrics.snapshot()
-        out.registry(snap)
-        out.summary(
-            "service.latency_seconds",
-            self._latency_window.snapshot(),
-            help_text=(
-                "End-to-end request latency over the rolling window"
-            ),
-        )
+        out.registry(self.metrics_snapshot())
+        out.summary("service.latency_seconds", self._latency_window.snapshot(),
+                    help_text="End-to-end request latency over the rolling window")
         stats = self._cache_stats()
-        out.counter(
-            "plancache.hits", stats["hits"],
-            help_text="Plan-cache memory-tier hits",
-        )
+        out.counter("plancache.hits", stats["hits"], help_text="Plan-cache memory-tier hits")
         out.counter("plancache.disk_hits", stats["disk_hits"])
         out.counter("plancache.misses", stats["misses"])
         out.gauge("plancache.entries", stats["entries"])
-        out.event_log({
-            "capacity": self.events.capacity,
-            "emitted": self.events.total_emitted,
-            "dropped": self.events.dropped,
-        })
+        out.event_log(self.events.stats())
         with self._alert_lock:
             alert_snap = self._alerts.snapshot()
-        out.gauge(
-            "alerts.active", len(alert_snap["active"]),
-            help_text="Alert rules currently firing",
-        )
-        out.counter(
-            "alerts.fired", alert_snap["fired_total"],
-            help_text="Alert firing transitions since start",
-        )
+        out.gauge("alerts.active", len(alert_snap["active"]),
+                  help_text="Alert rules currently firing")
+        out.counter("alerts.fired", alert_snap["fired_total"],
+                    help_text="Alert firing transitions since start")
         for obj in self._slo.snapshot()["objectives"]:
             base = f"slo.{obj['name']}"
             out.gauge(f"{base}.compliance", obj["compliance"])
-            out.gauge(
-                f"{base}.budget_remaining",
-                obj["budget_remaining_fraction"],
-            )
+            out.gauge(f"{base}.budget_remaining", obj["budget_remaining_fraction"])
             out.gauge(f"{base}.breached", 1.0 if obj["breached"] else 0.0)
         return out.render()
 
@@ -524,7 +486,7 @@ class ExecutionService:
                 "ok": not self._closed,
                 "closed": self._closed,
                 "queue_depth": len(self._queue),
-                "in_flight": self._in_flight,
+                "in_flight": self._in_flight + len(self._hits),
                 "workers": len(self._workers),
             }
 
@@ -580,38 +542,101 @@ class ExecutionService:
                 for t in tickets:
                     self._run(t, batch)
             finally:
-                self._leave()
+                with self._cv:
+                    self._in_flight -= 1
+                    self.metrics.gauge("service.in_flight").set(self._in_flight)
+                    if self._closed and not self._in_flight:
+                        self._cv.notify_all()  # close() waits for this
 
     def _run(self, ticket: Ticket, batch: _Batch | None = None) -> None:
-        """Serve one admitted ticket to its response — on a worker, or on
-        the submitting thread for a resident compile."""
+        """Serve one dequeued ticket to its response."""
         # The ambient bind is what correlates everything below —
         # Framework.compile, PlanCache, SimRuntime — to this request.
         try:
             with bind(self.events, ticket.id):
                 self._process(ticket, batch=batch)
-        except BaseException as exc:  # a request must never die silently
-            self._record_done(
-                ticket,
-                ServiceResponse(
-                    request_id=ticket.id,
-                    label=ticket.request.label,
-                    status=RequestStatus.FAILED,
-                    # a ServiceError (a dead fleet worker) says what failed
-                    error=str(exc) if isinstance(exc, ServiceError)
-                    else f"internal: {type(exc).__name__}: {exc}",
-                ),
-                tracer=None,
-            )
+        except BaseException as exc:
+            self._fail(ticket, exc)
             if not isinstance(exc, Exception):
-                raise  # an interrupt or exit, e.g. Ctrl-C on a submitting thread
+                raise  # an interrupt or exit
 
-    def _leave(self) -> None:
-        with self._cv:
-            self._in_flight -= 1
-            self.metrics.gauge("service.in_flight").set(self._in_flight)
-            if self._closed and not self._in_flight:
-                self._cv.notify_all()  # close() waits for this
+    def _fail(self, ticket: Ticket, exc: BaseException,
+              counted: tuple[str, ...] = ()) -> None:
+        """Resolve ``ticket`` FAILED: a request must never die silently.
+        A ServiceError (a dead fleet worker) says itself what failed."""
+        error = str(exc) if isinstance(exc, ServiceError) else (
+            f"internal: {type(exc).__name__}: {exc}")
+        self._record_done(ticket, ServiceResponse(
+            request_id=ticket.id, label=ticket.request.label,
+            status=RequestStatus.FAILED, error=error), counted)
+
+    # -- the resident hit ------------------------------------------------
+    def _serve_hit(self, ticket: Ticket) -> Ticket:
+        """Serve a compile whose plan is resident, on the submitting
+        thread: what a worker would make of it, without the queue, a
+        service lock, an Event or a Tracer.  ``close()`` sets ``_closed``
+        before it reads ``_hits``, and a hit joins ``_hits`` before it
+        reads ``_closed``: either close() waits for it, or it is refused
+        before its first event."""
+        self._hits.add(ticket)
+        req, rid, events, opts = ticket.request, ticket.id, self.events, ticket._options
+        counted: tuple[str, ...] = ("service.submitted",)
+        try:
+            if self._closed:
+                raise ServiceClosedError("service is closed")
+            try:
+                self._admitted(ticket)
+                ticket._status = RequestStatus.RUNNING
+                start = self.tracer.now()
+                events.emit("service.start", request_id=rid, label=req.label,
+                            mode=req.mode, scheduler=opts.scheduler, wait_seconds=0.0)
+                with bind(events, rid):
+                    compiled = self._framework(req).compile(req.template, options=opts)
+                end = self.tracer.now()
+                cached = bool(compiled.metrics.get("counters", {}).get("plan_cache.hit"))
+                events.emit("service.compile_done", request_id=rid,
+                            planner=compiled.source, cached=cached, seconds=end - start)
+                counted += (("service.dedupe_hits", "service.plan_cache_hits") if cached
+                            else ("service.compiles",))  # evicted since the lookup
+                key = ticket._key[:16]
+                self.tracer.spans.extend((
+                    Span("service.compile", start, end - start, "service.request",
+                         {"scheduler": opts.scheduler, "key": key}),
+                    Span("service.plan_cache_hit", end, 0.0, "service.request",
+                         {"key": key}),
+                    Span("service.request", start, self.tracer.now() - start, None, {
+                        "id": rid, "label": req.label, "mode": req.mode,
+                        "scheduler": opts.scheduler, "template": req.template.name,
+                        "device": req.device.name, "status": "ok", "attempts": 1,
+                        "retries": 0, "degraded": False, "deduped": cached}),
+                ))
+                self._record_done(ticket, ServiceResponse(
+                    request_id=rid, label=req.label, status=RequestStatus.OK,
+                    value=compiled, planner_used=compiled.source, attempts=1,
+                    deduped=cached, service_seconds=self._clock() - ticket.submitted_at,
+                ), counted)
+            except BaseException as exc:
+                self._fail(ticket, exc, counted)
+                if not isinstance(exc, Exception):
+                    raise  # e.g. Ctrl-C on the submitting thread
+        finally:
+            self._hits.discard(ticket)
+            if self._closed:
+                with self._cv:
+                    self._cv.notify_all()  # close() waits for this
+        return ticket
+
+    def _framework(self, req: ServiceRequest) -> Framework:
+        """The service's Framework for ``req``'s device and host, kept
+        (so it holds both objects, and their ids stay theirs)."""
+        key = (id(req.device), id(req.host))
+        fw = self._frameworks.get(key)
+        if fw is None:
+            if len(self._frameworks) >= 64:
+                self._frameworks.clear()
+            fw = self._frameworks[key] = Framework(
+                req.device, host=req.host, plan_cache=self.plan_cache)
+        return fw
 
     def _ticket_batch_key(self, ticket: Ticket) -> tuple:
         """The coalescing key: requests sharing it can share one batched
@@ -705,7 +730,8 @@ class ExecutionService:
                         f"before the request was dequeued"
                     )
                     root.set(status=response.status.value)
-                    self._record_done(ticket, response, tracer=tracer)
+                    self.tracer.merge(tracer)
+                    self._record_done(ticket, response)
                     return
             self._attempt_loop(ticket, response, degraded, tracer, batch=batch)
             root.set(
@@ -716,7 +742,8 @@ class ExecutionService:
                 deduped=response.deduped,
             )
         response.service_seconds = self._clock() - start
-        self._record_done(ticket, response, tracer=tracer)
+        self.tracer.merge(tracer)
+        self._record_done(ticket, response)
 
     def _attempt_loop(
         self,
@@ -989,31 +1016,21 @@ class ExecutionService:
         with tracer.span(
             "service.compile", scheduler=opts.scheduler, key=key[:16]
         ) as sp:
-            compiled = Framework(
-                req.device, host=req.host, options=opts, plan_cache=self.plan_cache
-            ).compile(req.template)
+            compiled = self._framework(req).compile(req.template, options=opts)
         landed(compiled, sp.duration)
         return compiled
 
     # -- bookkeeping -----------------------------------------------------
-    def _record_done(
-        self,
-        ticket: Ticket,
-        response: ServiceResponse,
-        tracer: Tracer | None,
-    ) -> None:
-        with self._lock:
-            self.metrics.counter(f"service.{response.status.value}").inc()
-            if response.status is RequestStatus.OK:
-                self.metrics.counter("service.completed").inc()
-            self.metrics.histogram("service.wait_seconds").observe(
-                response.wait_seconds
-            )
-            self.metrics.histogram("service.service_seconds").observe(
-                response.service_seconds
-            )
-            if tracer is not None:
-                self.tracer.merge(tracer)
+    def _record_done(self, ticket: Ticket, response: ServiceResponse,
+                     counted: tuple[str, ...] = ()) -> None:
+        """Account ``response`` (and the ``counted`` counters) and resolve
+        ``ticket``, without a lock: counters wait in ``_unfolded``."""
+        status = f"service.{response.status.value}"
+        counted += (status, "service.completed") if response.ok else (status,)
+        self._unfolded.append((counted, response.wait_seconds, response.service_seconds))
+        if len(self._unfolded) >= 1024:  # bounded when nobody reads,
+            with self._lock:  # a few at a time: no request pays for all
+                self._fold(64)
         latency = response.wait_seconds + response.service_seconds
         self._latency_window.observe(latency)
         self._slo.record(ok=response.ok, latency=latency)
@@ -1036,6 +1053,24 @@ class ExecutionService:
             seconds=response.service_seconds,
         )
         ticket._resolve(response)
+
+    def _fold(self, most: int | None = None) -> None:
+        """Fold (``most`` of) ``_unfolded`` into ``metrics``; the caller
+        holds ``_lock``."""
+        pending, tally = self._unfolded, {}
+        n = len(pending) if most is None else min(most, len(pending))
+        if not n:
+            return
+        waits = self.metrics.histogram("service.wait_seconds")
+        services = self.metrics.histogram("service.service_seconds")
+        for _ in range(n):
+            counted, wait, service = pending.popleft()
+            for name in counted:
+                tally[name] = tally.get(name, 0) + 1
+            waits.observe(wait)
+            services.observe(service)
+        for name, count in tally.items():
+            self.metrics.counter(name).inc(count)
 
 
 def run_request(

@@ -254,10 +254,10 @@ class ShardedExecutionService(ExecutionService):
         return reply["value"]
 
     def _record_done(self, ticket: Ticket, response: ServiceResponse,
-                     tracer: Tracer | None) -> None:
+                     counted: tuple[str, ...] = ()) -> None:
         if note := self._notes.pop(ticket.id, None):
             response.error = note  # an OK reply whose value did not pickle
-        super()._record_done(ticket, response, tracer)
+        super()._record_done(ticket, response, counted)
 
     # -- the worker pool -------------------------------------------------
     def _send_call(

@@ -21,9 +21,14 @@ is the gate that does not drift.  The pins here are exact:
   visits each step once, a cold compile walks each candidate plan once,
   and a valid plan never asks for an operator's predecessors (only a
   failing launch does, to name the dependency it lacks).
+* A served plan-cache hit is one short pass: at most two lock
+  acquisitions, its seven events appended to the ring, one window and
+  one SLO sample, and no ``threading.Event``, ``Tracer`` or
+  ``Framework`` made.
 """
 
 import math
+import threading
 import time
 import tracemalloc
 from collections import Counter
@@ -39,7 +44,7 @@ from repro.core import splitting as splitting_module
 from repro.core.graph import DataStructure, GraphError, Operator, OperatorGraph
 from repro.core.plan import ExecutionPlan, Launch, validate_plan
 from repro.core.walk import Residency
-from repro.obs import provenance_summary
+from repro.obs import Tracer, provenance_summary
 from repro.gpusim import XEON_WORKSTATION, GpuDevice, SimRuntime, homogeneous_group
 from repro.multigpu import MultiSimRuntime, execute_multi_plan, simulate_multi_plan
 from repro.ops import get_impl, known_kinds
@@ -51,6 +56,7 @@ from repro.runtime import (
     simulate_plan_events,
     simulate_plan_overlap,
 )
+from repro.service import ExecutionService, ServiceConfig, ServiceRequest
 from repro.templates import find_edges_graph, find_edges_inputs
 
 DEVICE = GpuDevice(name="count-dev", memory_bytes=64 * 1024)
@@ -356,3 +362,81 @@ def test_a_cold_compile_walks_each_candidate_plan_once(walks):
     assert candidates > 1
     assert len(walks) == len({id(plan) for plan in walks}) <= candidates
     assert any(plan is compiled.plan for plan in walks)
+
+
+class Counting:
+    """Stands in for a lock, a condition or a deque: forwards every call
+    and counts acquisitions (``acquire``, ``with``) and ``append``s."""
+
+    def __init__(self, inner, counts: Counter, name: str) -> None:
+        self._inner, self._counts, self._name = inner, counts, name
+
+    def __getattr__(self, attr):
+        return getattr(self._inner, attr)
+
+    def acquire(self, *args, **kwargs):
+        self._counts[self._name] += 1
+        return self._inner.acquire(*args, **kwargs)
+
+    def __enter__(self):
+        self._counts[self._name] += 1
+        return self._inner.__enter__()
+
+    def __exit__(self, *exc):
+        return self._inner.__exit__(*exc)
+
+    def append(self, item) -> None:
+        self._counts[self._name] += 1
+        self._inner.append(item)
+
+    def __iter__(self):
+        return iter(self._inner)
+
+    def __len__(self) -> int:
+        return len(self._inner)
+
+
+def test_a_resident_hit_is_one_short_pass(monkeypatch):
+    """A compile whose plan is cached is served inside ``submit()`` with
+    at most two lock acquisitions (the parent of this pin took 19: seven
+    on the event ring, five on the service lock, two on the plan cache,
+    three on ``threading.Event``s, one each on the window and the SLO
+    tracker), its seven events appended without a lock, and no Event,
+    Tracer or Framework made (the parent made two, one and one)."""
+    request = ServiceRequest(
+        template=find_edges_graph(40, 40, 8, 2),
+        device=GpuDevice(name="hit-dev", memory_bytes=8 * 1024 * 1024),
+        host=HOST,
+    )
+    counts: Counter = Counter()
+    with ExecutionService(ServiceConfig(workers=1)) as svc:
+        assert not svc.submit(request).result(timeout=60).deduped  # the miss
+        assert svc.submit(request).result(timeout=60).deduped  # first hit
+        svc.metrics_snapshot()  # folds what the two recorded
+        for owner, attr, name in (
+            (svc, "_lock", "lock"),
+            (svc, "_cv", "lock"),
+            (svc.plan_cache, "_plock", "lock"),
+            (svc.events, "_lock", "lock"),
+            (svc.events, "_ring", "ring"),
+            (svc._latency_window, "_samples", "window"),
+            (svc._slo, "_samples", "slo"),
+        ):
+            monkeypatch.setattr(owner, attr, Counting(getattr(owner, attr), counts, name))
+        for cls in (threading.Event, Tracer, Framework):
+            def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kw):
+                counts[_name] += 1
+                _init(self, *args, **kw)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        hits = 50
+        for _ in range(hits):
+            ticket = svc.submit(request)
+            assert ticket.done() and ticket.result(timeout=0).deduped
+        monkeypatch.undo()
+        snap = svc.metrics_snapshot()["counters"]
+    assert snap["service.plan_cache_hits"] == snap["service.dedupe_hits"] == hits + 1
+    assert counts["lock"] <= 2 * hits, counts
+    assert counts["ring"] == 7 * hits, counts
+    assert counts["window"] == counts["slo"] == hits, counts
+    assert counts["Event"] == counts["Tracer"] == counts["Framework"] == 0, counts

@@ -272,6 +272,61 @@ class TestSlidingWindow:
             SlidingWindow(1.0, max_samples=0)
 
 
+class _ListWindow:
+    """The list-backed window these classes used to be: prune by time on
+    every write and read, then cap by deleting from the front."""
+
+    def __init__(self, window_seconds, clock, max_samples):
+        self.window_seconds, self.clock, self.cap = window_seconds, clock, max_samples
+        self.samples = []
+
+    def add(self, *sample):
+        self.samples.append((self.clock(), *sample))
+        self.prune()
+
+    def prune(self):
+        horizon = self.clock() - self.window_seconds
+        while self.samples and self.samples[0][0] <= horizon:
+            del self.samples[:1]
+        del self.samples[:max(0, len(self.samples) - self.cap)]
+        return self.samples
+
+
+class TestWindowsMatchTheListOracle:
+    CAP = 64
+
+    def test_a_full_window_keeps_the_newest_cap_in_order(self):
+        w = SlidingWindow(1e9, clock=lambda: 0.0, max_samples=self.CAP)
+        for v in range(3 * self.CAP):
+            w.observe(float(v))
+        assert w._values() == [float(v) for v in range(2 * self.CAP, 3 * self.CAP)]
+        assert w.count() == self.CAP
+
+    def test_snapshots_equal_the_oracle_on_a_fake_clock(self):
+        import random
+
+        rng, now = random.Random(7), [0.0]
+        clock = lambda: now[0]  # noqa: E731
+        window = SlidingWindow(10.0, clock=clock, max_samples=self.CAP)
+        slo = SloTracker(window_seconds=10.0, clock=clock, max_samples=self.CAP)
+        values, outcomes = (_ListWindow(10.0, clock, self.CAP) for _ in range(2))
+        for _ in range(3 * self.CAP):
+            now[0] += rng.choice([0.0, 0.01, 0.5, 3.0])
+            value, ok = rng.random() * 2, rng.random() > 0.1
+            window.observe(value)
+            values.add(value)
+            slo.record(ok=ok, latency=value)
+            outcomes.add(ok, value)
+            oracle_w = SlidingWindow(10.0, clock=lambda: 0.0, max_samples=self.CAP)
+            for _, v in values.prune():
+                oracle_w.observe(v)
+            assert window.snapshot() == oracle_w.snapshot()
+            oracle_s = SloTracker(window_seconds=10.0, clock=lambda: 0.0)
+            for _, good, latency in outcomes.prune():
+                oracle_s.record(ok=good, latency=latency)
+            assert slo.snapshot() == oracle_s.snapshot()
+
+
 class TestSloTracker:
     def test_availability_budget_and_breach(self):
         t = SloTracker(

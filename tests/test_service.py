@@ -1,6 +1,7 @@
 """Concurrent execution service (repro.service)."""
 
 import json
+import sys
 import threading
 import time
 
@@ -21,6 +22,8 @@ from repro.service import (
     ServiceClosedError,
     ServiceConfig,
     ServiceRequest,
+    ServiceResponse,
+    Ticket,
 )
 from repro.templates import find_edges_graph, find_edges_inputs
 
@@ -226,6 +229,52 @@ class TestResidentHits:
         # a hit never touches the queue, so its gauge may not even exist
         peak = gauges.get("service.queue_depth", {"peak": 0})["peak"]
         assert peak == (1 if queued else 0)
+
+    def test_hits_from_many_threads_lose_no_count_or_event(self):
+        threads_n, per_thread = 4, 200
+        with ExecutionService(ServiceConfig(workers=1)) as svc:
+            assert svc.submit(edge_request()).result(timeout=60).ok
+            emitted = svc.events.total_emitted
+            barrier = threading.Barrier(threads_n, timeout=30)
+
+            def client():
+                barrier.wait()
+                for _ in range(per_thread):
+                    assert svc.submit(edge_request()).result(timeout=0).ok
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=client) for _ in range(threads_n)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            hits = threads_n * per_thread
+            snap = svc.live_snapshot()
+        assert snap["counters"]["service.plan_cache_hits"] == hits
+        assert snap["counters"]["service.dedupe_hits"] == hits
+        assert snap["counters"]["service.submitted"] == hits + 1
+        assert snap["counters"]["service.completed"] == hits + 1
+        assert snap["events"]["emitted"] - emitted == 7 * hits
+        assert snap["window"]["count"] == snap["slo"]["total"] == hits + 1
+        assert snap["in_flight"] == 0
+
+    def test_unread_counters_stay_bounded_and_fold_exactly(self):
+        with ExecutionService(ServiceConfig(workers=1)) as svc:
+            assert svc.submit(edge_request()).result(timeout=60).ok
+            for _ in range(1500):
+                assert svc.submit(edge_request()).done()
+            assert len(svc._unfolded) <= 1024  # folded a few at a time
+            counters = svc.metrics_snapshot()["counters"]
+            histograms = svc.metrics_snapshot()["histograms"]
+            assert not svc._unfolded
+        assert counters["service.submitted"] == counters["service.ok"] == 1501
+        assert counters["service.plan_cache_hits"] == 1500
+        assert histograms["service.wait_seconds"]["count"] == 1501
 
     def test_resident_pb_plan_skips_the_queue(self):
         with ExecutionService(ServiceConfig(workers=1)) as svc:
@@ -473,6 +522,74 @@ class TestAdmissionAndCancellation:
                 ticket.result(timeout=0.01)
             release.set()
             assert ticket.result(timeout=30).ok
+
+
+@pytest.mark.timeout(120)
+class TestTicketResolution:
+    def test_racing_waiters_and_callbacks_see_one_resolution(self):
+        """_resolve, result(timeout=...), done() and add_done_callback race
+        on one ticket, 1,000 rounds: every callback fires exactly once and
+        every reader gets the one response."""
+        rounds = 1000
+        request = edge_request()
+        tickets = [
+            Ticket(id=i, request=request, submitted_at=0.0, deadline_at=None)
+            for i in range(rounds)
+        ]
+        responses = [
+            ServiceResponse(request_id=i, label="race", status=RequestStatus.OK)
+            for i in range(rounds)
+        ]
+        fired = [[] for _ in range(rounds)]
+        seen = [[] for _ in range(rounds)]
+        for i, ticket in enumerate(tickets):  # registered before the race
+            ticket.add_done_callback(
+                lambda t, i=i: fired[i].append(("early", t, t.done()))
+            )
+        barrier = threading.Barrier(4, timeout=30)
+
+        def resolver():
+            for i in range(rounds):
+                barrier.wait()
+                tickets[i]._resolve(responses[i])
+
+        def waiter():
+            for i in range(rounds):
+                barrier.wait()
+                seen[i].append(tickets[i].result(timeout=30))
+
+        def poller():
+            for i in range(rounds):
+                barrier.wait()
+                while not tickets[i].done():
+                    pass
+                seen[i].append(tickets[i].result(timeout=0))
+
+        def subscriber():
+            for i in range(rounds):
+                barrier.wait()
+                tickets[i].add_done_callback(
+                    lambda t, i=i: fired[i].append(("racing", t, t.done()))
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f)
+                       for f in (resolver, waiter, poller, subscriber)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i, ticket in enumerate(tickets):
+            assert sorted(tag for tag, _, _ in fired[i]) == ["early", "racing"]
+            assert all(t is ticket and done for _, t, done in fired[i])
+            assert len(seen[i]) == 2
+            assert all(r is responses[i] for r in seen[i])
+            assert ticket.done() and ticket.status is RequestStatus.OK
 
 
 @pytest.mark.timeout(60)
